@@ -20,7 +20,7 @@ from .propagator import (ProbeReport, green_high, green_low, probe_high_band,
                          probe_low_band, propagate)
 from .solver import (EnergyLedger, SolveResult, SolverBlowupError, SolverConfig,
                      StepState, energy_balance_residual, nonlinear_term, phi1,
-                     phi2, solve, step)
+                     phi2, solve)
 from .diagnostics import (DecayFit, NormSeries, WeightedFunctionals,
                           contamination_horizon, fit_decay,
                           probe_product_inequality, record,
@@ -43,7 +43,7 @@ __all__ = [
     "probe_low_band", "propagate",
     "EnergyLedger", "SolveResult", "SolverBlowupError", "SolverConfig",
     "StepState", "energy_balance_residual", "nonlinear_term", "phi1", "phi2",
-    "solve", "step",
+    "solve",
     "DecayFit", "NormSeries", "WeightedFunctionals", "contamination_horizon",
     "fit_decay", "probe_product_inequality", "record", "weighted_functionals",
     "ConfigError", "RunSummary", "ScenarioConfig", "run_scenario",

@@ -219,52 +219,130 @@ def field_from_spectral_profile(grid: GridSpec, profile) -> SpectralField:
     return SpectralField(grid, vals * scale)
 
 
-def _pad_slabs(N: int, M: int):
-    half = N // 2
-    return [(slice(0, half), slice(0, half)), (slice(half, N), slice(M - half, M))]
-
-
-def padded_physical(field: SpectralField, pad_factor: float) -> tuple:
-    """Physical samples of the field on a zero-padded grid of M >= pad_factor*N points.
-
-    Returns (real samples on the fine grid, M).  Used for alias-free
-    pointwise products: a product of degree d is exact on the original
-    lattice when pad_factor >= (d + 1) / 2.
-    """
-    g = field.grid
-    N = g.points_per_dim
+def padded_size(N: int, pad_factor: float) -> int:
+    """Points per axis of the padded grid: the even M >= pad_factor*N, never below N."""
     M = int(math.ceil(N * pad_factor))
-    M += M % 2
-    if M <= N:
-        return np.real(to_physical(field)), N
-    padded = np.zeros((M,) * g.n, dtype=complex)
-    slabs = _pad_slabs(N, M)
-    for combo in itertools.product(slabs, repeat=g.n):
-        src = tuple(c[0] for c in combo)
-        dst = tuple(c[1] for c in combo)
-        padded[dst] = field.coefficients[src]
-    up = np.fft.ifftn(padded) * (M / N) ** g.n
-    return np.real(up), M
+    return max(M + M % 2, N)
 
 
-def pointwise_power(field: SpectralField, power: int, pad_factor: float) -> SpectralField:
-    """Spectral image of u^power, computed alias-free on a zero-padded grid.
+def half_spectrum(field: SpectralField) -> np.ndarray:
+    """The last-axis half spectrum (``rfftn`` layout, N/2 + 1 columns) of a real field."""
+    return field.coefficients[..., : field.grid.points_per_dim // 2 + 1].copy()
 
-    The input is treated as real data (real part taken after the inverse
-    transform); modes beyond the original lattice are discarded, which is
-    exact for the lattice modes themselves when pad_factor >= (power+1)/2.
+
+def from_half_spectrum(grid: GridSpec, half: np.ndarray) -> SpectralField:
+    """The full-spectrum field of the real data whose half spectrum is `half`.
+
+    The omitted last-axis columns are filled exactly from F(-k) = conj(F(k)).
     """
-    g = field.grid
-    N = g.points_per_dim
-    up, M = padded_physical(field, pad_factor)
+    N = grid.points_per_dim
+    full = np.empty(grid.shape, dtype=complex)
+    full[..., : N // 2 + 1] = half
+    full[..., N // 2 + 1 :] = np.conj(_reflect(half[..., N // 2 - 1 : 0 : -1], grid.n - 1))
+    return SpectralField(grid, full)
+
+
+def _reflect(a: np.ndarray, axes: int) -> np.ndarray:
+    """a at -k along its first `axes` axes (lattice index j -> -j mod N)."""
+    for axis in range(axes):
+        a = np.take(a, _reverse_indices(a.shape[axis]), axis=axis)
+    return a
+
+
+@lru_cache(maxsize=16)
+def _pad_pieces(n: int, N: int, M: int) -> tuple:
+    """(lattice block, padded block, weight) of every piece of a half spectrum.
+
+    Full-length axes keep modes -N/2 < j < N/2 and split the Nyquist
+    coefficient evenly between +N/2 and -N/2, so the padded field stays real
+    and still interpolates the lattice samples.  On the last (half) axis the
+    -N/2 share is implied by conjugate symmetry, so only 0.5 c is stored.
+    """
+    h = N // 2
+    full_axis = ((slice(0, h), slice(0, h), 1.0),
+                 (slice(h + 1, N), slice(M - h + 1, M), 1.0),
+                 (slice(h, h + 1), slice(h, h + 1), 0.5),
+                 (slice(h, h + 1), slice(M - h, M - h + 1), 0.5))
+    half_axis = ((slice(0, h), slice(0, h), 1.0),
+                 (slice(h, h + 1), slice(h, h + 1), 0.5))
+    return tuple((tuple(c[0] for c in combo), tuple(c[1] for c in combo),
+                  math.prod(c[2] for c in combo))
+                 for combo in itertools.product(*([full_axis] * (n - 1) + [half_axis])))
+
+
+def padded_physical(half: np.ndarray, pad_factor: float) -> tuple:
+    """Real samples, on a zero-padded grid of M >= pad_factor*N points per
+    axis, of the field whose half spectrum is `half`.
+
+    Returns (samples, M).  Used for alias-free pointwise products: a product
+    of degree d is exact on the original lattice when pad_factor >= (d + 1) / 2.
+    """
+    n = half.ndim
+    N = 2 * (half.shape[-1] - 1)
+    M = padded_size(N, pad_factor)
+    if M == N:
+        return np.fft.irfftn(half, s=(N,) * n, axes=tuple(range(n))), N
+    padded = np.zeros((M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
+    scale = (M / N) ** n
+    for lattice, pad, weight in _pad_pieces(n, N, M):
+        padded[pad] = (weight * scale) * half[lattice]
+    return np.fft.irfftn(padded, s=(M,) * n, axes=tuple(range(n))), M
+
+
+def truncated_spectrum(samples: np.ndarray, N: int) -> np.ndarray:
+    """Half spectrum on the N-point lattice of real samples on a padded grid.
+
+    Modes beyond the lattice are discarded; the +N/2 and -N/2 modes of the
+    padded grid, which the lattice cannot tell apart, are folded together
+    into its Nyquist coefficient.
+    """
+    n = samples.ndim
+    M = samples.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.fft.fftn(up ** power)
+        w = np.fft.rfftn(samples)
         if M == N:
-            return field.with_coefficients(w)
-        out = np.empty((N,) * g.n, dtype=complex)
-        slabs = _pad_slabs(N, M)
-        for combo in itertools.product(slabs, repeat=g.n):
-            src = tuple(c[0] for c in combo)
-            dst = tuple(c[1] for c in combo)
-            out[src] = w[dst]
-        return field.with_coefficients(out * (N / M) ** g.n)
+            return w
+        out = np.zeros((N,) * (n - 1) + (N // 2 + 1,), dtype=complex)
+        for lattice, pad, _ in _pad_pieces(n, N, M):
+            out[lattice] += w[pad]
+        # the last axis's -N/2 column is the conjugate mirror of its +N/2 column
+        nyquist = out[..., N // 2]
+        out[..., N // 2] = nyquist + np.conj(_reflect(nyquist, n - 1))
+        return out * (N / M) ** n
+
+
+def _chain_power(x: np.ndarray, power: int) -> np.ndarray:
+    """x**power by repeated squaring: a few multiplications, where numpy's
+    float ``pow`` for an integer exponent is tens of times slower.  The
+    squares are this function's own, so the product is built in place in
+    one of them; x itself is never written."""
+    base, result = x, None
+    while True:
+        if power & 1:
+            if result is None:
+                result = x.copy() if base is x else base
+            else:
+                result *= base
+        power >>= 1
+        if not power:
+            return result
+        base = base * base
+
+
+def pointwise_power(u, power: int, pad_factor: float = None):
+    """u^power for an integer power >= 1.
+
+    Given physical samples (an ndarray), returns their power.  Given a
+    SpectralField, returns the spectral image of u^power, computed
+    alias-free on a grid padded by `pad_factor` and truncated to the
+    lattice; the input is treated as real data.  That is exact for the
+    lattice modes themselves when pad_factor >= (power + 1) / 2.
+    """
+    if int(power) != power or power < 1:
+        raise ValueError(f"power must be an integer >= 1, got {power}")
+    if isinstance(u, SpectralField):
+        up, _ = padded_physical(half_spectrum(u), pad_factor)
+        half = truncated_spectrum(pointwise_power(up, power), u.grid.points_per_dim)
+        return from_half_spectrum(u.grid, half)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _chain_power(u, int(power))

@@ -35,7 +35,8 @@ from .model import GAIN, ModelParams, decay_exponent, sigma, validate
 from .oracle import (OracleConvergenceError, RadialProfile, gaussian_profile,
                      power_tail_profile, radial_weighted_l2)
 from .propagator import BOUNDED, UNBOUNDED, probe_high_band, probe_low_band
-from .solver import SolverConfig, SolverBlowupError, energy_balance_residual, solve
+from .solver import (SolverConfig, SolverBlowupError, energy_balance_residual, pad_factor,
+                     solve)
 
 SCENARIOS = (
     "linear-decay",
@@ -51,6 +52,11 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
 _ORDER_BANDS = {"etd1": (0.7, 1.3), "etd2": (1.7, 2.3)}
+
+# Largest padded sample array a nonlinear run may allocate.  A step holds
+# several arrays of that size at once, so this keeps a run well inside a
+# few GB; n=3, N=128, theta=5 would need 448^3 float64 values (686 MiB) per array.
+MAX_PADDED_BYTES = 256 * 2 ** 20
 
 
 class ConfigError(ValueError):
@@ -144,6 +150,14 @@ def parse_config(doc: dict) -> ScenarioConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"run: {exc}") from exc
+        if needs_solver and run.enable_nonlinearity:
+            M = sg.padded_size(grid.points_per_dim, pad_factor(model.theta))
+            size = 8 * M ** grid.n
+            if size > MAX_PADDED_BYTES:
+                raise ConfigError(
+                    f"grid.points_per_dim: the nonlinear term needs a padded grid of "
+                    f"{M}^{grid.n} samples ({size / 2 ** 20:.0f} MiB per array), over the "
+                    f"{MAX_PADDED_BYTES / 2 ** 20:.0f} MiB limit; lower points_per_dim")
 
     fit = _as_mapping(doc.get("fit", {}), "fit")
     if scenario != "convergence-study":

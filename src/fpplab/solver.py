@@ -10,12 +10,16 @@ discretize the integral with the phi functions, so the linear sub-flow is
 exact per step and the decay measurements are never polluted by linear
 solver error.  The nonlinear power is evaluated pointwise on a zero-padded
 grid and truncated to the retained modes, which removes aliasing entirely.
+Inside the step loop a state is its real-to-complex half spectrum plus its
+forcing: one padded transform per state gives both that forcing and the
+energy ledger's source term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,23 +148,52 @@ def dealias_mask(grid: sg.GridSpec, fraction: float) -> np.ndarray:
     return mask.reshape(grid.shape)
 
 
+def pad_factor(theta: int) -> float:
+    """Padding that makes the degree-(theta+1) power alias-free: (theta+2)/2."""
+    return (theta + 2) / 2.0
+
+
+def _forcing(power_samples: np.ndarray, N: int, multiplier: np.ndarray) -> np.ndarray:
+    """Half spectrum of a padded power truncated to the lattice, times a
+    half-spectrum multiplier (the dealias mask, with Binv in the stepper).
+
+    A non-finite power gives a non-finite result, which the callers check.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return multiplier * sg.truncated_spectrum(power_samples, N)
+
+
+def _half(table: np.ndarray, grid: sg.GridSpec) -> np.ndarray:
+    return table[..., : grid.points_per_dim // 2 + 1]
+
+
 def nonlinear_term(field: sg.SpectralField, params: ModelParams,
                    dealias_fraction: float = None) -> sg.SpectralField:
     """Spectral image of u^(theta+1): alias-free padded power, truncated
-    to the retained modes, Hermitian symmetry re-imposed."""
+    to the retained modes."""
     theta = params.theta
     frac = default_dealias_fraction(theta) if dealias_fraction is None else dealias_fraction
-    img = sg.pointwise_power(field, theta + 1, (theta + 2) / 2.0)
-    if not np.all(np.isfinite(img.coefficients)):
+    up, _ = sg.padded_physical(sg.half_spectrum(field), pad_factor(theta))
+    mask = _half(dealias_mask(field.grid, frac), field.grid)
+    half = _forcing(sg.pointwise_power(up, theta + 1), field.grid.points_per_dim, mask)
+    if not np.all(np.isfinite(half)):
         raise OverflowError("nonlinear term overflowed; amplitude too extreme")
-    coeffs = img.coefficients
-    if frac < 1.0:
-        coeffs = coeffs * dealias_mask(field.grid, frac)
-    return sg.hermitian_symmetrize(field.with_coefficients(coeffs))
+    return sg.from_half_spectrum(field.grid, half)
+
+
+class _Live(NamedTuple):
+    """A state inside the step loop: its half spectrum and, for a nonlinear
+    run, its forcing Binv(u^(theta+1)), computed by the same padded
+    transform that gave the ledger its source term."""
+
+    t: float
+    half: np.ndarray
+    ledger: EnergyLedger
+    forcing: np.ndarray
 
 
 class _Stepper:
-    """Precomputed multiplier tables for a fixed (grid, params, dt)."""
+    """Precomputed half-spectrum multiplier tables for a fixed (grid, params, dt)."""
 
     def __init__(self, grid: sg.GridSpec, params: ModelParams, dt: float,
                  scheme: str, dealias_fraction: float, nonlinear: bool):
@@ -169,73 +202,86 @@ class _Stepper:
         self.dt = dt
         self.scheme = scheme
         self.nonlinear = nonlinear
-        self.frac = dealias_fraction
-        mag = sg.wavenumber_magnitude(grid)
+        N = grid.points_per_dim
+        mag = _half(sg.wavenumber_magnitude(grid), grid)
         sig = sigma(mag, params)
         self.decay = np.exp(-sig * dt)
         self.dt_phi1 = dt * phi1(-sig * dt)
         self.dt_phi2 = dt * phi2(-sig * dt)
-        self.binv = b_inverse(mag, params)
-        self.mask = dealias_mask(grid, dealias_fraction) if dealias_fraction < 1.0 else None
-        self.diss_weight = mag ** (2.0 * params.alpha)
-        self.energy_weight = 1.0 + params.m * mag * mag
-        self.norm_scale = grid.box_length ** grid.n / grid.points_per_dim ** (2 * grid.n)
-        self.pad_factor = (params.theta + 2) / 2.0
+        self.forcing_multiplier = b_inverse(mag, params) * _half(
+            dealias_mask(grid, dealias_fraction), grid)
+        # interior last-axis columns stand for themselves and their mirror images
+        columns = np.full(N // 2 + 1, 2.0)
+        columns[0] = columns[-1] = 1.0
+        norm = columns * grid.box_length ** grid.n / N ** (2 * grid.n)
+        self.diss_weight = norm * mag ** (2.0 * params.alpha)
+        self.energy_weight = norm * (1.0 + params.m * mag * mag)
+        self.pad_factor = pad_factor(params.theta)
 
-    def _forcing(self, field: sg.SpectralField) -> np.ndarray:
-        img = sg.pointwise_power(field, self.params.theta + 1, self.pad_factor)
-        coeffs = img.coefficients
-        if self.mask is not None:
-            coeffs = coeffs * self.mask
-        sym = sg.hermitian_symmetrize(field.with_coefficients(coeffs))
-        return self.binv * sym.coefficients
+    @staticmethod
+    def _weighted_sum(weight: np.ndarray, half: np.ndarray) -> float:
+        return float(np.vdot(weight, half.real ** 2 + half.imag ** 2))
 
-    def spectral_energy(self, coeffs: np.ndarray) -> float:
-        return self.norm_scale * float(np.sum(self.energy_weight * np.abs(coeffs) ** 2))
-
-    def dissipation(self, coeffs: np.ndarray) -> float:
-        return self.norm_scale * float(np.sum(self.diss_weight * np.abs(coeffs) ** 2))
-
-    def source(self, field: sg.SpectralField) -> float:
+    def _nonlinear(self, half: np.ndarray) -> tuple:
+        """Forcing and int u^(theta+2) dx of a state from one padded inverse
+        transform, or (None, 0.0) for a linear run.  The padded arrays die
+        here, so only lattice-sized arrays live between steps."""
         if not self.nonlinear:
-            return 0.0
-        up, M = sg.padded_physical(field, self.pad_factor)
-        return float(np.sum(up ** (self.params.theta + 2))) * (
-            self.grid.box_length / M) ** self.grid.n
+            return None, 0.0
+        up, M = sg.padded_physical(half, self.pad_factor)
+        power = sg.pointwise_power(up, self.params.theta + 1)
+        source = float(np.vdot(power, up)) * (self.grid.box_length / M) ** self.grid.n
+        del up  # one padded array fewer alive during the forward transform
+        return _forcing(power, self.grid.points_per_dim, self.forcing_multiplier), source
 
-    def advance(self, field: sg.SpectralField) -> sg.SpectralField:
-        u = field.coefficients
+    def enter(self, t: float, field: sg.SpectralField,
+              ledger: EnergyLedger = None) -> _Live:
+        """Bring a field into the loop; a new ledger starts when none is given."""
+        half = sg.half_spectrum(field)
+        forcing, p = self._nonlinear(half)
+        if ledger is None:
+            e = self._weighted_sum(self.energy_weight, half)
+            ledger = EnergyLedger(e0=e, e=e, d=self._weighted_sum(self.diss_weight, half),
+                                  p=p)
+        return _Live(t, half, ledger, forcing)
+
+    def leave(self, live: _Live) -> StepState:
+        """The full-spectrum state, without the cached forcing."""
+        return StepState(t=live.t, field=sg.from_half_spectrum(self.grid, live.half),
+                         ledger=live.ledger)
+
+    def advance(self, live: _Live) -> _Live:
+        u = live.half
         if not self.nonlinear:
-            return field.with_coefficients(self.decay * u)
-        f_n = self._forcing(field)
-        a = self.decay * u + self.dt_phi1 * f_n
-        if self.scheme == "etd1":
-            return field.with_coefficients(a)
-        f_a = self._forcing(field.with_coefficients(a))
-        return field.with_coefficients(a + self.dt_phi2 * (f_a - f_n))
-
-    def initial_state(self, field: sg.SpectralField) -> StepState:
-        e = self.spectral_energy(field.coefficients)
-        return StepState(t=0.0, field=field, ledger=EnergyLedger(
-            e0=e, e=e, d=self.dissipation(field.coefficients), p=self.source(field)))
-
-    def step(self, state: StepState) -> StepState:
-        new_field = self.advance(state.field)
-        t_new = state.t + self.dt
-        if not np.all(np.isfinite(new_field.coefficients)):
+            new = self.decay * u
+        else:
+            f_n = live.forcing
+            new = self.decay * u + self.dt_phi1 * f_n
+            if self.scheme == "etd2":
+                f_a, _ = self._nonlinear(new)
+                new += self.dt_phi2 * (f_a - f_n)
+        t_new = live.t + self.dt
+        if not np.all(np.isfinite(new)):
             raise SolverBlowupError(t_new)
-        d_new = self.dissipation(new_field.coefficients)
-        p_new = self.source(new_field)
-        led = state.ledger
+        forcing, p_new = self._nonlinear(new)
+        d_new = self._weighted_sum(self.diss_weight, new)
+        led = live.ledger
         ledger = replace(
             led,
-            e=self.spectral_energy(new_field.coefficients),
+            e=self._weighted_sum(self.energy_weight, new),
             diss_integral=led.diss_integral + 0.5 * self.dt * (led.d + d_new),
             source_integral=led.source_integral + 0.5 * self.dt * (led.p + p_new),
             d=d_new,
             p=p_new,
         )
-        return StepState(t=t_new, field=new_field, ledger=ledger)
+        return _Live(t_new, new, ledger, forcing)
+
+    def initial_state(self, field: sg.SpectralField) -> StepState:
+        return StepState(t=0.0, field=field, ledger=self.enter(0.0, field).ledger)
+
+    def step(self, state: StepState) -> StepState:
+        """Advance one step from a stored state (pays one extra padded transform)."""
+        return self.leave(self.advance(self.enter(state.t, state.field, state.ledger)))
 
 
 def _resolve_fraction(config: SolverConfig, params: ModelParams) -> float:
@@ -248,12 +294,6 @@ def make_stepper(grid: sg.GridSpec, params: ModelParams,
                  config: SolverConfig) -> _Stepper:
     return _Stepper(grid, params, config.dt, config.scheme,
                     _resolve_fraction(config, params), config.enable_nonlinearity)
-
-
-def step(state: StepState, config: SolverConfig, params: ModelParams) -> StepState:
-    """Advance one time step.  Convenience wrapper that rebuilds the
-    multiplier tables; use ``solve`` for long runs."""
-    return make_stepper(state.field.grid, params, config).step(state)
 
 
 @dataclass(frozen=True)
@@ -279,25 +319,26 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
                          for t in config.sample_times})
     want = set(sample_idx)
 
-    state = stepper.initial_state(u0)
+    live = stepper.enter(0.0, u0)
     trajectory = []
     samples = []
 
-    def maybe_emit(i, st):
+    def maybe_emit(i, current):
         if i in want:
+            st = stepper.leave(current)
             trajectory.append((st.t, st.field))
             samples.append(st)
             if on_sample is not None:
                 on_sample(st)
 
-    maybe_emit(0, state)
+    maybe_emit(0, live)
     for i in range(1, n_steps + 1):
-        state = stepper.step(state)
-        maybe_emit(i, state)
+        live = stepper.advance(live)
+        maybe_emit(i, live)
     if remainder > 1e-9 * max(config.dt, 1.0):
         tail = _Stepper(u0.grid, params, remainder, config.scheme,
                         _resolve_fraction(config, params),
                         config.enable_nonlinearity)
-        state = tail.step(state)
+        live = tail.advance(live)
     return SolveResult(trajectory=tuple(trajectory), samples=tuple(samples),
-                       final_state=state, step_count=n_steps)
+                       final_state=stepper.leave(live), step_count=n_steps)

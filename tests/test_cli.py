@@ -88,6 +88,22 @@ class TestRunCommand:
         cfg = _write(tmp_path, {"scenario": "linear-decay"}, "missing.json")
         assert main(["run", cfg, "--quiet"]) == 2
 
+    def test_oversized_padded_grid_is_a_config_error(self, tmp_path, capsys):
+        # n=3, N=128, theta=5 pads to 448^3 samples per array
+        out = tmp_path / "out"
+        doc = {
+            "scenario": "nonlinear-smalldata",
+            "model": {"n": 3, "m": 1.0, "alpha": 1.0, "theta": 5},
+            "grid": {"n": 3, "points_per_dim": 128, "box_length": 64.0},
+            "data": {"kind": "gaussian", "width": 1.0, "amplitude": 0.01},
+            "run": {"dt": 0.1, "t_end": 1.0},
+            "fit": {"window": [0.5, 1.0], "l_list": [0.0]},
+            "output_dir": str(out),
+        }
+        assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
+        assert "points_per_dim" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tolerance_override_forces_failure(self, tmp_path):
         out = tmp_path / "out"
         cfg = _write(tmp_path, _linear_config(out))

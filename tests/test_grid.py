@@ -224,3 +224,14 @@ class TestPaddedPower:
         assert c[-4] == pytest.approx(a * a / 4.0, rel=1e-13)
         others = np.delete(np.abs(c), [0, 4, len(c) - 4])
         assert np.max(others) <= 1e-14
+
+    @given(n=st.sampled_from((1, 2, 3)), seed=st.integers(0, 1000),
+           pad=st.floats(1.0, 3.5))
+    @settings(max_examples=30, deadline=None)
+    def test_first_power_returns_every_mode(self, n, seed, pad):
+        # white spectrum: the Nyquist coefficients are as large as any other
+        g = sg.make_grid(n, {1: 32, 2: 16, 3: 8}[n], 5.0)
+        f = random_real_field(g, seed=seed, decay=0.0)
+        out = sg.pointwise_power(f, 1, pad)
+        ref = np.max(np.abs(f.coefficients))
+        assert np.max(np.abs(out.coefficients - f.coefficients)) <= 1e-14 * ref

@@ -9,7 +9,7 @@ from fpplab.oracle import gaussian_profile
 from fpplab.propagator import propagate
 from fpplab.solver import (SolverConfig, SolverBlowupError, dealias_mask,
                            energy_balance_residual, make_stepper,
-                           nonlinear_term, phi1, phi2, solve, step)
+                           nonlinear_term, pad_factor, phi1, phi2, solve)
 from conftest import random_real_field
 
 
@@ -146,13 +146,16 @@ class TestStep:
                              - want.coefficients)) <= 1e-12 * ref
 
     def test_public_step_wrapper(self, gain_params):
+        # the public step recomputes the forcing of a stored state; it must
+        # land exactly where the solve loop, which carries it over, does
         g = sg.make_grid(1, 32, 10.0)
         f = random_real_field(g, seed=4)
-        cfg = SolverConfig(dt=0.1, t_end=1.0, enable_nonlinearity=False)
+        cfg = SolverConfig(dt=0.1, t_end=0.1)
         stepper = make_stepper(g, gain_params, cfg)
-        st0 = stepper.initial_state(f)
-        assert np.allclose(step(st0, cfg, gain_params).field.coefficients,
-                           stepper.step(st0).field.coefficients)
+        got = stepper.step(stepper.initial_state(f))
+        want = solve(f, gain_params, cfg).final_state
+        assert np.array_equal(got.field.coefficients, want.field.coefficients)
+        assert got.ledger == want.ledger
 
     def test_blowup_aborts_with_time(self):
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=1)
@@ -162,6 +165,38 @@ class TestStep:
         with pytest.raises(SolverBlowupError) as err:
             solve(f, p, cfg)
         assert err.value.t > 0.0
+
+
+class TestLoopCache:
+    """The step loop takes each state's source term and its next forcing
+    from one padded transform; they must belong to the state they ride
+    with.  theta = 4 keeps u^(theta+2) >= 0, so no cancellation."""
+
+    def _check_source(self, n, N, dt, t_end):
+        g = sg.make_grid(n, N, 12.0)
+        params = ModelParams(n=n, m=1.0, alpha=1.0, theta=4)
+        u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.8, n=n).profile)
+        state = solve(u0, params, SolverConfig(dt=dt, t_end=t_end)).final_state
+        up, M = sg.padded_physical(sg.half_spectrum(state.field), pad_factor(params.theta))
+        fresh = float(np.sum(up ** (params.theta + 2))) * (g.box_length / M) ** n
+        assert state.ledger.p == pytest.approx(fresh, rel=1e-13)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    def test_ledger_source_matches_fresh_transform(self, n, N):
+        self._check_source(n, N, dt=0.05, t_end=0.2)
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 16)])
+    def test_ledger_source_after_remainder_step(self, n, N):
+        self._check_source(n, N, dt=0.05, t_end=0.2 + 0.05 / 3)
+
+    @pytest.mark.parametrize("theta", range(1, 9))
+    def test_multiplication_chain_matches_pow(self, theta):
+        x = np.random.default_rng(theta).uniform(-2.0, 2.0, 1000)
+        x0 = x.copy()
+        want = x ** (theta + 1)
+        got = sg.pointwise_power(x, theta + 1)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+        assert np.array_equal(x, x0)
 
 
 class TestConvergence:
