@@ -90,20 +90,29 @@ def cutoff_chi(r, R: float = 0.5):
     chi = f(2 - r/R) / (f(2 - r/R) + f(r/R - 1)), f(x) = exp(-1/x) for x > 0,
     which is C-infinity, has exact plateaus, and equals 1/2 at r = 1.5 R.
     """
+    return cutoff_partition(r, R)[0]
+
+
+def cutoff_partition(r, R: float = 0.5):
+    """(chi, 1 - chi) of cutoff_chi, each formed as its own ratio.
+
+    1 - chi by subtraction keeps no digits where chi rounds to 1 (just above
+    R); f(r/R - 1) / (f(2 - r/R) + f(r/R - 1)) keeps them all.
+    """
     if not 0.0 < R < 1.0:
         raise ValueError(f"cutoff radius R must lie in (0, 1), got {R}")
     scalar = np.ndim(r) == 0
     r = _as_radii(r)
     t = r / R
-    chi = np.empty_like(t)
-    chi[t <= 1.0] = 1.0
-    chi[t >= 2.0] = 0.0
+    chi = np.where(t <= 1.0, 1.0, 0.0)
+    rest = np.where(t >= 2.0, 1.0, 0.0)
     mid = (t > 1.0) & (t < 2.0)
     tm = t[mid]
     f_hi = np.exp(-1.0 / (2.0 - tm))
     f_lo = np.exp(-1.0 / (tm - 1.0))
     chi[mid] = f_hi / (f_hi + f_lo)
-    return _scalar_or_array(chi, scalar)
+    rest[mid] = f_lo / (f_hi + f_lo)
+    return _scalar_or_array(chi, scalar), _scalar_or_array(rest, scalar)
 
 
 def decay_exponent(l, params: ModelParams):

@@ -138,10 +138,7 @@ def probe_low_band(profile: RadialProfile, l: float, t_samples, params: ModelPar
         raise ValueError("low-band probe needs a profile with an L1 norm hint")
     times = np.asarray(t_samples, dtype=float)
     exponent = params.n / (4.0 * params.alpha) + l / (2.0 * params.alpha) + rate_offset
-    norms = np.array([
-        radial_weighted_l2(profile, l, t, params, window="low", R=R, tol=tol)
-        for t in times
-    ])
+    norms = radial_weighted_l2(profile, l, times, params, window="low", R=R, tol=tol)
     ratios = norms * (1.0 + times) ** exponent / profile.l1_norm_hint
     slope, _ = _tail_slope(times, ratios)
     verdict = BOUNDED if (math.isfinite(slope) and abs(slope) <= TAIL_SLOPE_TOL) else UNBOUNDED
@@ -170,10 +167,7 @@ def probe_high_band(profile: RadialProfile, l: float, t_samples, params: ModelPa
     bound, so no lower slope bar applies).
     """
     times = np.asarray(t_samples, dtype=float)
-    norms = np.array([
-        radial_weighted_l2(profile, l, t, params, window="high", R=R, tol=tol)
-        for t in times
-    ])
+    norms = radial_weighted_l2(profile, l, times, params, window="high", R=R, tol=tol)
     if params.alpha >= 1.0:
         pos = norms > 0.0
         if np.sum(pos) < 3:

@@ -323,10 +323,7 @@ class RunSummary:
 
 def _oracle_series(profile, l, params, window, n_samples, R, tol):
     times = np.geomspace(window[0], window[1], n_samples)
-    values = np.array([
-        radial_weighted_l2(profile, l, t, params, window="full", R=R, tol=tol)
-        for t in times
-    ])
+    values = radial_weighted_l2(profile, l, times, params, window="full", R=R, tol=tol)
     return NormSeries(times, values, l=float(l))
 
 
@@ -393,17 +390,13 @@ def _run_linear_decay(cfg, out, override):
         result = solve(u0, cfg.model, run)
         step_count = result.step_count
         match_tol = float(cfg.fit.get("solver_match_tol", 1e-4))
+        inside = [(t, f) for t, f in result.trajectory if 0 < t <= horizon]
         worst = 0.0
-        times, values = [], []
-        for t, f in result.trajectory:
-            if t <= 0 or t > horizon:
-                continue
-            got = sg.lp_norm(f, 2)
-            want = radial_weighted_l2(profile, 0.0, t, cfg.model, tol=tol_quad)
-            worst = max(worst, abs(got - want) / want)
-            times.append(t)
-            values.append(got)
-        if times:
+        if inside:
+            times = np.array([t for t, _ in inside])
+            values = np.array([sg.lp_norm(f, 2) for _, f in inside])
+            want = radial_weighted_l2(profile, 0.0, times, cfg.model, tol=tol_quad)
+            worst = float(np.max(np.abs(values - want) / want))
             csv = "series_solver_l0_full.csv"
             write_series_csv(out / csv, times, values)
             files.append(csv)

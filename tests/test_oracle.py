@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpplab.oracle as oracle
 from fpplab.model import ModelParams
 from fpplab.oracle import (DecayClass, OracleConvergenceError, RadialProfile,
                            gaussian_profile, oracle_decay_fit,
@@ -130,6 +131,110 @@ class TestRadialWeightedL2:
             radial_weighted_l2(prof, 0.0, 0.0, gain_params, tol=0.0)
         with pytest.raises(ValueError):
             radial_weighted_l2(prof, 0.0, 0.0, gain_params, window="sideways")
+
+    def test_high_window_keeps_its_digits_at_large_time(self, gain_params):
+        # the mass sits just above R, where chi rounds to 1; reference from
+        # 40-digit mpmath on 400 subpanels
+        prof = gaussian_profile(1.0, 1.0, n=1)
+        got = radial_weighted_l2(prof, 0.0, 1000.0, gain_params, window="high",
+                                 R=0.5, tol=1e-10)
+        assert got == pytest.approx(1.187148682271904e-103, rel=1e-10)
+
+    @pytest.mark.parametrize("exponent,want", [(4.56, 2.8857087903205126),
+                                               (4.52, 6.291157274900839)])
+    def test_power_tail_near_divergence(self, loss_params, exponent, want):
+        # the tail integrand goes like u^(2p - 2l - n - 1) = u^-0.88, u^-0.96
+        # as u = 1/r -> 0; references from 30-digit mpmath after u = v^(1/0.12)
+        # (resp. 1/0.04), which makes it smooth
+        prof = power_tail_profile(exponent, 1.0, n=1)
+        got = radial_weighted_l2(prof, 4.0, 100.0, loss_params, tol=1e-10)
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+# Values of the former adaptive-quadrature (QUADPACK) oracle at tol 1e-10:
+# the profiles, windows and regimes of C1-C4, C9 and the oracle benchmark
+# configs, plus n = 2, 3, t = 0 and the slow power_tail(4.6), l = 4 tail.
+# (profile kind, parameter, n, alpha, l, window, t, norm)
+QUAD_TABLE = [
+    ("gaussian", 1.0, 1, 1.0, 0.0, "full", 100.0, 0.3542425243339523),
+    ("gaussian", 1.0, 1, 1.0, 1.0, "full", 10000.0, 0.0005597890565457528),
+    ("gaussian", 1.0, 1, 0.5, 0.0, "full", 1000.0, 0.03162279241319859),
+    ("gaussian", 1.0, 1, 1.0, 1.0, "low", 1000.0, 0.0031495202629936753),
+    ("gaussian", 1.0, 1, 0.5, 0.0, "low", 10000.0, 0.010000000050000004),
+    ("gaussian", 1.0, 2, 1.5, 0.5, "low", 10.0, 0.3323916113673043),
+    ("gaussian", 0.5, 1, 1.0, 0.0, "high", 4.0, 0.13642014184894366),
+    ("gaussian", 0.5, 1, 1.0, 1.0, "low", 10000.0, 0.0005598048042794597),
+    ("gaussian", 1.0, 1, 0.5, 0.0, "high", 100.0, 3.780767117049131e-14),
+    ("gaussian", 1.0, 1, 0.5, 1.0, "full", 0.0, 0.9413962637767148),
+    ("gaussian", 1.0, 1, 1.0, 0.5, "cross", 1.0, 0.13985974638988052),
+    ("gaussian", 1.0, 2, 1.0, 0.0, "cross", 0.0, 0.3542718790582416),
+    ("gaussian", 1.0, 3, 1.0, 1.0, "full", 50.0, 0.009436343191113614),
+    ("gaussian", 1.0, 3, 0.5, 0.0, "high", 20.0, 0.0004492007687918735),
+    ("gaussian", 1.0, 3, 1.5, 2.0, "low", 0.0, 0.34575848174519547),
+    ("power_tail", 4.6, 1, 0.5, 0.0, "full", 100.0, 0.09999599983013123),
+    ("power_tail", 4.6, 1, 0.5, 1.5, "full", 1000.0, 8.662854640215029e-07),
+    ("power_tail", 4.6, 1, 0.5, 4.0, "full", 100.0, 1.783836826372097),
+    ("power_tail", 4.6, 1, 0.5, 4.0, "full", 10000.0, 1.1255330498441893),
+    ("power_tail", 4.6, 1, 0.5, 4.0, "full", 0.0, 2.875699745198118),
+    ("power_tail", 4.6, 1, 0.5, 1.0, "high", 1000.0, 1.0759578472097875e-09),
+    ("power_tail", 3.0, 2, 1.5, 2.0, "full", 1.0, 0.5677772068892329),
+    ("power_tail", 4.0, 3, 0.5, 0.5, "high", 10.0, 0.023457434739502937),
+    ("compact_support", 0.25, 1, 1.0, 0.0, "full", 0.0, 0.6998398205021715),
+    ("compact_support", 0.25, 1, 1.0, 0.0, "low", 10.0, 0.5909441874282143),
+    ("compact_support", 3.0, 1, 0.5, 1.0, "high", 2.0, 0.31664708969713456),
+    ("compact_support", 3.0, 2, 1.0, 0.5, "full", 30.0, 0.07889276403535629),
+    ("compact_support", 0.8, 3, 1.5, 0.0, "cross", 5.0, 0.1097802810999279),
+]
+
+
+@pytest.mark.parametrize("kind,param,n,alpha,l,window,t,want", QUAD_TABLE)
+def test_matches_adaptive_quadrature_table(kind, param, n, alpha, l, window, t, want):
+    if kind == "gaussian":
+        prof = gaussian_profile(param, 1.0, n=n)
+    elif kind == "power_tail":
+        prof = power_tail_profile(param, 1.0, n=n)
+    else:
+        prof = truncated_profile(gaussian_profile(1.0, 1.0, n=n), param)
+    params = ModelParams(n=n, m=1.0, alpha=alpha, theta=5)
+    got = radial_weighted_l2(prof, l, t, params, window=window, tol=1e-10)
+    assert got == pytest.approx(want, rel=1e-8)
+
+
+class TestTimeBatching:
+    @pytest.mark.parametrize("window", ["full", "low", "high", "cross"])
+    def test_array_equals_scalar_calls(self, gain_params, window):
+        # t = 0; t = 5 has no sigma crossing (sigma < 1/m = 1 < 30/5); the
+        # high/cross norms at t = 1e5 underflow to 0
+        prof = gaussian_profile(1.0, 1.0, n=1)
+        times = np.array([0.0, 5.0, 40.0, 1e3, 1e5])
+        batch = radial_weighted_l2(prof, 0.5, times, gain_params, window=window)
+        one = [radial_weighted_l2(prof, 0.5, t, gain_params, window=window)
+               for t in times]
+        assert isinstance(one[0], float) and batch.shape == times.shape
+        if window in ("high", "cross"):
+            assert batch[-1] == 0.0
+        np.testing.assert_allclose(batch, one, rtol=1e-13, atol=0.0)
+
+    def test_array_keeps_its_shape(self, loss_params):
+        prof = power_tail_profile(4.6, 1.0, n=1)
+        times = np.array([[0.0, 10.0], [100.0, 1e4]])
+        got = radial_weighted_l2(prof, 1.0, times, loss_params)
+        assert got.shape == (2, 2)
+        assert got[1, 1] == radial_weighted_l2(prof, 1.0, 1e4, loss_params)
+
+    def test_decay_fit_evaluates_sigma_on_arrays(self, gain_params, monkeypatch):
+        # a scalar integrand callback would make tens of thousands of calls
+        calls = []
+        plain_sigma = oracle.sigma
+
+        def counted(r, params):
+            calls.append(r)
+            return plain_sigma(r, params)
+
+        monkeypatch.setattr(oracle, "sigma", counted)
+        prof = gaussian_profile(1.0, 1.0, n=1)
+        oracle_decay_fit(prof, 1.0, gain_params, (1e2, 1e4), n_samples=24)
+        assert 0 < len(calls) <= 64
 
 
 class TestOracleDecayFit:
