@@ -18,7 +18,6 @@ GAIN_CONFIG = {
     "data": {"kind": "gaussian", "width": 0.5, "amplitude": 1.0},
     "fit": {"window": [1.0, 10000.0], "l_list": [0.0, 1.0], "falsify": True},
     "output_dir": "runs/band-probes-gain",
-    "seed": 0,
 }
 
 LOSS_CONFIG = {
@@ -27,7 +26,6 @@ LOSS_CONFIG = {
     "data": {"kind": "gaussian", "width": 1.0, "amplitude": 1.0},
     "fit": {"window": [1.0, 10000.0], "l_list": [0.0], "beta": 1.0, "s": 4.0},
     "output_dir": "runs/band-probes-loss",
-    "seed": 0,
 }
 
 

@@ -23,7 +23,6 @@ CONFIG = {
     "fit": {"window": [100.0, 10000.0], "l_list": [0.0, 1.0],
             "tolerance": [0.02, 0.03]},
     "output_dir": "runs/linear-decay",
-    "seed": 0,
 }
 
 

@@ -19,7 +19,6 @@ CONFIG = {
     "fit": {"window": [100.0, 10000.0], "l_list": [0.0, 0.5, 1.0, 1.5, 4.0],
             "tolerance": 0.05, "s": 4.0, "gap_min": 0.1},
     "output_dir": "runs/regularity-loss",
-    "seed": 0,
 }
 
 

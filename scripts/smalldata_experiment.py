@@ -23,7 +23,6 @@ CONFIG = {
     "fit": {"window": [10.0, 500.0], "l_list": [0.0, 0.25, 0.5, 0.75, 1.0],
             "tolerance": 0.05},
     "output_dir": "runs/nonlinear-smalldata",
-    "seed": 0,
 }
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import grid as sg
 from .model import LOSS, ModelParams, sigma, validate
+from .solver import pad_factor
 
 R_SQUARED_POWER_LAW = 0.995
 HORIZON_CONSTANT = 0.1
@@ -267,7 +268,7 @@ def probe_product_inequality(field: sg.SpectralField, l: float,
     untruncated.
     """
     theta = params.theta
-    power_img = sg.pointwise_power(field, theta + 1, (theta + 2) / 2.0)
+    power_img = sg.pointwise_power(field, theta + 1, pad_factor(theta))
     numerator = sg.sobolev_seminorm(power_img, l)
     sup = sg.lp_norm(field, np.inf)
     semi = sg.sobolev_seminorm(field, l)

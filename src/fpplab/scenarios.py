@@ -15,8 +15,8 @@ Five scenarios are supported:
 * ``convergence-study``     Richardson dt, dt/2, dt/4 triplet measuring the
                             observed order of the time stepper.
 
-Everything emitted is a deterministic function of the config (plus seed for
-any randomized data kind), so reruns are byte-identical on one platform.
+Everything emitted is a deterministic function of the config, so reruns are
+byte-identical on one platform.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,7 +85,6 @@ class ScenarioConfig:
     run: SolverConfig
     fit: dict
     output_dir: str
-    seed: int
     raw: dict
 
 
@@ -139,12 +138,14 @@ def parse_config(doc: dict) -> ScenarioConfig:
     run = None
     if "run" in doc or needs_solver:
         run_cfg = _as_mapping(_need(doc, "run", ""), "run")
+        if "dealias_fraction" in run_cfg:
+            raise ConfigError("run.dealias_fraction: no longer supported; padding is "
+                              "the only dealiasing rule, remove the key")
         try:
             run = SolverConfig(
                 scheme=run_cfg.get("scheme", "etd2"),
                 dt=_need(run_cfg, "dt", "run"),
                 t_end=_need(run_cfg, "t_end", "run"),
-                dealias_fraction=run_cfg.get("dealias_fraction"),
                 sample_times=tuple(run_cfg.get("sample_times", ())),
                 enable_nonlinearity=run_cfg.get("enable_nonlinearity", True),
             )
@@ -177,7 +178,6 @@ def parse_config(doc: dict) -> ScenarioConfig:
         run=run,
         fit=dict(fit),
         output_dir=str(doc.get("output_dir", f"runs/{scenario}")),
-        seed=int(doc.get("seed", 0)),
         raw=doc,
     )
 
@@ -375,18 +375,11 @@ def _run_linear_decay(cfg, out, override):
         horizon = contamination_horizon(cfg.grid, cfg.model)
         u0 = build_field(cfg)
         run = cfg.run
-        if not run.sample_times:
+        sample_times = run.sample_times
+        if not sample_times:
             t_hi = min(window[1], horizon, run.t_end)
-            ts = np.geomspace(max(window[0], run.dt), t_hi, 12)
-            run = SolverConfig(scheme=run.scheme, dt=run.dt, t_end=run.t_end,
-                               dealias_fraction=run.dealias_fraction,
-                               sample_times=tuple(ts),
-                               enable_nonlinearity=False)
-        else:
-            run = SolverConfig(scheme=run.scheme, dt=run.dt, t_end=run.t_end,
-                               dealias_fraction=run.dealias_fraction,
-                               sample_times=run.sample_times,
-                               enable_nonlinearity=False)
+            sample_times = tuple(np.geomspace(max(window[0], run.dt), t_hi, 12))
+        run = replace(run, sample_times=sample_times, enable_nonlinearity=False)
         result = solve(u0, cfg.model, run)
         step_count = result.step_count
         match_tol = float(cfg.fit.get("solver_match_tol", 1e-4))
@@ -525,10 +518,7 @@ def _run_nonlinear_smalldata(cfg, out, override):
     u0 = build_field(cfg)
     run = cfg.run
     if not run.sample_times:
-        run = SolverConfig(scheme=run.scheme, dt=run.dt, t_end=run.t_end,
-                           dealias_fraction=run.dealias_fraction,
-                           sample_times=_default_sample_times(window, run.t_end, run.dt),
-                           enable_nonlinearity=run.enable_nonlinearity)
+        run = replace(run, sample_times=_default_sample_times(window, run.t_end, run.dt))
     result = solve(u0, cfg.model, run)
     series = record(result.trajectory, cfg.fit["l_list"], R,
                     params=cfg.model, s=s)
@@ -594,10 +584,7 @@ def _run_convergence_study(cfg, out, override):
     finals = []
     steps = 0
     for k in range(3):
-        c = SolverConfig(scheme=run.scheme, dt=run.dt / 2 ** k, t_end=run.t_end,
-                         dealias_fraction=run.dealias_fraction,
-                         enable_nonlinearity=run.enable_nonlinearity)
-        r = solve(u0, cfg.model, c)
+        r = solve(u0, cfg.model, replace(run, dt=run.dt / 2 ** k, sample_times=()))
         finals.append(r.final_state.field.coefficients)
         steps += r.step_count
     scale = float(np.linalg.norm(finals[2]))

@@ -9,7 +9,7 @@ with G the exact semigroup and Binv = (I - m Lap)^(-1).  ETD1/ETD2
 discretize the integral with the phi functions, so the linear sub-flow is
 exact per step and the decay measurements are never polluted by linear
 solver error.  The nonlinear power is evaluated pointwise on a zero-padded
-grid and truncated to the retained modes, which removes aliasing entirely.
+grid and truncated to the lattice, which removes aliasing entirely.
 Inside the step loop a state is its real-to-complex half spectrum plus its
 forcing: one padded transform per state gives both that forcing and the
 energy ledger's source term.
@@ -72,7 +72,6 @@ class SolverConfig:
     scheme: str = "etd2"            # etd1 | etd2
     dt: float = 0.05
     t_end: float = 1.0
-    dealias_fraction: float = None  # default 2/(theta+2), resolved per run
     sample_times: tuple = ()
     enable_nonlinearity: bool = True
 
@@ -83,10 +82,6 @@ class SolverConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not self.t_end >= 0:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        if self.dealias_fraction is not None and not 0.0 < self.dealias_fraction <= 1.0:
-            raise ValueError(
-                f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}"
-            )
         for t in self.sample_times:
             if not 0.0 <= t <= self.t_end + 1e-12:
                 raise ValueError(f"sample time {t} outside [0, t_end]")
@@ -131,54 +126,29 @@ def energy_balance_residual(ledger: EnergyLedger) -> float:
     return raw / ledger.e0
 
 
-def default_dealias_fraction(theta: int) -> float:
-    """Generalized two-thirds rule for a degree-(theta+1) power: 2/(theta+2)."""
-    return 2.0 / (theta + 2.0)
-
-
-def dealias_mask(grid: sg.GridSpec, fraction: float) -> np.ndarray:
-    """Per-axis retained-mode mask: keep |j| <= floor(fraction * N / 2)."""
-    N = grid.points_per_dim
-    keep = math.floor(fraction * N / 2.0)
-    j = np.abs(np.fft.fftfreq(N, d=1.0 / N))
-    axis = j <= keep + 1e-9
-    mask = axis
-    for _ in range(grid.n - 1):
-        mask = np.logical_and.outer(mask, axis)
-    return mask.reshape(grid.shape)
-
-
 def pad_factor(theta: int) -> float:
     """Padding that makes the degree-(theta+1) power alias-free: (theta+2)/2."""
     return (theta + 2) / 2.0
 
 
 def _forcing(power_samples: np.ndarray, N: int, multiplier: np.ndarray) -> np.ndarray:
-    """Half spectrum of a padded power truncated to the lattice, times a
-    half-spectrum multiplier (the dealias mask, with Binv in the stepper).
+    """Half spectrum of a padded power truncated to the lattice, times the
+    half-spectrum multiplier Binv.
 
-    A non-finite power gives a non-finite result, which the callers check.
+    A non-finite power gives a non-finite result, which the caller checks.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return multiplier * sg.truncated_spectrum(power_samples, N)
 
 
-def _half(table: np.ndarray, grid: sg.GridSpec) -> np.ndarray:
-    return table[..., : grid.points_per_dim // 2 + 1]
-
-
-def nonlinear_term(field: sg.SpectralField, params: ModelParams,
-                   dealias_fraction: float = None) -> sg.SpectralField:
+def nonlinear_term(field: sg.SpectralField, params: ModelParams) -> sg.SpectralField:
     """Spectral image of u^(theta+1): alias-free padded power, truncated
-    to the retained modes."""
+    to the lattice."""
     theta = params.theta
-    frac = default_dealias_fraction(theta) if dealias_fraction is None else dealias_fraction
-    up, _ = sg.padded_physical(sg.half_spectrum(field), pad_factor(theta))
-    mask = _half(dealias_mask(field.grid, frac), field.grid)
-    half = _forcing(sg.pointwise_power(up, theta + 1), field.grid.points_per_dim, mask)
-    if not np.all(np.isfinite(half)):
+    out = sg.pointwise_power(field, theta + 1, pad_factor(theta))
+    if not np.all(np.isfinite(out.coefficients)):
         raise OverflowError("nonlinear term overflowed; amplitude too extreme")
-    return sg.from_half_spectrum(field.grid, half)
+    return out
 
 
 class _Live(NamedTuple):
@@ -196,20 +166,19 @@ class _Stepper:
     """Precomputed half-spectrum multiplier tables for a fixed (grid, params, dt)."""
 
     def __init__(self, grid: sg.GridSpec, params: ModelParams, dt: float,
-                 scheme: str, dealias_fraction: float, nonlinear: bool):
+                 scheme: str, nonlinear: bool):
         self.grid = grid
         self.params = params
         self.dt = dt
         self.scheme = scheme
         self.nonlinear = nonlinear
         N = grid.points_per_dim
-        mag = _half(sg.wavenumber_magnitude(grid), grid)
+        mag = sg.wavenumber_magnitude(grid)[..., : N // 2 + 1]
         sig = sigma(mag, params)
         self.decay = np.exp(-sig * dt)
         self.dt_phi1 = dt * phi1(-sig * dt)
         self.dt_phi2 = dt * phi2(-sig * dt)
-        self.forcing_multiplier = b_inverse(mag, params) * _half(
-            dealias_mask(grid, dealias_fraction), grid)
+        self.forcing_multiplier = b_inverse(mag, params)
         # interior last-axis columns stand for themselves and their mirror images
         columns = np.full(N // 2 + 1, 2.0)
         columns[0] = columns[-1] = 1.0
@@ -284,16 +253,9 @@ class _Stepper:
         return self.leave(self.advance(self.enter(state.t, state.field, state.ledger)))
 
 
-def _resolve_fraction(config: SolverConfig, params: ModelParams) -> float:
-    if config.dealias_fraction is not None:
-        return config.dealias_fraction
-    return default_dealias_fraction(params.theta)
-
-
 def make_stepper(grid: sg.GridSpec, params: ModelParams,
                  config: SolverConfig) -> _Stepper:
-    return _Stepper(grid, params, config.dt, config.scheme,
-                    _resolve_fraction(config, params), config.enable_nonlinearity)
+    return _Stepper(grid, params, config.dt, config.scheme, config.enable_nonlinearity)
 
 
 @dataclass(frozen=True)
@@ -337,7 +299,6 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
         maybe_emit(i, live)
     if remainder > 1e-9 * max(config.dt, 1.0):
         tail = _Stepper(u0.grid, params, remainder, config.scheme,
-                        _resolve_fraction(config, params),
                         config.enable_nonlinearity)
         live = tail.advance(live)
     return SolveResult(trajectory=tuple(trajectory), samples=tuple(samples),

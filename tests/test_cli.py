@@ -23,7 +23,6 @@ def _linear_config(out_dir, l_list=(0.0,), tolerance=0.05):
         "fit": {"window": [100.0, 10000.0], "l_list": list(l_list),
                 "tolerance": tolerance, "n_samples": 12},
         "output_dir": str(out_dir),
-        "seed": 0,
     }
 
 
@@ -102,6 +101,23 @@ class TestRunCommand:
         }
         assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
         assert "points_per_dim" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_dealias_fraction_key_is_a_config_error(self, tmp_path, capsys):
+        # padding is the only dealiasing rule; an old band-mask setting must
+        # not run quietly with different numbers
+        out = tmp_path / "out"
+        doc = {
+            "scenario": "nonlinear-smalldata",
+            "model": {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 5},
+            "grid": {"n": 1, "points_per_dim": 64, "box_length": 40.0},
+            "data": {"kind": "gaussian", "width": 1.0, "amplitude": 0.01},
+            "run": {"dt": 0.1, "t_end": 1.0, "dealias_fraction": 0.5},
+            "fit": {"window": [0.5, 1.0], "l_list": [0.0]},
+            "output_dir": str(out),
+        }
+        assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
+        assert "run.dealias_fraction" in capsys.readouterr().err
         assert not out.exists()
 
     def test_tolerance_override_forces_failure(self, tmp_path):

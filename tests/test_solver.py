@@ -7,9 +7,9 @@ from fpplab import grid as sg
 from fpplab.model import ModelParams, b_inverse
 from fpplab.oracle import gaussian_profile
 from fpplab.propagator import propagate
-from fpplab.solver import (SolverConfig, SolverBlowupError, dealias_mask,
-                           energy_balance_residual, make_stepper,
-                           nonlinear_term, pad_factor, phi1, phi2, solve)
+from fpplab.solver import (SolverConfig, SolverBlowupError, energy_balance_residual,
+                           make_stepper, nonlinear_term, pad_factor, phi1, phi2,
+                           solve)
 from conftest import random_real_field
 
 
@@ -65,13 +65,14 @@ class TestNonlinearTerm:
         assert c[4].real == pytest.approx(a * a / 4.0, rel=1e-13)
         assert np.max(np.abs(np.delete(c, [0, 4, len(c) - 4]))) <= 1e-14
 
-    def test_modes_above_cutoff_are_exactly_zero(self):
+    def test_is_the_padded_power_on_every_mode(self):
+        # padding is the only dealiasing rule: no mode is masked out
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=3)
         g = sg.make_grid(1, 64, 10.0)
-        f = random_real_field(g, seed=1, decay=0.5)
+        f = random_real_field(g, seed=1, decay=0.0)
         out = nonlinear_term(f, p)
-        mask = dealias_mask(g, 2.0 / (p.theta + 2.0))
-        assert np.all(out.coefficients[~mask] == 0.0)
+        want = sg.pointwise_power(f, p.theta + 1, pad_factor(p.theta))
+        assert np.array_equal(out.coefficients, want.coefficients)
 
     def test_matches_direct_convolution_on_sparse_field(self):
         # power of a field with <= 4 active modes equals the convolution
@@ -85,7 +86,7 @@ class TestNonlinearTerm:
             if idx:
                 series[-idx] = np.conj(val)
         f = sg.SpectralField(g, series * N)
-        out = nonlinear_term(f, p, dealias_fraction=1.0)
+        out = nonlinear_term(f, p)
         conv = series.copy()
         for _ in range(p.theta):
             conv = _circular_free_convolution(conv, series, N)
@@ -228,9 +229,11 @@ class TestEnergyBalance:
         res = solve(u0, gain_params, cfg)
         assert abs(energy_balance_residual(res.final_state.ledger)) < 1e-8
 
-    def test_nonlinear_resolved_run_residual(self, gain_params):
+    @pytest.mark.parametrize("amplitude", [0.01, 0.5])
+    def test_nonlinear_resolved_run_residual(self, gain_params, amplitude):
         g = sg.make_grid(1, 256, 100.0)
-        u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.01, n=1).profile)
+        u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, amplitude,
+                                                                n=1).profile)
         cfg = SolverConfig(dt=1e-3, t_end=2.0)
         res = solve(u0, gain_params, cfg)
         assert abs(energy_balance_residual(res.final_state.ledger)) < 1e-6
@@ -272,7 +275,5 @@ class TestSamples:
             SolverConfig(scheme="rk4")
         with pytest.raises(ValueError):
             SolverConfig(dt=-0.1)
-        with pytest.raises(ValueError):
-            SolverConfig(dealias_fraction=1.5)
         with pytest.raises(ValueError):
             SolverConfig(t_end=1.0, sample_times=(2.0,))
