@@ -16,8 +16,7 @@ from .grid import (GridSpec, SpectralField, apply_radial_multiplier,
 from .oracle import (DecayClass, OracleConvergenceError, RadialProfile,
                      gaussian_profile, oracle_decay_fit, power_tail_profile,
                      radial_weighted_l2, sphere_area, truncated_profile)
-from .propagator import (ProbeReport, green_high, green_low, probe_high_band,
-                         probe_low_band, propagate)
+from .propagator import ProbeReport, probe_high_band, probe_low_band, propagate
 from .solver import (EnergyLedger, SolveResult, SolverBlowupError, SolverConfig,
                      StepState, energy_balance_residual, nonlinear_term, phi1,
                      phi2, solve)
@@ -39,8 +38,7 @@ __all__ = [
     "DecayClass", "OracleConvergenceError", "RadialProfile", "gaussian_profile",
     "oracle_decay_fit", "power_tail_profile", "radial_weighted_l2",
     "sphere_area", "truncated_profile",
-    "ProbeReport", "green_high", "green_low", "probe_high_band",
-    "probe_low_band", "propagate",
+    "ProbeReport", "probe_high_band", "probe_low_band", "propagate",
     "EnergyLedger", "SolveResult", "SolverBlowupError", "SolverConfig",
     "StepState", "energy_balance_residual", "nonlinear_term", "phi1", "phi2",
     "solve",

@@ -58,8 +58,7 @@ def _cmd_validate(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    s = float(cfg.fit.get("s", max(cfg.fit.get("l_list", [1.0]))))
-    report = validate(cfg.model, s)
+    report = validate(cfg.model, cfg.s)
     if not args.quiet:
         print(json.dumps({"scenario": cfg.scenario, "regime": report.to_dict()},
                          indent=2, sort_keys=True))

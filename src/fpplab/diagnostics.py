@@ -56,15 +56,6 @@ class DecayFit:
     window: tuple
     horizon_warning: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "window": list(self.window),
-            "horizon_warning": self.horizon_warning,
-        }
-
 
 def ols_line(x: np.ndarray, y: np.ndarray) -> tuple:
     """Least-squares line y ~ a x + b; returns (a, b, r_squared)."""
@@ -172,16 +163,6 @@ class WeightedFunctionals:
     e: np.ndarray = None
     l: np.ndarray = None
     e0: float = None
-
-    def final(self) -> dict:
-        out = {
-            "m1": float(self.m1[-1]),
-            "m2": float(self.m2[-1]),
-            "e0": self.e0,
-        }
-        out["e"] = float(self.e[-1]) if self.e is not None else None
-        out["l"] = float(self.l[-1]) if self.l is not None else None
-        return out
 
 
 def _check_l_coverage(ls: np.ndarray, s: float):

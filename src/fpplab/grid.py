@@ -196,14 +196,6 @@ def hermitian_symmetrize(field: SpectralField) -> SpectralField:
     return field.with_coefficients(0.5 * (field.coefficients + reflected_conjugate(field)))
 
 
-def hermitian_defect(field: SpectralField) -> float:
-    """Max deviation from conjugate symmetry, relative to the largest mode."""
-    top = float(np.max(np.abs(field.coefficients)))
-    if top == 0.0:
-        return 0.0
-    return float(np.max(np.abs(field.coefficients - reflected_conjugate(field)))) / top
-
-
 def field_from_spectral_profile(grid: GridSpec, profile) -> SpectralField:
     """Plant a continuum radial spectral profile uhat0(r) on the lattice.
 

@@ -138,11 +138,7 @@ class RegimeReport:
     s: float
     s_ok: bool
     n0: float
-    params: ModelParams
     warnings: tuple = ()
-
-    def decay_exponent(self, l):
-        return decay_exponent(l, self.params)
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -205,6 +201,5 @@ def validate(params: ModelParams, s: float) -> RegimeReport:
         s=s,
         s_ok=s_ok,
         n0=float(n0),
-        params=params,
         warnings=tuple(warnings),
     )

@@ -1,4 +1,4 @@
-"""Exact linear semigroup, its band parts, and decay-bound probes.
+"""Exact linear semigroup and the band decay-bound probes.
 
 The linear flow acts per mode as exp(-sigma(|k|) t).  The band probes run
 on the continuum quadrature oracle (not the grid), so they measure the
@@ -22,7 +22,7 @@ import numpy as np
 
 from .diagnostics import ols_line
 from .grid import SpectralField, wavenumber_magnitude
-from .model import ModelParams, cutoff_chi, sigma
+from .model import ModelParams, sigma
 from .oracle import RadialProfile, radial_weighted_l2
 
 TAIL_SLOPE_TOL = 0.05
@@ -37,38 +37,12 @@ def _sigma_lattice(grid, params: ModelParams) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _chi_lattice(grid, R: float) -> np.ndarray:
-    out = cutoff_chi(wavenumber_magnitude(grid), R)
-    out.setflags(write=False)
-    return out
-
-
 def propagate(field: SpectralField, t: float, params: ModelParams) -> SpectralField:
     """Apply the exact linear semigroup: multiply mode k by exp(-sigma(|k|) t)."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     decay = np.exp(-_sigma_lattice(field.grid, params) * t)
     return field.with_coefficients(field.coefficients * decay)
-
-
-def green_low(field: SpectralField, t: float, R: float,
-              params: ModelParams) -> SpectralField:
-    """Low-band part of the propagated field: multiplier chi(|k|) exp(-sigma t)."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    decay = np.exp(-_sigma_lattice(field.grid, params) * t)
-    return field.with_coefficients(field.coefficients * decay * _chi_lattice(field.grid, R))
-
-
-def green_high(field: SpectralField, t: float, R: float,
-               params: ModelParams) -> SpectralField:
-    """High-band part: multiplier (1 - chi(|k|)) exp(-sigma t)."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    decay = np.exp(-_sigma_lattice(field.grid, params) * t)
-    chi = _chi_lattice(field.grid, R)
-    return field.with_coefficients(field.coefficients * decay * (1.0 - chi))
 
 
 @dataclass(frozen=True)

@@ -24,19 +24,19 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import grid as sg
 from .diagnostics import (R_SQUARED_POWER_LAW, NormSeries, contamination_horizon,
                           fit_decay, weighted_functionals)
-from .model import GAIN, ModelParams, decay_exponent, sigma, validate
+from .model import ModelParams, decay_exponent, sigma, validate
 from .oracle import (OracleConvergenceError, RadialProfile, gaussian_profile,
                      power_tail_profile, radial_weighted_l2)
 from .propagator import BOUNDED, UNBOUNDED, probe_high_band, probe_low_band
-from .solver import (SolverConfig, SolverBlowupError, energy_balance_residual, pad_factor,
-                     solve)
+from .solver import SolverConfig, energy_balance_residual, pad_factor, solve
 
 SCENARIOS = (
     "linear-decay",
@@ -58,21 +58,43 @@ _ORDER_BANDS = {"etd1": (0.7, 1.3), "etd2": (1.7, 2.3)}
 # few GB; n=3, N=128, theta=5 would need 448^3 float64 values (686 MiB) per array.
 MAX_PADDED_BYTES = 256 * 2 ** 20
 
+# The keys a config may carry, per section.  Any other key is a config
+# error, so a misspelt option cannot quietly run with its default.
+_TOP_KEYS = ("scenario", "model", "grid", "data", "run", "fit", "output_dir")
+_MODEL_KEYS = ("n", "m", "alpha", "theta")
+_GRID_KEYS = ("n", "points_per_dim", "box_length")
+_RUN_KEYS = ("scheme", "dt", "t_end", "sample_times", "enable_nonlinearity")
+_DATA_KEYS = {"gaussian": ("width", "amplitude"),
+              "power_tail": ("exponent", "amplitude"),
+              "single_mode": ("k", "amplitude")}
+_FIT_KEYS = ("window", "l_list", "tolerance", "s", "n_samples", "cutoff_radius",
+             "oracle_tol", "r_squared_min", "solver_match_tol", "gap_min", "beta",
+             "rate_margin", "falsify", "t_samples", "high_t_samples", "m1_growth_tol",
+             "order_band")
+
 
 class ConfigError(ValueError):
     """Config parse/validation failure; message carries the field path."""
 
 
+def _path(path, key):
+    return f"{path}.{key}" if path else key
+
+
 def _need(mapping, key, path):
     if key not in mapping:
-        raise ConfigError(f"{path}.{key}: required field missing" if path
-                          else f"{key}: required field missing")
+        raise ConfigError(f"{_path(path, key)}: required field missing")
     return mapping[key]
 
 
-def _as_mapping(obj, path):
+def _as_mapping(obj, path, keys=None):
+    """obj, checked to be an object whose keys all lie in keys (if given)."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
+        raise ConfigError(f"{path or 'config'}: expected an object")
+    for key in obj:
+        if keys is not None and key not in keys:
+            raise ConfigError(f"{_path(path, key)}: unknown key; known keys are "
+                              f"{', '.join(sorted(keys))}")
     return obj
 
 
@@ -84,38 +106,30 @@ class ScenarioConfig:
     data: dict
     run: SolverConfig
     fit: dict
+    s: float  # data regularity: fit.s, else max(fit.l_list), else 1.0
     output_dir: str
     raw: dict
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
     """Validate a raw config document; raises ConfigError with a field path."""
-    doc = _as_mapping(doc, "config")
+    doc = _as_mapping(doc, "", _TOP_KEYS)
     scenario = _need(doc, "scenario", "")
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario: unknown scenario {scenario!r}; "
                           f"choose one of {', '.join(SCENARIOS)}")
-    model_cfg = _as_mapping(_need(doc, "model", ""), "model")
+    model_cfg = _as_mapping(_need(doc, "model", ""), "model", _MODEL_KEYS)
     try:
-        model = ModelParams(
-            n=_need(model_cfg, "n", "model"),
-            m=_need(model_cfg, "m", "model"),
-            alpha=_need(model_cfg, "alpha", "model"),
-            theta=_need(model_cfg, "theta", "model"),
-        )
+        model = ModelParams(**{key: _need(model_cfg, key, "model") for key in _MODEL_KEYS})
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
     needs_solver = scenario in ("nonlinear-smalldata", "convergence-study")
     grid = None
     if "grid" in doc or needs_solver:
-        grid_cfg = _as_mapping(_need(doc, "grid", ""), "grid")
+        grid_cfg = _as_mapping(_need(doc, "grid", ""), "grid", _GRID_KEYS)
         try:
-            grid = sg.GridSpec(
-                n=_need(grid_cfg, "n", "grid"),
-                points_per_dim=_need(grid_cfg, "points_per_dim", "grid"),
-                box_length=_need(grid_cfg, "box_length", "grid"),
-            )
+            grid = sg.GridSpec(**{key: _need(grid_cfg, key, "grid") for key in _GRID_KEYS})
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}") from exc
         if grid.n != model.n:
@@ -123,24 +137,15 @@ def parse_config(doc: dict) -> ScenarioConfig:
 
     data = _as_mapping(_need(doc, "data", ""), "data")
     kind = _need(data, "kind", "data")
-    if kind not in ("gaussian", "power_tail", "single_mode"):
+    if kind not in _DATA_KEYS:
         raise ConfigError(f"data.kind: unknown kind {kind!r}")
-    if kind == "gaussian":
-        _need(data, "width", "data")
-        _need(data, "amplitude", "data")
-    elif kind == "power_tail":
-        _need(data, "exponent", "data")
-        _need(data, "amplitude", "data")
-    else:
-        _need(data, "k", "data")
-        _need(data, "amplitude", "data")
+    _as_mapping(data, "data", ("kind",) + _DATA_KEYS[kind])
+    for key in _DATA_KEYS[kind]:
+        _need(data, key, "data")
 
     run = None
     if "run" in doc or needs_solver:
-        run_cfg = _as_mapping(_need(doc, "run", ""), "run")
-        if "dealias_fraction" in run_cfg:
-            raise ConfigError("run.dealias_fraction: no longer supported; padding is "
-                              "the only dealiasing rule, remove the key")
+        run_cfg = _as_mapping(_need(doc, "run", ""), "run", _RUN_KEYS)
         try:
             run = SolverConfig(
                 scheme=run_cfg.get("scheme", "etd2"),
@@ -160,7 +165,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
                     f"{M}^{grid.n} samples ({size / 2 ** 20:.0f} MiB per array), over the "
                     f"{MAX_PADDED_BYTES / 2 ** 20:.0f} MiB limit; lower points_per_dim")
 
-    fit = _as_mapping(doc.get("fit", {}), "fit")
+    fit = _as_mapping(doc.get("fit", {}), "fit", _FIT_KEYS)
     if scenario != "convergence-study":
         window = _need(fit, "window", "fit")
         if not (isinstance(window, (list, tuple)) and len(window) == 2
@@ -169,6 +174,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
         l_list = _need(fit, "l_list", "fit")
         if not l_list or any(l < 0 for l in l_list):
             raise ConfigError("fit.l_list: expected a nonempty list of orders >= 0")
+    s = float(fit.get("s", max(fit.get("l_list") or [1.0])))
+    if s < 0:
+        raise ConfigError(f"fit.s: data regularity must be nonnegative, got {s:g}")
 
     return ScenarioConfig(
         scenario=scenario,
@@ -177,6 +185,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         data=dict(data),
         run=run,
         fit=dict(fit),
+        s=s,
         output_dir=str(doc.get("output_dir", f"runs/{scenario}")),
         raw=doc,
     )
@@ -207,12 +216,6 @@ def build_field(cfg: ScenarioConfig) -> sg.SpectralField:
     for _ in range(cfg.grid.n - 1):
         samples = np.multiply.outer(samples, wave)
     return sg.to_spectral(cfg.grid, amp * samples)
-
-
-def _fit_s(cfg: ScenarioConfig) -> float:
-    if "s" in cfg.fit:
-        return float(cfg.fit["s"])
-    return float(max(cfg.fit["l_list"]))
 
 
 def _tolerance_for(cfg: ScenarioConfig, idx: int, override) -> float:
@@ -290,44 +293,42 @@ def emit_plots(summary: dict, series_files, out_path) -> str:
 
 @dataclass
 class RunSummary:
+    """What a scenario run reports.  run_scenario creates it and the runner
+    fills it; series() writes each CSV into the run's output directory."""
+
     scenario: str
     config: dict
     regime: dict
-    fits: list
-    probes: list
-    functionals: dict
-    verdicts: list
-    series_files: list
+    out_dir: InitVar[Path]
+    fits: list = field(default_factory=list)
+    probes: list = field(default_factory=list)
+    functionals: dict = None
+    verdicts: list = field(default_factory=list)
+    series_files: list = field(default_factory=list)
     wall_clock_s: float = 0.0
     step_count: int = 0
+
+    def __post_init__(self, out_dir):
+        self._out = Path(out_dir)
 
     @property
     def all_pass(self) -> bool:
         return all(v["pass"] for v in self.verdicts)
 
+    def verdict(self, name: str, ok, detail: str):
+        self.verdicts.append({"name": name, "pass": bool(ok), "detail": detail})
+
+    def series(self, csv: str, times, values):
+        write_series_csv(self._out / csv, times, values)
+        self.series_files.append(csv)
+
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "config": self.config,
-            "regime": self.regime,
-            "fits": self.fits,
-            "probes": self.probes,
-            "functionals": self.functionals,
-            "verdicts": self.verdicts,
-            "series_files": self.series_files,
-            "all_pass": self.all_pass,
-            "wall_clock_s": self.wall_clock_s,
-            "step_count": self.step_count,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["all_pass"] = self.all_pass
+        return out
 
 
-def _oracle_series(profile, l, params, window, n_samples, R, tol):
-    times = np.geomspace(window[0], window[1], n_samples)
-    values = radial_weighted_l2(profile, l, times, params, window="full", R=R, tol=tol)
-    return NormSeries(times, values, l=float(l))
-
-
-def _fit_entry(cfg, l, series, fit, tol, horizon=None, label=None, csv=None):
+def _fit_entry(cfg, l, series, fit, tol, source, csv):
     theory = decay_exponent(l, cfg.model)
     r2_min = float(cfg.fit.get("r_squared_min", R_SQUARED_POWER_LAW))
     ok = (abs(fit.slope - theory) <= tol and fit.r_squared >= r2_min
@@ -335,7 +336,7 @@ def _fit_entry(cfg, l, series, fit, tol, horizon=None, label=None, csv=None):
     return {
         "l": float(l),
         "component": series.component,
-        "label": label or f"l={l:g} {series.component}",
+        "label": f"{source} l={l:g}",
         "slope": fit.slope,
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
@@ -348,105 +349,83 @@ def _fit_entry(cfg, l, series, fit, tol, horizon=None, label=None, csv=None):
     }
 
 
-def _run_linear_decay(cfg, out, override):
+def _oracle_fits(cfg, summary, override):
+    """Fit the oracle's ||Lam^l u(t)||_L2 for every l of fit.l_list over the
+    fit window, adding one series and one fits entry per order.
+
+    Returns (profile, oracle_tol) for further oracle evaluations.
+    """
     profile = build_profile(cfg)
     window = tuple(cfg.fit["window"])
-    n_samples = int(cfg.fit.get("n_samples", 24))
+    times = np.geomspace(window[0], window[1], int(cfg.fit.get("n_samples", 24)))
     R = float(cfg.fit.get("cutoff_radius", 0.5))
-    tol_quad = float(cfg.fit.get("oracle_tol", 1e-8))
-    fits, verdicts, files = [], [], []
+    tol = float(cfg.fit.get("oracle_tol", 1e-8))
     for i, l in enumerate(cfg.fit["l_list"]):
-        series = _oracle_series(profile, l, cfg.model, window, n_samples, R, tol_quad)
+        values = radial_weighted_l2(profile, l, times, cfg.model, window="full", R=R,
+                                    tol=tol)
+        series = NormSeries(times, values, l=float(l))
         csv = f"series_l{l:g}_full.csv"
-        write_series_csv(out / csv, series.times, series.values)
-        files.append(csv)
+        summary.series(csv, series.times, series.values)
         fit = fit_decay(series, window)
-        entry = _fit_entry(cfg, l, series, fit, _tolerance_for(cfg, i, override),
-                           label=f"oracle l={l:g}", csv=csv)
-        fits.append(entry)
-        verdicts.append({
-            "name": f"decay(l={l:g})",
-            "pass": entry["pass"],
-            "detail": f"slope {fit.slope:.4f} vs theory {entry['theory']:.4f} "
-                      f"(tol {entry['tolerance']:g}, r2 {fit.r_squared:.6f})",
-        })
-    step_count = 0
-    if cfg.grid is not None and cfg.run is not None:
-        horizon = contamination_horizon(cfg.grid, cfg.model)
-        u0 = build_field(cfg)
-        run = cfg.run
-        sample_times = run.sample_times
-        if not sample_times:
-            t_hi = min(window[1], horizon, run.t_end)
-            sample_times = tuple(np.geomspace(max(window[0], run.dt), t_hi, 12))
-        run = replace(run, sample_times=sample_times, enable_nonlinearity=False)
-        result = solve(u0, cfg.model, run)
-        step_count = result.step_count
-        match_tol = float(cfg.fit.get("solver_match_tol", 1e-4))
-        inside = [(t, f) for t, f in result.trajectory if 0 < t <= horizon]
-        worst = 0.0
-        if inside:
-            times = np.array([t for t, _ in inside])
-            values = np.array([sg.lp_norm(f, 2) for _, f in inside])
-            want = radial_weighted_l2(profile, 0.0, times, cfg.model, tol=tol_quad)
-            worst = float(np.max(np.abs(values - want) / want))
-            csv = "series_solver_l0_full.csv"
-            write_series_csv(out / csv, times, values)
-            files.append(csv)
-        verdicts.append({
-            "name": "solver-vs-oracle",
-            "pass": bool(worst <= match_tol),
-            "detail": f"max relative deviation {worst:.3e} vs tolerance "
-                      f"{match_tol:g} inside horizon {horizon:g}",
-        })
-    return fits, [], None, verdicts, files, step_count
+        summary.fits.append(_fit_entry(cfg, l, series, fit,
+                                       _tolerance_for(cfg, i, override), "oracle", csv))
+    return profile, tol
 
 
-def _run_regularity_loss(cfg, out, override):
-    profile = build_profile(cfg)
-    window = tuple(cfg.fit["window"])
-    n_samples = int(cfg.fit.get("n_samples", 24))
-    R = float(cfg.fit.get("cutoff_radius", 0.5))
-    tol_quad = float(cfg.fit.get("oracle_tol", 1e-8))
+def _run_linear_decay(cfg, summary, report, override):
+    profile, tol = _oracle_fits(cfg, summary, override)
+    for entry in summary.fits:
+        summary.verdict(f"decay(l={entry['l']:g})", entry["pass"],
+                        f"slope {entry['slope']:.4f} vs theory {entry['theory']:.4f} "
+                        f"(tol {entry['tolerance']:g}, r2 {entry['r_squared']:.6f})")
+    if cfg.grid is None or cfg.run is None:
+        return
+    window = cfg.fit["window"]
+    horizon = contamination_horizon(cfg.grid, cfg.model)
+    u0 = build_field(cfg)
+    run = cfg.run
+    sample_times = run.sample_times
+    if not sample_times:
+        t_hi = min(window[1], horizon, run.t_end)
+        sample_times = tuple(np.geomspace(max(window[0], run.dt), t_hi, 12))
+    run = replace(run, sample_times=sample_times, enable_nonlinearity=False)
+    result = solve(u0, cfg.model, run)
+    summary.step_count = result.step_count
+    match_tol = float(cfg.fit.get("solver_match_tol", 1e-4))
+    inside = [(t, f) for t, f in result.trajectory if 0 < t <= horizon]
+    worst = 0.0
+    if inside:
+        times = np.array([t for t, _ in inside])
+        values = np.array([sg.lp_norm(f, 2) for _, f in inside])
+        want = radial_weighted_l2(profile, 0.0, times, cfg.model, tol=tol)
+        worst = float(np.max(np.abs(values - want) / want))
+        summary.series("series_solver_l0_full.csv", times, values)
+    summary.verdict("solver-vs-oracle", worst <= match_tol,
+                    f"max relative deviation {worst:.3e} vs tolerance "
+                    f"{match_tol:g} inside horizon {horizon:g}")
+
+
+def _run_regularity_loss(cfg, summary, report, override):
+    _oracle_fits(cfg, summary, override)
     gap_min = float(cfg.fit.get("gap_min", 0.1))
-    s = _fit_s(cfg)
-    report = validate(cfg.model, s)
-    l_list = list(cfg.fit["l_list"])
-    l_top = max(l_list)
-    fits, verdicts, files = [], [], []
-    for i, l in enumerate(l_list):
-        series = _oracle_series(profile, l, cfg.model, window, n_samples, R, tol_quad)
-        csv = f"series_l{l:g}_full.csv"
-        write_series_csv(out / csv, series.times, series.values)
-        files.append(csv)
-        fit = fit_decay(series, window)
-        tol = _tolerance_for(cfg, i, override)
-        entry = _fit_entry(cfg, l, series, fit, tol, label=f"oracle l={l:g}", csv=csv)
+    l_top = max(cfg.fit["l_list"])
+    for entry in summary.fits:
+        l, slope, theory = entry["l"], entry["slope"], entry["theory"]
         if l <= report.n0 + 1e-9:
-            fits.append(entry)
-            verdicts.append({
-                "name": f"decay(l={l:g})",
-                "pass": entry["pass"],
-                "detail": f"slope {fit.slope:.4f} vs theory {entry['theory']:.4f} "
-                          f"(order within the tracked range n0={report.n0:g})",
-            })
+            summary.verdict(f"decay(l={l:g})", entry["pass"],
+                            f"slope {slope:.4f} vs theory {theory:.4f} "
+                            f"(order within the tracked range n0={report.n0:g})")
         elif l == l_top:
-            gap = fit.slope - entry["theory"]
+            gap = slope - theory
             entry["pass"] = bool(gap >= gap_min)
-            fits.append(entry)
-            verdicts.append({
-                "name": f"loss-gap(l={l:g})",
-                "pass": entry["pass"],
-                "detail": f"slope {fit.slope:.4f} is slower than the formal rate "
-                          f"{entry['theory']:.4f} by {gap:.3f} (needs >= {gap_min:g})",
-            })
+            summary.verdict(f"loss-gap(l={l:g})", entry["pass"],
+                            f"slope {slope:.4f} is slower than the formal rate "
+                            f"{theory:.4f} by {gap:.3f} (needs >= {gap_min:g})")
         else:
             entry["pass"] = True
-            fits.append(entry)
-    return fits, [], None, verdicts, files, 0
 
 
-def _run_lemma_verification(cfg, out, override):
+def _run_lemma_verification(cfg, summary, report, override):
     profile = build_profile(cfg)
     window = tuple(cfg.fit["window"])
     R = float(cfg.fit.get("cutoff_radius", 0.5))
@@ -458,28 +437,19 @@ def _run_lemma_verification(cfg, out, override):
                                   np.geomspace(window[0], window[1], 9)), dtype=float)
     ts_high = np.array(cfg.fit.get("high_t_samples", np.linspace(1.0, 8.0, 8)),
                        dtype=float)
-    probes, verdicts, files = [], [], []
     for l in cfg.fit["l_list"]:
         rep = probe_low_band(profile, l, ts_low, cfg.model, R=R, tol=tol_quad)
-        csv = f"probe_low_l{l:g}.csv"
-        write_series_csv(out / csv, rep.times, rep.ratios)
-        files.append(csv)
-        probes.append({"name": f"low-band(l={l:g})", **rep.to_dict()})
-        verdicts.append({
-            "name": f"low-band(l={l:g})",
-            "pass": rep.verdict == BOUNDED,
-            "detail": f"tail slope {rep.tail_slope:+.4f} (bounded iff within "
-                      f"+-0.05), sup ratio {rep.sup_ratio:.4g}",
-        })
+        summary.series(f"probe_low_l{l:g}.csv", rep.times, rep.ratios)
+        summary.probes.append({"name": f"low-band(l={l:g})", **rep.to_dict()})
+        summary.verdict(f"low-band(l={l:g})", rep.verdict == BOUNDED,
+                        f"tail slope {rep.tail_slope:+.4f} (bounded iff within "
+                        f"+-0.05), sup ratio {rep.sup_ratio:.4g}")
         if falsify:
             bad = probe_low_band(profile, l, ts_low, cfg.model, R=R,
                                  rate_offset=0.1, tol=tol_quad)
-            verdicts.append({
-                "name": f"falsification(l={l:g})",
-                "pass": bad.verdict == UNBOUNDED,
-                "detail": f"over-weighted probe tail slope {bad.tail_slope:+.4f} "
-                          "must be flagged unbounded",
-            })
+            summary.verdict(f"falsification(l={l:g})", bad.verdict == UNBOUNDED,
+                            f"over-weighted probe tail slope {bad.tail_slope:+.4f} "
+                            "must be flagged unbounded")
         if cfg.model.alpha >= 1.0:
             rep_h = probe_high_band(profile, l, ts_high, cfg.model, R=R, tol=tol_quad)
             ref = rate_margin * sigma(2.0 * R, cfg.model)
@@ -492,13 +462,9 @@ def _run_lemma_verification(cfg, out, override):
             ok = rep_h.verdict == BOUNDED
             detail = (f"weighted ratio tail slope {rep_h.tail_slope:+.4g}; "
                       f"beta {beta:g} derivatives spent")
-        csv = f"probe_high_l{l:g}.csv"
-        write_series_csv(out / csv, rep_h.times, rep_h.ratios)
-        files.append(csv)
-        probes.append({"name": f"high-band(l={l:g})", **rep_h.to_dict()})
-        verdicts.append({"name": f"high-band(l={l:g})", "pass": bool(ok),
-                         "detail": detail})
-    return [], probes, None, verdicts, files, 0
+        summary.series(f"probe_high_l{l:g}.csv", rep_h.times, rep_h.ratios)
+        summary.probes.append({"name": f"high-band(l={l:g})", **rep_h.to_dict()})
+        summary.verdict(f"high-band(l={l:g})", ok, detail)
 
 
 def _default_sample_times(window, t_end, dt):
@@ -508,12 +474,10 @@ def _default_sample_times(window, t_end, dt):
     return tuple(float(t) for t in ts if t <= t_end)
 
 
-def _run_nonlinear_smalldata(cfg, out, override):
+def _run_nonlinear_smalldata(cfg, summary, report, override):
     from .diagnostics import record
     window = tuple(cfg.fit["window"])
     R = float(cfg.fit.get("cutoff_radius", 0.5))
-    s = _fit_s(cfg)
-    report = validate(cfg.model, s)
     horizon = contamination_horizon(cfg.grid, cfg.model)
     u0 = build_field(cfg)
     run = cfg.run
@@ -521,47 +485,35 @@ def _run_nonlinear_smalldata(cfg, out, override):
         run = replace(run, sample_times=_default_sample_times(window, run.t_end, run.dt))
     result = solve(u0, cfg.model, run)
     series = record(result.trajectory, cfg.fit["l_list"], R,
-                    params=cfg.model, s=s)
-    e0 = sg.sobolev_norm(u0, s) + sg.lp_norm(u0, 1)
-    wf = weighted_functionals(series, cfg.model, s, e0=e0)
-    fits, verdicts, files = [], [], []
+                    params=cfg.model, s=cfg.s)
+    e0 = sg.sobolev_norm(u0, cfg.s) + sg.lp_norm(u0, 1)
+    wf = weighted_functionals(series, cfg.model, cfg.s, e0=e0)
     for i, l in enumerate(cfg.fit["l_list"]):
         for ns in series:
             if ns.norm != "L2" or ns.l != float(l):
                 continue
             csv = f"series_l{ns.l:g}_{ns.component}.csv"
-            write_series_csv(out / csv, ns.times, ns.values)
-            files.append(csv)
+            summary.series(csv, ns.times, ns.values)
             if ns.component != "full":
                 continue
             fit = fit_decay(ns, window, horizon=horizon)
             entry = _fit_entry(cfg, l, ns, fit, _tolerance_for(cfg, i, override),
-                               horizon=horizon, label=f"solver l={l:g}", csv=csv)
-            fits.append(entry)
-            verdicts.append({
-                "name": f"decay(l={l:g})",
-                "pass": entry["pass"],
-                "detail": f"slope {fit.slope:.4f} vs theory {entry['theory']:.4f} "
-                          f"(tol {entry['tolerance']:g})",
-            })
+                               "solver", csv)
+            summary.fits.append(entry)
+            summary.verdict(f"decay(l={l:g})", entry["pass"],
+                            f"slope {fit.slope:.4f} vs theory {entry['theory']:.4f} "
+                            f"(tol {entry['tolerance']:g})")
     m1 = wf.m1
     nondec = bool(np.all(np.diff(m1) >= -1e-12 * max(m1[-1], 1e-300)))
-    verdicts.append({
-        "name": "m1-nondecreasing",
-        "pass": nondec,
-        "detail": "running weighted sup must not decrease",
-    })
+    summary.verdict("m1-nondecreasing", nondec, "running weighted sup must not decrease")
     i_half = int(np.searchsorted(wf.times, run.t_end / 2.0))
     i_half = min(i_half, len(m1) - 1)
     growth_tol = float(cfg.fit.get("m1_growth_tol", 0.05))
     stable = bool(m1[-1] <= (1.0 + growth_tol) * m1[i_half]) if m1[i_half] > 0 else False
-    verdicts.append({
-        "name": "m1-stability",
-        "pass": stable,
-        "detail": f"m1 grew by factor {m1[-1] / max(m1[i_half], 1e-300):.4f} over the "
-                  f"second half of the run (allowed {1.0 + growth_tol:g})",
-    })
-    functionals = {
+    summary.verdict("m1-stability", stable,
+                    f"m1 grew by factor {m1[-1] / max(m1[i_half], 1e-300):.4f} over the "
+                    f"second half of the run (allowed {1.0 + growth_tol:g})")
+    summary.functionals = {
         "e0": e0,
         "m1_final": float(m1[-1]),
         "m2_final": float(wf.m2[-1]),
@@ -572,21 +524,18 @@ def _run_nonlinear_smalldata(cfg, out, override):
         "horizon": horizon,
         "regime": report.to_dict(),
     }
-    csv = "functional_m1.csv"
-    write_series_csv(out / csv, wf.times, m1)
-    files.append(csv)
-    return fits, [], functionals, verdicts, files, result.step_count
+    summary.series("functional_m1.csv", wf.times, m1)
+    summary.step_count = result.step_count
 
 
-def _run_convergence_study(cfg, out, override):
+def _run_convergence_study(cfg, summary, report, override):
     u0 = build_field(cfg)
     run = cfg.run
     finals = []
-    steps = 0
     for k in range(3):
         r = solve(u0, cfg.model, replace(run, dt=run.dt / 2 ** k, sample_times=()))
         finals.append(r.final_state.field.coefficients)
-        steps += r.step_count
+        summary.step_count += r.step_count
     scale = float(np.linalg.norm(finals[2]))
     e1 = float(np.linalg.norm(finals[0] - finals[1]))
     e2 = float(np.linalg.norm(finals[1] - finals[2]))
@@ -595,16 +544,11 @@ def _run_convergence_study(cfg, out, override):
                                      "run is below roundoff, enlarge dt or t_end")
     order = math.log2(e1 / e2)
     band = cfg.fit.get("order_band", _ORDER_BANDS[run.scheme])
-    ok = band[0] <= order <= band[1]
-    verdicts = [{
-        "name": "observed-order",
-        "pass": bool(ok),
-        "detail": f"order {order:.3f} from errors {e1:.3e}/{e2:.3e} "
-                  f"(relative {e1 / scale:.3e}/{e2 / scale:.3e}), band {list(band)}",
-    }]
-    functionals = {"observed_order": order, "coarse_error": e1, "fine_error": e2,
-                   "dt_triplet": [run.dt, run.dt / 2, run.dt / 4]}
-    return [], [], functionals, verdicts, [], steps
+    summary.verdict("observed-order", band[0] <= order <= band[1],
+                    f"order {order:.3f} from errors {e1:.3e}/{e2:.3e} "
+                    f"(relative {e1 / scale:.3e}/{e2 / scale:.3e}), band {list(band)}")
+    summary.functionals = {"observed_order": order, "coarse_error": e1, "fine_error": e2,
+                           "dt_triplet": [run.dt, run.dt / 2, run.dt / 4]}
 
 
 _RUNNERS = {
@@ -623,35 +567,21 @@ def run_scenario(doc, output_dir=None, tolerance_override=None,
     Raises ConfigError for malformed configs; numerical failures propagate
     (OracleConvergenceError, SolverBlowupError, OverflowError).
     """
-    from pathlib import Path
-
-    cfg = parse_config(doc) if not isinstance(doc, ScenarioConfig) else doc
-    out = Path(output_dir) if output_dir is not None else Path(cfg.output_dir)
+    cfg = parse_config(doc)
+    out = Path(output_dir if output_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    s_for_report = (_fit_s(cfg) if "l_list" in cfg.fit else
-                    float(cfg.fit.get("s", 1.0)))
-    report = validate(cfg.model, s_for_report)
-    fits, probes, functionals, verdicts, files, steps = _RUNNERS[cfg.scenario](
-        cfg, out, tolerance_override)
-    summary = RunSummary(
-        scenario=cfg.scenario,
-        config=cfg.raw,
-        regime=report.to_dict(),
-        fits=fits,
-        probes=probes,
-        functionals=functionals,
-        verdicts=verdicts,
-        series_files=files,
-        wall_clock_s=time.perf_counter() - t0,
-        step_count=steps,
-    )
+    report = validate(cfg.model, cfg.s)
+    summary = RunSummary(cfg.scenario, cfg.raw, report.to_dict(), out)
+    _RUNNERS[cfg.scenario](cfg, summary, report, tolerance_override)
+    summary.wall_clock_s = time.perf_counter() - t0
+    result = summary.to_dict()
     with open(out / "summary.json", "w") as fh:
-        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    emit_plots(summary.to_dict(), files, out / "plot_series.py")
+    emit_plots(result, summary.series_files, out / "plot_series.py")
     if not quiet:
-        for v in verdicts:
+        for v in summary.verdicts:
             status = "PASS" if v["pass"] else "FAIL"
             print(f"[{status}] {cfg.scenario}: {v['name']} - {v['detail']}")
         for w in report.warnings:

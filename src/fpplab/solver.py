@@ -261,7 +261,6 @@ def make_stepper(grid: sg.GridSpec, params: ModelParams,
 @dataclass(frozen=True)
 class SolveResult:
     trajectory: tuple          # ((t, SpectralField), ...) at sample times
-    samples: tuple             # matching StepState snapshots
     final_state: StepState
     step_count: int
 
@@ -283,13 +282,11 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
 
     live = stepper.enter(0.0, u0)
     trajectory = []
-    samples = []
 
     def maybe_emit(i, current):
         if i in want:
             st = stepper.leave(current)
             trajectory.append((st.t, st.field))
-            samples.append(st)
             if on_sample is not None:
                 on_sample(st)
 
@@ -301,5 +298,5 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
         tail = _Stepper(u0.grid, params, remainder, config.scheme,
                         config.enable_nonlinearity)
         live = tail.advance(live)
-    return SolveResult(trajectory=tuple(trajectory), samples=tuple(samples),
-                       final_state=stepper.leave(live), step_count=n_steps)
+    return SolveResult(trajectory=tuple(trajectory), final_state=stepper.leave(live),
+                       step_count=n_steps)

@@ -59,6 +59,12 @@ class TestParseConfig:
                 "fit": {"window": [100.0], "l_list": [0.0]},
             })
 
+    def test_negative_regularity(self):
+        doc = _linear_config("unused")
+        doc["fit"]["s"] = -1.0
+        with pytest.raises(ConfigError, match="fit.s"):
+            parse_config(doc)
+
 
 class TestRunCommand:
     def test_linear_decay_passes_and_writes_artifacts(self, tmp_path):
@@ -154,6 +160,38 @@ class TestRunCommand:
         assert (out_a / "plot_series.py").read_bytes() == \
             (out_b / "plot_series.py").read_bytes()
 
+        def summary_without_wall_clock(out):
+            lines = (out / "summary.json").read_text().splitlines()
+            return [line for line in lines if '"wall_clock_s"' not in line]
+
+        assert summary_without_wall_clock(out_a) == summary_without_wall_clock(out_b)
+
+    @pytest.mark.parametrize("section, key, misspelt", [
+        ("run", "scheme", "sheme"),
+        ("fit", "tolerance", "tolerence"),
+        ("data", "width", "widht"),
+        (None, "grid", "grdi"),
+    ])
+    def test_misspelt_key_is_a_config_error(self, tmp_path, capsys, section, key,
+                                            misspelt):
+        # a misspelt option must not run quietly with its default value
+        out = tmp_path / "out"
+        doc = {
+            "scenario": "nonlinear-smalldata",
+            "model": {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 5},
+            "grid": {"n": 1, "points_per_dim": 64, "box_length": 40.0},
+            "data": {"kind": "gaussian", "width": 1.0, "amplitude": 0.01},
+            "run": {"scheme": "etd1", "dt": 0.1, "t_end": 1.0},
+            "fit": {"window": [0.5, 1.0], "l_list": [0.0], "tolerance": 0.1},
+            "output_dir": str(out),
+        }
+        target = doc if section is None else doc[section]
+        target[misspelt] = target.pop(key)
+        assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
+        path = misspelt if section is None else f"{section}.{misspelt}"
+        assert f"{path}: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOtherCommands:
     def test_validate(self, tmp_path, capsys):
@@ -161,6 +199,30 @@ class TestOtherCommands:
         assert main(["validate", cfg]) == 0
         out = capsys.readouterr().out
         assert '"regime": "gain"' in out
+
+    @pytest.mark.parametrize("case, s", [
+        ("fit.s", 3.0), ("max(l_list)", 1.0), ("no l_list", 1.0)])
+    def test_validate_and_run_report_the_same_regime(self, tmp_path, capsys, case, s):
+        out = tmp_path / "out"
+        if case == "no l_list":
+            doc = {
+                "scenario": "convergence-study",
+                "model": {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 1},
+                "grid": {"n": 1, "points_per_dim": 64, "box_length": 2.0 * math.pi},
+                "data": {"kind": "single_mode", "k": 2, "amplitude": 0.3},
+                "run": {"scheme": "etd1", "dt": 0.2, "t_end": 4.0},
+                "output_dir": str(out),
+            }
+        else:
+            doc = _linear_config(out, l_list=(0.0, 1.0))
+            if case == "fit.s":
+                doc["fit"]["s"] = s
+        cfg = _write(tmp_path, doc)
+        assert main(["validate", cfg]) == 0
+        printed = json.loads(capsys.readouterr().out)["regime"]
+        assert printed["s"] == s
+        assert main(["run", cfg, "--quiet"]) == 0
+        assert json.loads((out / "summary.json").read_text())["regime"] == printed
 
     def test_validate_bad_config(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from fpplab import grid as sg
 from fpplab.model import ModelParams, sigma
 from fpplab.oracle import gaussian_profile, radial_weighted_l2, truncated_profile
-from fpplab.propagator import (BOUNDED, UNBOUNDED, green_high, green_low,
-                               probe_high_band, probe_low_band, propagate)
+from fpplab.propagator import (BOUNDED, UNBOUNDED, probe_high_band, probe_low_band,
+                               propagate)
 from conftest import random_real_field
 
 
@@ -57,31 +57,6 @@ class TestPropagate:
         f = random_real_field(g, seed=6)
         out = propagate(f, 123.0, gain_params)
         assert out.coefficients[0] == f.coefficients[0]
-
-
-class TestGreenParts:
-    def test_sum_reconstructs_propagate(self, gain_params):
-        g = sg.make_grid(1, 64, 40.0)
-        f = random_real_field(g, seed=7)
-        full = propagate(f, 1.5, gain_params)
-        low = green_low(f, 1.5, 0.5, gain_params)
-        high = green_high(f, 1.5, 0.5, gain_params)
-        diff = np.abs(low.coefficients + high.coefficients - full.coefficients)
-        assert np.max(diff) <= 1e-15 * np.max(np.abs(full.coefficients))
-
-    def test_low_supported_data_has_zero_high_output(self, gain_params):
-        g = sg.make_grid(1, 64, 2.0 * np.pi * 10)
-        mag = sg.wavenumber_magnitude(g)
-        f = sg.SpectralField(g, np.where(mag <= 0.5, 1.0 + 0.0j, 0.0))
-        out = green_high(f, 2.0, 0.5, gain_params)
-        assert np.max(np.abs(out.coefficients)) == 0.0
-
-    def test_t0_matches_split(self, gain_params):
-        g = sg.make_grid(1, 64, 40.0)
-        f = random_real_field(g, seed=8)
-        low0 = green_low(f, 0.0, 0.5, gain_params)
-        split_low, _ = sg.split_low_high(f, 0.5)
-        assert np.allclose(low0.coefficients, split_low.coefficients, rtol=0, atol=0)
 
 
 class TestDichotomy:
