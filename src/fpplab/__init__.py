@@ -18,11 +18,9 @@ from .oracle import (DecayClass, OracleConvergenceError, RadialProfile,
                      radial_weighted_l2, sphere_area, truncated_profile)
 from .propagator import ProbeReport, probe_high_band, probe_low_band, propagate
 from .solver import (EnergyLedger, SolveResult, SolverBlowupError, SolverConfig,
-                     StepState, energy_balance_residual, nonlinear_term, phi1,
-                     phi2, solve)
+                     StepState, energy_balance_residual, phi1, phi2, solve)
 from .diagnostics import (DecayFit, NormSeries, WeightedFunctionals,
-                          contamination_horizon, fit_decay,
-                          probe_product_inequality, record,
+                          contamination_horizon, fit_decay, record,
                           weighted_functionals)
 from .scenarios import ConfigError, RunSummary, ScenarioConfig, run_scenario
 
@@ -40,9 +38,8 @@ __all__ = [
     "sphere_area", "truncated_profile",
     "ProbeReport", "probe_high_band", "probe_low_band", "propagate",
     "EnergyLedger", "SolveResult", "SolverBlowupError", "SolverConfig",
-    "StepState", "energy_balance_residual", "nonlinear_term", "phi1", "phi2",
-    "solve",
+    "StepState", "energy_balance_residual", "phi1", "phi2", "solve",
     "DecayFit", "NormSeries", "WeightedFunctionals", "contamination_horizon",
-    "fit_decay", "probe_product_inequality", "record", "weighted_functionals",
+    "fit_decay", "record", "weighted_functionals",
     "ConfigError", "RunSummary", "ScenarioConfig", "run_scenario",
 ]

@@ -1,4 +1,4 @@
-"""Norm time series, decay-rate fits, weighted sup functionals, and probes.
+"""Norm time series, decay-rate fits, and weighted sup functionals.
 
 Decay rates are always measured as ordinary least-squares slopes of
 log(value) against log(1 + t).  A fit is only trusted as a power law when
@@ -10,17 +10,17 @@ horizon when the series came from a periodic run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import grid as sg
-from .model import LOSS, ModelParams, sigma, validate
-from .solver import pad_factor
+from .model import ModelParams, sigma, validate
 
 R_SQUARED_POWER_LAW = 0.995
 HORIZON_CONSTANT = 0.1
 L_GRID_SPACING = 0.25
+MIN_FIT_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def contamination_horizon(grid: sg.GridSpec, params: ModelParams,
 
 
 def fit_decay(series: NormSeries, window, horizon: float = None,
-              min_samples: int = 8) -> DecayFit:
+              min_samples: int = MIN_FIT_SAMPLES) -> DecayFit:
     """OLS fit of log(value) against log(1 + t) over the window.
 
     Samples beyond the contamination horizon are dropped and the fit is
@@ -238,27 +238,3 @@ def _running_trapezoid(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = np.zeros_like(y)
     out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
     return out
-
-
-def probe_product_inequality(field: sg.SpectralField, l: float,
-                             params: ModelParams) -> dict:
-    """Ratio ||Lam^l u^(theta+1)|| / (||u||_inf^theta ||Lam^l u||).
-
-    The product estimate says this ratio is bounded by a constant; it is
-    reported, not asserted.  The power image is computed alias-free and
-    untruncated.
-    """
-    theta = params.theta
-    power_img = sg.pointwise_power(field, theta + 1, pad_factor(theta))
-    numerator = sg.sobolev_seminorm(power_img, l)
-    sup = sg.lp_norm(field, np.inf)
-    semi = sg.sobolev_seminorm(field, l)
-    denominator = sup ** theta * semi
-    if denominator == 0.0:
-        raise ZeroDivisionError("product-inequality probe needs a nonzero field")
-    return {
-        "l": float(l),
-        "numerator": numerator,
-        "denominator": denominator,
-        "ratio": numerator / denominator,
-    }

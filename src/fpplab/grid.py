@@ -321,20 +321,13 @@ def _chain_power(x: np.ndarray, power: int) -> np.ndarray:
         base = base * base
 
 
-def pointwise_power(u, power: int, pad_factor: float = None):
-    """u^power for an integer power >= 1.
+def pointwise_power(u: np.ndarray, power: int) -> np.ndarray:
+    """u^power of physical samples for an integer power >= 1.
 
-    Given physical samples (an ndarray), returns their power.  Given a
-    SpectralField, returns the spectral image of u^power, computed
-    alias-free on a grid padded by `pad_factor` and truncated to the
-    lattice; the input is treated as real data.  That is exact for the
-    lattice modes themselves when pad_factor >= (power + 1) / 2.
+    Alias-free products come from padding first: ``padded_physical``, this,
+    then ``truncated_spectrum``.
     """
     if int(power) != power or power < 1:
         raise ValueError(f"power must be an integer >= 1, got {power}")
-    if isinstance(u, SpectralField):
-        up, _ = padded_physical(half_spectrum(u), pad_factor)
-        half = truncated_spectrum(pointwise_power(up, power), u.grid.points_per_dim)
-        return from_half_spectrum(u.grid, half)
     with np.errstate(over="ignore", invalid="ignore"):
         return _chain_power(u, int(power))

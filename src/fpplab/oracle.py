@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize.elementwise import find_root
 
-from .diagnostics import DecayFit, NormSeries, fit_decay
+from .diagnostics import MIN_FIT_SAMPLES, DecayFit, NormSeries, fit_decay
 from .model import ModelParams, cutoff_partition, sigma
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
@@ -376,8 +376,8 @@ def oracle_decay_fit(profile: RadialProfile, l: float, params: ModelParams,
     t0, t1 = float(t_window[0]), float(t_window[1])
     if not (t0 > 0 and t1 / t0 >= 100.0):
         raise ValueError("fit window must satisfy t0 > 0 and t1/t0 >= 100")
-    if n_samples < 8:
-        raise ValueError("need at least 8 samples for a decay fit")
+    if n_samples < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples for a decay fit")
     times = np.geomspace(t0, t1, n_samples)
     values = radial_weighted_l2(profile, l, times, params, window=window, R=R,
                                 tol=tol)

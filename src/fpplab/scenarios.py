@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import grid as sg
-from .diagnostics import (R_SQUARED_POWER_LAW, NormSeries, contamination_horizon,
-                          fit_decay, weighted_functionals)
+from .diagnostics import (MIN_FIT_SAMPLES, R_SQUARED_POWER_LAW, NormSeries,
+                          contamination_horizon, fit_decay, weighted_functionals)
 from .model import ModelParams, decay_exponent, sigma, validate
 from .oracle import (OracleConvergenceError, RadialProfile, gaussian_profile,
                      power_tail_profile, radial_weighted_l2)
@@ -45,6 +45,9 @@ SCENARIOS = (
     "lemma-verification",
     "convergence-study",
 )
+
+# Scenarios whose data must have a continuum radial profile for the oracle.
+_PROFILE_SCENARIOS = ("linear-decay", "regularity-loss-probe", "lemma-verification")
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -142,6 +145,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
     _as_mapping(data, "data", ("kind",) + _DATA_KEYS[kind])
     for key in _DATA_KEYS[kind]:
         _need(data, key, "data")
+    if kind == "single_mode" and scenario in _PROFILE_SCENARIOS:
+        raise ConfigError(f"data.kind: {kind!r} has no continuum radial profile; "
+                          f"use gaussian or power_tail for {scenario}")
 
     run = None
     if "run" in doc or needs_solver:
@@ -174,6 +180,14 @@ def parse_config(doc: dict) -> ScenarioConfig:
         l_list = _need(fit, "l_list", "fit")
         if not l_list or any(l < 0 for l in l_list):
             raise ConfigError("fit.l_list: expected a nonempty list of orders >= 0")
+        tol = fit.get("tolerance")
+        if isinstance(tol, (list, tuple)) and len(tol) < len(l_list):
+            raise ConfigError(f"fit.tolerance: {len(tol)} values for the "
+                              f"{len(l_list)} orders of fit.l_list")
+    n_samples = int(fit.get("n_samples", MIN_FIT_SAMPLES))
+    if scenario in ("linear-decay", "regularity-loss-probe") and n_samples < MIN_FIT_SAMPLES:
+        raise ConfigError(f"fit.n_samples: the decay fit needs at least "
+                          f"{MIN_FIT_SAMPLES} samples, got {n_samples}")
     s = float(fit.get("s", max(fit.get("l_list") or [1.0])))
     if s < 0:
         raise ConfigError(f"fit.s: data regularity must be nonnegative, got {s:g}")
@@ -195,15 +209,10 @@ def build_profile(cfg: ScenarioConfig) -> RadialProfile:
     data, n = cfg.data, cfg.model.n
     if data["kind"] == "gaussian":
         return gaussian_profile(float(data["width"]), float(data["amplitude"]), n=n)
-    if data["kind"] == "power_tail":
-        return power_tail_profile(float(data["exponent"]), float(data["amplitude"]), n=n)
-    raise ConfigError(f"data.kind: {data['kind']!r} has no continuum radial profile; "
-                      "use gaussian or power_tail for oracle scenarios")
+    return power_tail_profile(float(data["exponent"]), float(data["amplitude"]), n=n)
 
 
 def build_field(cfg: ScenarioConfig) -> sg.SpectralField:
-    if cfg.grid is None:
-        raise ConfigError("grid: required to build lattice initial data")
     data = cfg.data
     if data["kind"] in ("gaussian", "power_tail"):
         return sg.field_from_spectral_profile(cfg.grid, build_profile(cfg).profile)
@@ -565,7 +574,7 @@ def run_scenario(doc, output_dir=None, tolerance_override=None,
     """Execute one scenario config; writes summary JSON, CSVs, and a plot script.
 
     Raises ConfigError for malformed configs; numerical failures propagate
-    (OracleConvergenceError, SolverBlowupError, OverflowError).
+    (OracleConvergenceError, SolverBlowupError).
     """
     cfg = parse_config(doc)
     out = Path(output_dir if output_dir is not None else cfg.output_dir)

@@ -131,26 +131,6 @@ def pad_factor(theta: int) -> float:
     return (theta + 2) / 2.0
 
 
-def _forcing(power_samples: np.ndarray, N: int, multiplier: np.ndarray) -> np.ndarray:
-    """Half spectrum of a padded power truncated to the lattice, times the
-    half-spectrum multiplier Binv.
-
-    A non-finite power gives a non-finite result, which the caller checks.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return multiplier * sg.truncated_spectrum(power_samples, N)
-
-
-def nonlinear_term(field: sg.SpectralField, params: ModelParams) -> sg.SpectralField:
-    """Spectral image of u^(theta+1): alias-free padded power, truncated
-    to the lattice."""
-    theta = params.theta
-    out = sg.pointwise_power(field, theta + 1, pad_factor(theta))
-    if not np.all(np.isfinite(out.coefficients)):
-        raise OverflowError("nonlinear term overflowed; amplitude too extreme")
-    return out
-
-
 class _Live(NamedTuple):
     """A state inside the step loop: its half spectrum and, for a nonlinear
     run, its forcing Binv(u^(theta+1)), computed by the same padded
@@ -201,18 +181,19 @@ class _Stepper:
         power = sg.pointwise_power(up, self.params.theta + 1)
         source = float(np.vdot(power, up)) * (self.grid.box_length / M) ** self.grid.n
         del up  # one padded array fewer alive during the forward transform
-        return _forcing(power, self.grid.points_per_dim, self.forcing_multiplier), source
+        # a non-finite power gives a non-finite forcing, which advance() checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            forcing = self.forcing_multiplier * sg.truncated_spectrum(
+                power, self.grid.points_per_dim)
+        return forcing, source
 
-    def enter(self, t: float, field: sg.SpectralField,
-              ledger: EnergyLedger = None) -> _Live:
-        """Bring a field into the loop; a new ledger starts when none is given."""
+    def enter(self, field: sg.SpectralField) -> _Live:
+        """Bring the initial field into the loop at t = 0 with a new ledger."""
         half = sg.half_spectrum(field)
         forcing, p = self._nonlinear(half)
-        if ledger is None:
-            e = self._weighted_sum(self.energy_weight, half)
-            ledger = EnergyLedger(e0=e, e=e, d=self._weighted_sum(self.diss_weight, half),
-                                  p=p)
-        return _Live(t, half, ledger, forcing)
+        e = self._weighted_sum(self.energy_weight, half)
+        ledger = EnergyLedger(e0=e, e=e, d=self._weighted_sum(self.diss_weight, half), p=p)
+        return _Live(0.0, half, ledger, forcing)
 
     def leave(self, live: _Live) -> StepState:
         """The full-spectrum state, without the cached forcing."""
@@ -245,18 +226,6 @@ class _Stepper:
         )
         return _Live(t_new, new, ledger, forcing)
 
-    def initial_state(self, field: sg.SpectralField) -> StepState:
-        return StepState(t=0.0, field=field, ledger=self.enter(0.0, field).ledger)
-
-    def step(self, state: StepState) -> StepState:
-        """Advance one step from a stored state (pays one extra padded transform)."""
-        return self.leave(self.advance(self.enter(state.t, state.field, state.ledger)))
-
-
-def make_stepper(grid: sg.GridSpec, params: ModelParams,
-                 config: SolverConfig) -> _Stepper:
-    return _Stepper(grid, params, config.dt, config.scheme, config.enable_nonlinearity)
-
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -273,14 +242,15 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
     config reproduces bit-identical output.  With the nonlinearity disabled
     every step applies the exact semigroup multiplier.
     """
-    stepper = make_stepper(u0.grid, params, config)
+    stepper = _Stepper(u0.grid, params, config.dt, config.scheme,
+                       config.enable_nonlinearity)
     n_steps = int(math.floor(config.t_end / config.dt + 1e-9))
     remainder = config.t_end - n_steps * config.dt
     sample_idx = sorted({min(int(math.floor(t / config.dt + 1e-9)), n_steps)
                          for t in config.sample_times})
     want = set(sample_idx)
 
-    live = stepper.enter(0.0, u0)
+    live = stepper.enter(u0)
     trajectory = []
 
     def maybe_emit(i, current):

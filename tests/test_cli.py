@@ -126,6 +126,30 @@ class TestRunCommand:
         assert "run.dealias_fraction" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario", ["linear-decay", "regularity-loss-probe",
+                                          "lemma-verification"])
+    def test_single_mode_for_oracle_scenario_creates_no_directory(self, tmp_path,
+                                                                   capsys, scenario):
+        out = tmp_path / "out"
+        doc = _linear_config(out)
+        doc["scenario"] = scenario
+        doc["data"] = {"kind": "single_mode", "k": 1, "amplitude": 1.0}
+        assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
+        assert "data.kind" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("tolerance", [0.02]),  # one value for the two orders of l_list
+        ("n_samples", 7),       # the decay fit needs 8
+    ], ids=["short-tolerance-list", "too-few-samples"])
+    def test_unusable_fit_value_is_a_config_error(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        doc = _linear_config(out, l_list=(0.0, 1.0))
+        doc["fit"][key] = value
+        assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
+        assert f"fit.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tolerance_override_forces_failure(self, tmp_path):
         out = tmp_path / "out"
         cfg = _write(tmp_path, _linear_config(out))

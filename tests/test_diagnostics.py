@@ -3,9 +3,8 @@ import pytest
 
 from fpplab import grid as sg
 from fpplab.diagnostics import (NormSeries, contamination_horizon, fit_decay,
-                                probe_product_inequality, record,
-                                weighted_functionals)
-from fpplab.model import ModelParams, decay_exponent, sigma
+                                record, weighted_functionals)
+from fpplab.model import decay_exponent, sigma
 from fpplab.oracle import gaussian_profile, radial_weighted_l2
 from fpplab.solver import SolverConfig, solve
 from conftest import random_real_field
@@ -169,37 +168,3 @@ class TestWeightedFunctionals:
         assert np.all(np.diff(wf.e) >= -1e-12 * wf.e[-1])
         assert np.all(np.diff(wf.l) >= -1e-12 * wf.l[-1])
         assert np.all(np.diff(wf.m1) >= -1e-12 * wf.m1[-1])
-
-
-class TestProductInequality:
-    def test_constant_field_ratio_is_one(self):
-        p = ModelParams(n=1, m=1.0, alpha=1.0, theta=3)
-        g = sg.make_grid(1, 32, 5.0)
-        f = sg.to_spectral(g, np.full(g.shape, 0.7))
-        rep = probe_product_inequality(f, 0.0, p)
-        assert rep["ratio"] == pytest.approx(1.0, rel=1e-12)
-
-    def test_single_mode_ratio_finite(self):
-        p = ModelParams(n=1, m=1.0, alpha=1.0, theta=2)
-        g = sg.make_grid(1, 64, 2.0 * np.pi)
-        x = sg.physical_nodes(g)
-        f = sg.to_spectral(g, np.cos(3.0 * x))
-        rep = probe_product_inequality(f, 1.0, p)
-        assert 0.0 < rep["ratio"] <= 2.0 ** p.theta * (p.theta + 1)
-
-    def test_stable_under_refinement(self):
-        p = ModelParams(n=1, m=1.0, alpha=1.0, theta=2)
-        ratios = []
-        for N in (128, 256):
-            g = sg.make_grid(1, N, 30.0)
-            x = sg.physical_nodes(g)
-            f = sg.to_spectral(g, np.exp(-0.5 * (x - 15.0) ** 2))
-            ratios.append(probe_product_inequality(f, 1.0, p)["ratio"])
-        assert abs(ratios[1] - ratios[0]) / ratios[0] < 0.1
-
-    def test_zero_field_rejected(self):
-        p = ModelParams(n=1, m=1.0, alpha=1.0, theta=2)
-        g = sg.make_grid(1, 32, 5.0)
-        f = sg.SpectralField(g, np.zeros(g.shape, dtype=complex))
-        with pytest.raises(ZeroDivisionError):
-            probe_product_inequality(f, 0.0, p)

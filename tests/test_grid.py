@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from fpplab import grid as sg
 from fpplab.model import ModelParams, sigma
+from fpplab.solver import pad_factor
 from conftest import random_real_field
 
 
@@ -217,13 +218,38 @@ class TestHermitian:
         assert _hermitian_defect(f) <= 1e-13
 
 
+def padded_power(f, power, pad):
+    """Spectral image of f^power by the step loop's route: pad, raise the
+    padded samples pointwise, truncate back to the lattice."""
+    up, _ = sg.padded_physical(sg.half_spectrum(f), pad)
+    half = sg.truncated_spectrum(sg.pointwise_power(up, power), f.grid.points_per_dim)
+    return sg.from_half_spectrum(f.grid, half)
+
+
+def _circular_free_convolution(a, b, N):
+    """Convolution of Fourier-series coefficient arrays without wraparound.
+
+    Entries are in FFT order.  full[k] of the linear convolution of the
+    shifted arrays carries frequency k - N; supports must be narrow enough
+    that nothing lands outside [-N/2, N/2), which is asserted."""
+    A = np.fft.fftshift(a)
+    B = np.fft.fftshift(b)
+    full = np.convolve(A, B)
+    half = N // 2
+    block = full[N - half:N + half]
+    outside = full.copy()
+    outside[N - half:N + half] = 0.0
+    assert np.max(np.abs(outside)) <= 1e-14 * max(np.max(np.abs(block)), 1e-300)
+    return np.fft.ifftshift(block)
+
+
 class TestPaddedPower:
     def test_square_of_cosine_two_lines(self):
         g = sg.make_grid(1, 32, 2.0 * np.pi)
         x = sg.physical_nodes(g)
         a = 0.7
         f = sg.to_spectral(g, a * np.cos(2.0 * x))
-        sq = sg.pointwise_power(f, 2, 1.5)
+        sq = padded_power(f, 2, pad_factor(1))
         c = sq.coefficients / g.points_per_dim  # Fourier-series coefficients
         assert c[0] == pytest.approx(a * a / 2.0, rel=1e-13)
         assert c[4] == pytest.approx(a * a / 4.0, rel=1e-13)
@@ -238,6 +264,32 @@ class TestPaddedPower:
         # white spectrum: the Nyquist coefficients are as large as any other
         g = sg.make_grid(n, {1: 32, 2: 16, 3: 8}[n], 5.0)
         f = random_real_field(g, seed=seed, decay=0.0)
-        out = sg.pointwise_power(f, 1, pad)
+        out = padded_power(f, 1, pad)
         ref = np.max(np.abs(f.coefficients))
         assert np.max(np.abs(out.coefficients - f.coefficients)) <= 1e-14 * ref
+
+    def test_constant_field_maps_to_zero_mode(self):
+        g = sg.make_grid(1, 32, 4.0)
+        c = 0.3
+        f = sg.to_spectral(g, np.full(g.shape, c))
+        out = padded_power(f, 3, pad_factor(2))
+        phys = sg.to_physical(out)
+        assert np.allclose(phys.real, c**3, rtol=1e-13)
+        assert np.max(np.abs(out.coefficients[1:])) <= 1e-12 * abs(out.coefficients[0])
+
+    def test_matches_direct_convolution_on_sparse_field(self):
+        # power of a field with <= 4 active modes equals the convolution
+        # theorem result restricted to the lattice
+        N = 64
+        g = sg.make_grid(1, N, 2.0 * np.pi)
+        series = np.zeros(N, dtype=complex)
+        for idx, val in ((0, 0.2), (1, 0.4), (2, 0.1), (3, 0.05)):
+            series[idx] = val
+            if idx:
+                series[-idx] = np.conj(val)
+        f = sg.SpectralField(g, series * N)
+        out = padded_power(f, 3, pad_factor(2))
+        conv = series.copy()
+        for _ in range(2):
+            conv = _circular_free_convolution(conv, series, N)
+        assert np.allclose(out.coefficients / N, conv, atol=1e-13)

@@ -7,10 +7,10 @@ from fpplab import grid as sg
 from fpplab.model import ModelParams, b_inverse
 from fpplab.oracle import gaussian_profile
 from fpplab.propagator import propagate
-from fpplab.solver import (SolverConfig, SolverBlowupError, energy_balance_residual,
-                           make_stepper, nonlinear_term, pad_factor, phi1, phi2,
-                           solve)
+from fpplab.solver import (SolverConfig, SolverBlowupError, _Stepper,
+                           energy_balance_residual, pad_factor, phi1, phi2, solve)
 from conftest import random_real_field
+from test_grid import padded_power
 
 
 class TestPhiFunctions:
@@ -43,23 +43,14 @@ class TestPhiFunctions:
 
 
 class TestNonlinearTerm:
-    def test_constant_field_maps_to_zero_mode(self):
-        p = ModelParams(n=1, m=1.0, alpha=1.0, theta=2)
-        g = sg.make_grid(1, 32, 4.0)
-        c = 0.3
-        f = sg.to_spectral(g, np.full(g.shape, c))
-        out = nonlinear_term(f, p)
-        phys = sg.to_physical(out)
-        assert np.allclose(phys.real, c**3, rtol=1e-13)
-        assert np.max(np.abs(out.coefficients[1:])) <= 1e-12 * abs(out.coefficients[0])
-
     def test_cosine_square_trig_identity(self):
+        # the step loop's padded power of u^(theta+1) at theta = 1
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=1)
         g = sg.make_grid(1, 64, 2.0 * np.pi)
         x = sg.physical_nodes(g)
         a = 0.9
         f = sg.to_spectral(g, a * np.cos(2.0 * x))
-        out = nonlinear_term(f, p)
+        out = padded_power(f, p.theta + 1, pad_factor(p.theta))
         c = out.coefficients / g.points_per_dim
         assert c[0].real == pytest.approx(a * a / 2.0, rel=1e-13)
         assert c[4].real == pytest.approx(a * a / 4.0, rel=1e-13)
@@ -70,51 +61,10 @@ class TestNonlinearTerm:
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=3)
         g = sg.make_grid(1, 64, 10.0)
         f = random_real_field(g, seed=1, decay=0.0)
-        out = nonlinear_term(f, p)
-        want = sg.pointwise_power(f, p.theta + 1, pad_factor(p.theta))
-        assert np.array_equal(out.coefficients, want.coefficients)
-
-    def test_matches_direct_convolution_on_sparse_field(self):
-        # power of a field with <= 4 active modes equals the convolution
-        # theorem result restricted to the lattice
-        p = ModelParams(n=1, m=1.0, alpha=1.0, theta=2)
-        N = 64
-        g = sg.make_grid(1, N, 2.0 * np.pi)
-        series = np.zeros(N, dtype=complex)
-        for idx, val in ((0, 0.2), (1, 0.4), (2, 0.1), (3, 0.05)):
-            series[idx] = val
-            if idx:
-                series[-idx] = np.conj(val)
-        f = sg.SpectralField(g, series * N)
-        out = nonlinear_term(f, p)
-        conv = series.copy()
-        for _ in range(p.theta):
-            conv = _circular_free_convolution(conv, series, N)
-        assert np.allclose(out.coefficients / N, conv, atol=1e-13)
-
-    def test_overflow_detected(self):
-        p = ModelParams(n=1, m=1.0, alpha=1.0, theta=5)
-        g = sg.make_grid(1, 32, 4.0)
-        f = sg.to_spectral(g, np.full(g.shape, 1e200))
-        with pytest.raises(OverflowError):
-            nonlinear_term(f, p)
-
-
-def _circular_free_convolution(a, b, N):
-    """Convolution of Fourier-series coefficient arrays without wraparound.
-
-    Entries are in FFT order.  full[k] of the linear convolution of the
-    shifted arrays carries frequency k - N; supports must be narrow enough
-    that nothing lands outside [-N/2, N/2), which is asserted."""
-    A = np.fft.fftshift(a)
-    B = np.fft.fftshift(b)
-    full = np.convolve(A, B)
-    half = N // 2
-    block = full[N - half:N + half]
-    outside = full.copy()
-    outside[N - half:N + half] = 0.0
-    assert np.max(np.abs(outside)) <= 1e-14 * max(np.max(np.abs(block)), 1e-300)
-    return np.fft.ifftshift(block)
+        forcing, _ = _Stepper(g, p, 0.1, "etd2", True)._nonlinear(sg.half_spectrum(f))
+        mag = sg.wavenumber_magnitude(g)[..., : g.points_per_dim // 2 + 1]
+        power = padded_power(f, p.theta + 1, pad_factor(p.theta))
+        assert np.array_equal(forcing, b_inverse(mag, p) * sg.half_spectrum(power))
 
 
 class TestStep:
@@ -130,8 +80,7 @@ class TestStep:
         g = sg.make_grid(1, 64, 20.0)
         f = random_real_field(g, seed=2)
         cfg = SolverConfig(dt=0.25, t_end=0.25, enable_nonlinearity=False)
-        stepper = make_stepper(g, gain_params, cfg)
-        got = stepper.step(stepper.initial_state(f)).field
+        got = solve(f, gain_params, cfg).final_state.field
         want = propagate(f, 0.25, gain_params)
         ref = np.max(np.abs(want.coefficients))
         assert np.max(np.abs(got.coefficients - want.coefficients)) <= 1e-13 * ref
@@ -145,18 +94,6 @@ class TestStep:
         ref = np.max(np.abs(want.coefficients))
         assert np.max(np.abs(res.final_state.field.coefficients
                              - want.coefficients)) <= 1e-12 * ref
-
-    def test_public_step_wrapper(self, gain_params):
-        # the public step recomputes the forcing of a stored state; it must
-        # land exactly where the solve loop, which carries it over, does
-        g = sg.make_grid(1, 32, 10.0)
-        f = random_real_field(g, seed=4)
-        cfg = SolverConfig(dt=0.1, t_end=0.1)
-        stepper = make_stepper(g, gain_params, cfg)
-        got = stepper.step(stepper.initial_state(f))
-        want = solve(f, gain_params, cfg).final_state
-        assert np.array_equal(got.field.coefficients, want.field.coefficients)
-        assert got.ledger == want.ledger
 
     def test_blowup_aborts_with_time(self):
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=1)
