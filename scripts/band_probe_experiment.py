@@ -24,7 +24,7 @@ LOSS_CONFIG = {
     "scenario": "lemma-verification",
     "model": {"n": 1, "m": 1.0, "alpha": 0.5, "theta": 3},
     "data": {"kind": "gaussian", "width": 1.0, "amplitude": 1.0},
-    "fit": {"window": [1.0, 10000.0], "l_list": [0.0], "beta": 1.0, "s": 4.0},
+    "fit": {"window": [1.0, 10000.0], "l_list": [0.0], "s": 4.0},
     "output_dir": "runs/band-probes-loss",
 }
 

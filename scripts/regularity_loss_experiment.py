@@ -17,7 +17,7 @@ CONFIG = {
     "model": {"n": 1, "m": 1.0, "alpha": 0.5, "theta": 3},
     "data": {"kind": "power_tail", "exponent": 4.6, "amplitude": 1.0},
     "fit": {"window": [100.0, 10000.0], "l_list": [0.0, 0.5, 1.0, 1.5, 4.0],
-            "tolerance": 0.05, "s": 4.0, "gap_min": 0.1},
+            "tolerance": 0.05, "s": 4.0},
     "output_dir": "runs/regularity-loss",
 }
 

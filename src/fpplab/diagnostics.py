@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as sg
-from .model import ModelParams, sigma, validate
+from .model import CUTOFF_RADIUS, ModelParams, sigma, validate
 
 R_SQUARED_POWER_LAW = 0.995
 HORIZON_CONSTANT = 0.1
@@ -75,20 +75,18 @@ def ols_line(x: np.ndarray, y: np.ndarray) -> tuple:
     return slope, intercept, r2
 
 
-def contamination_horizon(grid: sg.GridSpec, params: ModelParams,
-                          constant: float = HORIZON_CONSTANT) -> float:
+def contamination_horizon(grid: sg.GridSpec, params: ModelParams) -> float:
     """Largest t at which box periodicity has not yet biased decay fits.
 
-    Beyond t = constant / sigma(2 pi / L) the slowest nonzero box mode has
-    decayed appreciably and the periodic norms part ways with the
+    Beyond t = HORIZON_CONSTANT / sigma(2 pi / L) the slowest nonzero box
+    mode has decayed appreciably and the periodic norms part ways with the
     whole-space ones.
     """
     k1 = 2.0 * np.pi / grid.box_length
-    return constant / sigma(k1, params)
+    return HORIZON_CONSTANT / sigma(k1, params)
 
 
-def fit_decay(series: NormSeries, window, horizon: float = None,
-              min_samples: int = MIN_FIT_SAMPLES) -> DecayFit:
+def fit_decay(series: NormSeries, window, horizon: float = None) -> DecayFit:
     """OLS fit of log(value) against log(1 + t) over the window.
 
     Samples beyond the contamination horizon are dropped and the fit is
@@ -103,9 +101,9 @@ def fit_decay(series: NormSeries, window, horizon: float = None,
         mask &= series.times <= horizon
     t = series.times[mask]
     v = series.values[mask]
-    if t.size < min_samples:
+    if t.size < MIN_FIT_SAMPLES:
         raise ValueError(
-            f"need at least {min_samples} samples in the window, found {t.size}"
+            f"need at least {MIN_FIT_SAMPLES} samples in the window, found {t.size}"
         )
     if np.any(v <= 0):
         raise ValueError("series has nonpositive values inside the fit window")
@@ -114,8 +112,8 @@ def fit_decay(series: NormSeries, window, horizon: float = None,
                     window=(t0, t1), horizon_warning=warn)
 
 
-def record(trajectory, l_list, R: float, params: ModelParams = None,
-           s: float = None) -> list:
+def record(trajectory, l_list, R: float = CUTOFF_RADIUS,
+           params: ModelParams = None, s: float = None) -> list:
     """Norm series for every (l, component) over a solver trajectory.
 
     trajectory is a sequence of (t, SpectralField).  For each l the full

@@ -24,6 +24,7 @@ import numpy as np
 
 GAIN = "gain"
 LOSS = "loss"
+CUTOFF_RADIUS = 0.5  # R of the low/high band split: chi = 1 for r <= R, 0 for r >= 2R
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ def b_inverse(r, params: ModelParams):
     return _scalar_or_array(out, scalar)
 
 
-def cutoff_chi(r, R: float = 0.5):
+def cutoff_chi(r, R: float = CUTOFF_RADIUS):
     """Smooth radial cutoff: 1 for r <= R, 0 for r >= 2R, monotone between.
 
     The transition uses the symmetric exp(-1/x) partition
@@ -93,7 +94,7 @@ def cutoff_chi(r, R: float = 0.5):
     return cutoff_partition(r, R)[0]
 
 
-def cutoff_partition(r, R: float = 0.5):
+def cutoff_partition(r, R: float = CUTOFF_RADIUS):
     """(chi, 1 - chi) of cutoff_chi, each formed as its own ratio.
 
     1 - chi by subtraction keeps no digits where chi rounds to 1 (just above

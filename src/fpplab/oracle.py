@@ -37,7 +37,7 @@ import numpy as np
 from scipy.optimize.elementwise import find_root
 
 from .diagnostics import MIN_FIT_SAMPLES, DecayFit, NormSeries, fit_decay
-from .model import ModelParams, cutoff_partition, sigma
+from .model import CUTOFF_RADIUS, ModelParams, cutoff_partition, sigma
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 _TAIL_EXPONENT = 30.0  # sigma(r) t beyond this contributes < exp(-60) relative
@@ -330,7 +330,7 @@ def _weighted_integral(profile: RadialProfile, l: float, t: np.ndarray,
 
 def radial_weighted_l2(profile: RadialProfile, l: float, t,
                        params: ModelParams, window: str = "full",
-                       R: float = 0.5, tol: float = DEFAULT_TOL):
+                       tol: float = DEFAULT_TOL):
     """||Lam^l w(D) u(t)||_L2 of the linear flow started from the profile.
 
     t is one time (a float is returned) or an array of times (an array of
@@ -347,13 +347,11 @@ def radial_weighted_l2(profile: RadialProfile, l: float, t,
         raise ValueError(f"time must be nonnegative, got {t}")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if not 0.0 < R < 1.0:
-        raise ValueError(f"cutoff radius R must lie in (0, 1), got {R}")
     if window not in _WINDOWS:
         raise ValueError(f"unknown window {window!r}; use full, low, high, or cross")
     _check_tail_convergence(profile, l, times, params)
     at_tol, at_half = _weighted_integral(profile, l, times.ravel(), params,
-                                         window, R, tol)
+                                         window, CUTOFF_RADIUS, tol)
     q_full, q_half = np.sqrt(at_tol), np.sqrt(at_half)
     bad = np.abs(q_full - q_half) > tol * np.maximum(q_half, 1e-300)
     if bad.any():
@@ -366,9 +364,8 @@ def radial_weighted_l2(profile: RadialProfile, l: float, t,
 
 
 def oracle_decay_fit(profile: RadialProfile, l: float, params: ModelParams,
-                     t_window, n_samples: int = 24, window: str = "full",
-                     R: float = 0.5, tol: float = DEFAULT_TOL) -> DecayFit:
-    """Fitted log-log decay slope of the linear flow over a time window.
+                     t_window, n_samples: int = 24) -> DecayFit:
+    """Fitted log-log decay slope of the full-window norm of the linear flow.
 
     Samples are log-uniform in [t0, t1]; the window must span at least two
     decades (t1/t0 >= 100) for a stable slope.
@@ -379,7 +376,6 @@ def oracle_decay_fit(profile: RadialProfile, l: float, params: ModelParams,
     if n_samples < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples for a decay fit")
     times = np.geomspace(t0, t1, n_samples)
-    values = radial_weighted_l2(profile, l, times, params, window=window, R=R,
-                                tol=tol)
-    series = NormSeries(times, values, l=float(l), component=window)
+    values = radial_weighted_l2(profile, l, times, params)
+    series = NormSeries(times, values, l=float(l))
     return fit_decay(series, (t0, t1))

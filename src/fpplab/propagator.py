@@ -98,8 +98,7 @@ def _tail_slope(times: np.ndarray, ratios: np.ndarray):
 
 
 def probe_low_band(profile: RadialProfile, l: float, t_samples, params: ModelParams,
-                   R: float = 0.5, rate_offset: float = 0.0,
-                   tol: float = 1e-8) -> ProbeReport:
+                   rate_offset: float = 0.0) -> ProbeReport:
     """Check the low-band L1 -> L2 decay bound on the continuum oracle.
 
     ratios(t) = ||Lam^l low-band u(t)||_L2 * (1+t)^(n/(4a) + l/(2a) + offset)
@@ -112,7 +111,7 @@ def probe_low_band(profile: RadialProfile, l: float, t_samples, params: ModelPar
         raise ValueError("low-band probe needs a profile with an L1 norm hint")
     times = np.asarray(t_samples, dtype=float)
     exponent = params.n / (4.0 * params.alpha) + l / (2.0 * params.alpha) + rate_offset
-    norms = radial_weighted_l2(profile, l, times, params, window="low", R=R, tol=tol)
+    norms = radial_weighted_l2(profile, l, times, params, window="low")
     ratios = norms * (1.0 + times) ** exponent / profile.l1_norm_hint
     slope, _ = _tail_slope(times, ratios)
     verdict = BOUNDED if (math.isfinite(slope) and abs(slope) <= TAIL_SLOPE_TOL) else UNBOUNDED
@@ -122,26 +121,25 @@ def probe_low_band(profile: RadialProfile, l: float, t_samples, params: ModelPar
 
 
 def probe_high_band(profile: RadialProfile, l: float, t_samples, params: ModelParams,
-                    R: float = 0.5, beta: float = None,
-                    rate_offset: float = 0.0, tol: float = 1e-8) -> ProbeReport:
+                    beta: float = None) -> ProbeReport:
     """Check the high-band decay: exponential for alpha >= 1, weighted
     algebraic for alpha < 1.
 
     Gain regime: fits log ||Lam^l high-band u(t)|| against t and reports the
-    exponential rate (beta and rate_offset are ignored); bounded means the
-    fit is a credible exponential with a positive rate.  The reference
-    constant for comparisons is sigma(2R): the symbol is increasing for
-    alpha >= 1, so its infimum over the fully weighted band |k| >= 2R sits
-    at 2R, and early windows (before the smooth cutoff's skirt at |k| ~ R
-    dominates) measure a rate at or above it.
+    exponential rate (beta is ignored); bounded means the fit is a credible
+    exponential with a positive rate.  The reference constant for
+    comparisons is sigma(2R), R = CUTOFF_RADIUS: the symbol is increasing
+    for alpha >= 1, so its infimum over the fully weighted band |k| >= 2R
+    sits at 2R, and early windows (before the smooth cutoff's skirt at
+    |k| ~ R dominates) measure a rate at or above it.
 
-    Loss regime: ratios(t) = ||...|| * (1+t)^(beta/(2(1-alpha)) + offset)
+    Loss regime: ratios(t) = ||...|| * (1+t)^(beta/(2(1-alpha)))
     / ||Lam^(beta+l) phi||; bounded means the ratio does not grow (tail
     slope <= +0.05; rapidly decaying data legitimately overshoots the
     bound, so no lower slope bar applies).
     """
     times = np.asarray(t_samples, dtype=float)
-    norms = radial_weighted_l2(profile, l, times, params, window="high", R=R, tol=tol)
+    norms = radial_weighted_l2(profile, l, times, params, window="high")
     if params.alpha >= 1.0:
         pos = norms > 0.0
         if np.sum(pos) < 3:
@@ -159,12 +157,11 @@ def probe_high_band(profile: RadialProfile, l: float, t_samples, params: ModelPa
                            detail="exponential fit of the high-band norm")
     if beta is None or beta <= 0:
         raise ValueError("loss-regime high-band probe needs beta > 0")
-    weight_norm = radial_weighted_l2(profile, beta + l, 0.0, params,
-                                     window="full", R=R, tol=tol)
+    weight_norm = radial_weighted_l2(profile, beta + l, 0.0, params)
     if weight_norm == 0.0:
         raise ValueError("profile has zero ||Lam^(beta+l) phi|| norm")
     ab = 1.0 - params.alpha
-    exponent = beta / (2.0 * ab) + rate_offset
+    exponent = beta / (2.0 * ab)
     ratios = norms * (1.0 + times) ** exponent / weight_norm
     slope, n_zero_tail = _tail_slope(times, ratios)
     if math.isnan(slope) and n_zero_tail > 0:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import InitVar, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ import numpy as np
 from . import grid as sg
 from .diagnostics import (MIN_FIT_SAMPLES, R_SQUARED_POWER_LAW, NormSeries,
                           contamination_horizon, fit_decay, weighted_functionals)
-from .model import ModelParams, decay_exponent, sigma, validate
+from .model import CUTOFF_RADIUS, ModelParams, decay_exponent, sigma, validate
 from .oracle import (OracleConvergenceError, RadialProfile, gaussian_profile,
                      power_tail_profile, radial_weighted_l2)
 from .propagator import BOUNDED, UNBOUNDED, probe_high_band, probe_low_band
@@ -55,6 +55,12 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
 _ORDER_BANDS = {"etd1": (0.7, 1.3), "etd2": (1.7, 2.3)}
+# Verdict thresholds; pinned here, not configurable.
+SOLVER_MATCH_TOL = 1e-4  # linear-decay: solver vs oracle, max relative deviation
+RATE_MARGIN = 0.9        # lemma-verification: high-band rate >= RATE_MARGIN * sigma(2R)
+M1_GROWTH_TOL = 0.05     # nonlinear-smalldata: m1 growth over the run's second half
+LOSS_GAP_MIN = 0.1       # regularity-loss-probe: top order decays slower by at least this
+LEMMA_BETA = 1.0         # lemma-verification (alpha < 1): derivatives spent on the high band
 
 # Largest padded sample array a nonlinear run may allocate.  A step holds
 # several arrays of that size at once, so this keeps a run well inside a
@@ -70,10 +76,10 @@ _RUN_KEYS = ("scheme", "dt", "t_end", "sample_times", "enable_nonlinearity")
 _DATA_KEYS = {"gaussian": ("width", "amplitude"),
               "power_tail": ("exponent", "amplitude"),
               "single_mode": ("k", "amplitude")}
-_FIT_KEYS = ("window", "l_list", "tolerance", "s", "n_samples", "cutoff_radius",
-             "oracle_tol", "r_squared_min", "solver_match_tol", "gap_min", "beta",
-             "rate_margin", "falsify", "t_samples", "high_t_samples", "m1_growth_tol",
-             "order_band")
+_FIT_KEYS = ("window", "l_list", "tolerance", "s", "n_samples", "falsify")
+# Former fit keys that the benchmark's workload configs still state at their
+# pinned value: that value is accepted, any other is a config error.
+_PINNED_FIT_KEYS = {"gap_min": LOSS_GAP_MIN, "beta": LEMMA_BETA}
 
 
 class ConfigError(ValueError):
@@ -101,6 +107,29 @@ def _as_mapping(obj, path, keys=None):
     return obj
 
 
+def _number(value, path) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, path) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list of numbers, got {value!r}")
+    return tuple(_number(v, path) for v in value)
+
+
+@dataclass(frozen=True)
+class FitSettings:
+    """The fit section with every default filled in by parse_config."""
+
+    window: tuple      # (t0, t1); None in convergence-study
+    l_list: tuple      # derivative orders; () when convergence-study gives none
+    tolerance: tuple   # decay-rate tolerance of each order of l_list
+    n_samples: int
+    falsify: bool
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str
@@ -108,7 +137,7 @@ class ScenarioConfig:
     grid: sg.GridSpec
     data: dict
     run: SolverConfig
-    fit: dict
+    fit: FitSettings
     s: float  # data regularity: fit.s, else max(fit.l_list), else 1.0
     output_dir: str
     raw: dict
@@ -171,26 +200,41 @@ def parse_config(doc: dict) -> ScenarioConfig:
                     f"{M}^{grid.n} samples ({size / 2 ** 20:.0f} MiB per array), over the "
                     f"{MAX_PADDED_BYTES / 2 ** 20:.0f} MiB limit; lower points_per_dim")
 
-    fit = _as_mapping(doc.get("fit", {}), "fit", _FIT_KEYS)
+    fit = _as_mapping(doc.get("fit", {}), "fit", _FIT_KEYS + tuple(_PINNED_FIT_KEYS))
+    for key, pinned in _PINNED_FIT_KEYS.items():
+        if key in fit and _number(fit[key], f"fit.{key}") != pinned:
+            raise ConfigError(f"fit.{key}: pinned at {pinned:g} in the code; "
+                              f"a config cannot change it, got {fit[key]!r}")
+    window, l_list = None, ()
     if scenario != "convergence-study":
-        window = _need(fit, "window", "fit")
-        if not (isinstance(window, (list, tuple)) and len(window) == 2
-                and window[0] > 0 and window[1] > window[0]):
+        window = _numbers(_need(fit, "window", "fit"), "fit.window")
+        if not (len(window) == 2 and 0 < window[0] < window[1]):
             raise ConfigError("fit.window: expected [t0, t1] with 0 < t0 < t1")
-        l_list = _need(fit, "l_list", "fit")
-        if not l_list or any(l < 0 for l in l_list):
+    if "l_list" in fit or scenario != "convergence-study":
+        l_list = _numbers(_need(fit, "l_list", "fit"), "fit.l_list")
+        if not l_list or min(l_list) < 0:
             raise ConfigError("fit.l_list: expected a nonempty list of orders >= 0")
-        tol = fit.get("tolerance")
-        if isinstance(tol, (list, tuple)) and len(tol) < len(l_list):
-            raise ConfigError(f"fit.tolerance: {len(tol)} values for the "
+    tolerance = fit.get("tolerance", 0.05)
+    if isinstance(tolerance, (list, tuple)):
+        tolerance = _numbers(tolerance, "fit.tolerance")
+        if len(tolerance) < len(l_list):
+            raise ConfigError(f"fit.tolerance: {len(tolerance)} values for the "
                               f"{len(l_list)} orders of fit.l_list")
-    n_samples = int(fit.get("n_samples", MIN_FIT_SAMPLES))
+    else:
+        tolerance = (_number(tolerance, "fit.tolerance"),) * len(l_list)
+    n_samples = _number(fit.get("n_samples", 24), "fit.n_samples")
+    if not n_samples.is_integer():
+        raise ConfigError(f"fit.n_samples: expected a whole number, got {n_samples:g}")
+    n_samples = int(n_samples)
     if scenario in ("linear-decay", "regularity-loss-probe") and n_samples < MIN_FIT_SAMPLES:
         raise ConfigError(f"fit.n_samples: the decay fit needs at least "
                           f"{MIN_FIT_SAMPLES} samples, got {n_samples}")
-    s = float(fit.get("s", max(fit.get("l_list") or [1.0])))
+    s = _number(fit.get("s", max(l_list, default=1.0)), "fit.s")
     if s < 0:
         raise ConfigError(f"fit.s: data regularity must be nonnegative, got {s:g}")
+    falsify = fit.get("falsify", False)
+    if not isinstance(falsify, bool):
+        raise ConfigError(f"fit.falsify: expected true or false, got {falsify!r}")
 
     return ScenarioConfig(
         scenario=scenario,
@@ -198,7 +242,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
         grid=grid,
         data=dict(data),
         run=run,
-        fit=dict(fit),
+        fit=FitSettings(window=window, l_list=l_list, tolerance=tolerance,
+                        n_samples=n_samples, falsify=falsify),
         s=s,
         output_dir=str(doc.get("output_dir", f"runs/{scenario}")),
         raw=doc,
@@ -225,15 +270,6 @@ def build_field(cfg: ScenarioConfig) -> sg.SpectralField:
     for _ in range(cfg.grid.n - 1):
         samples = np.multiply.outer(samples, wave)
     return sg.to_spectral(cfg.grid, amp * samples)
-
-
-def _tolerance_for(cfg: ScenarioConfig, idx: int, override) -> float:
-    if override is not None:
-        return float(override)
-    tol = cfg.fit.get("tolerance", 0.05)
-    if isinstance(tol, (list, tuple)):
-        return float(tol[idx])
-    return float(tol)
 
 
 def _format_float(x) -> str:
@@ -302,23 +338,19 @@ def emit_plots(summary: dict, series_files, out_path) -> str:
 
 @dataclass
 class RunSummary:
-    """What a scenario run reports.  run_scenario creates it and the runner
-    fills it; series() writes each CSV into the run's output directory."""
+    """What a scenario run reports.  run_scenario creates it, the runner
+    fills it, and run_scenario writes it out once the runner has returned."""
 
     scenario: str
     config: dict
     regime: dict
-    out_dir: InitVar[Path]
     fits: list = field(default_factory=list)
     probes: list = field(default_factory=list)
     functionals: dict = None
     verdicts: list = field(default_factory=list)
-    series_files: list = field(default_factory=list)
+    series_files: dict = field(default_factory=dict)  # CSV name -> (times, values)
     wall_clock_s: float = 0.0
     step_count: int = 0
-
-    def __post_init__(self, out_dir):
-        self._out = Path(out_dir)
 
     @property
     def all_pass(self) -> bool:
@@ -328,19 +360,18 @@ class RunSummary:
         self.verdicts.append({"name": name, "pass": bool(ok), "detail": detail})
 
     def series(self, csv: str, times, values):
-        write_series_csv(self._out / csv, times, values)
-        self.series_files.append(csv)
+        self.series_files[csv] = (times, values)
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["series_files"] = list(self.series_files)
         out["all_pass"] = self.all_pass
         return out
 
 
 def _fit_entry(cfg, l, series, fit, tol, source, csv):
     theory = decay_exponent(l, cfg.model)
-    r2_min = float(cfg.fit.get("r_squared_min", R_SQUARED_POWER_LAW))
-    ok = (abs(fit.slope - theory) <= tol and fit.r_squared >= r2_min
+    ok = (abs(fit.slope - theory) <= tol and fit.r_squared >= R_SQUARED_POWER_LAW
           and not fit.horizon_warning)
     return {
         "l": float(l),
@@ -358,66 +389,56 @@ def _fit_entry(cfg, l, series, fit, tol, source, csv):
     }
 
 
-def _oracle_fits(cfg, summary, override):
+def _oracle_fits(cfg, summary):
     """Fit the oracle's ||Lam^l u(t)||_L2 for every l of fit.l_list over the
-    fit window, adding one series and one fits entry per order.
-
-    Returns (profile, oracle_tol) for further oracle evaluations.
-    """
+    fit window, adding one series and one fits entry per order; returns the
+    profile for further oracle evaluations."""
     profile = build_profile(cfg)
-    window = tuple(cfg.fit["window"])
-    times = np.geomspace(window[0], window[1], int(cfg.fit.get("n_samples", 24)))
-    R = float(cfg.fit.get("cutoff_radius", 0.5))
-    tol = float(cfg.fit.get("oracle_tol", 1e-8))
-    for i, l in enumerate(cfg.fit["l_list"]):
-        values = radial_weighted_l2(profile, l, times, cfg.model, window="full", R=R,
-                                    tol=tol)
-        series = NormSeries(times, values, l=float(l))
+    times = np.geomspace(*cfg.fit.window, cfg.fit.n_samples)
+    for l, tol in zip(cfg.fit.l_list, cfg.fit.tolerance):
+        series = NormSeries(times, radial_weighted_l2(profile, l, times, cfg.model), l=l)
         csv = f"series_l{l:g}_full.csv"
         summary.series(csv, series.times, series.values)
-        fit = fit_decay(series, window)
-        summary.fits.append(_fit_entry(cfg, l, series, fit,
-                                       _tolerance_for(cfg, i, override), "oracle", csv))
-    return profile, tol
+        fit = fit_decay(series, cfg.fit.window)
+        summary.fits.append(_fit_entry(cfg, l, series, fit, tol, "oracle", csv))
+    return profile
 
 
-def _run_linear_decay(cfg, summary, report, override):
-    profile, tol = _oracle_fits(cfg, summary, override)
+def _run_linear_decay(cfg, summary, report):
+    profile = _oracle_fits(cfg, summary)
     for entry in summary.fits:
         summary.verdict(f"decay(l={entry['l']:g})", entry["pass"],
                         f"slope {entry['slope']:.4f} vs theory {entry['theory']:.4f} "
                         f"(tol {entry['tolerance']:g}, r2 {entry['r_squared']:.6f})")
     if cfg.grid is None or cfg.run is None:
         return
-    window = cfg.fit["window"]
+    t0, t1 = cfg.fit.window
     horizon = contamination_horizon(cfg.grid, cfg.model)
     u0 = build_field(cfg)
     run = cfg.run
     sample_times = run.sample_times
     if not sample_times:
-        t_hi = min(window[1], horizon, run.t_end)
-        sample_times = tuple(np.geomspace(max(window[0], run.dt), t_hi, 12))
+        t_hi = min(t1, horizon, run.t_end)
+        sample_times = tuple(np.geomspace(max(t0, run.dt), t_hi, 12))
     run = replace(run, sample_times=sample_times, enable_nonlinearity=False)
     result = solve(u0, cfg.model, run)
     summary.step_count = result.step_count
-    match_tol = float(cfg.fit.get("solver_match_tol", 1e-4))
     inside = [(t, f) for t, f in result.trajectory if 0 < t <= horizon]
     worst = 0.0
     if inside:
         times = np.array([t for t, _ in inside])
         values = np.array([sg.lp_norm(f, 2) for _, f in inside])
-        want = radial_weighted_l2(profile, 0.0, times, cfg.model, tol=tol)
+        want = radial_weighted_l2(profile, 0.0, times, cfg.model)
         worst = float(np.max(np.abs(values - want) / want))
         summary.series("series_solver_l0_full.csv", times, values)
-    summary.verdict("solver-vs-oracle", worst <= match_tol,
+    summary.verdict("solver-vs-oracle", worst <= SOLVER_MATCH_TOL,
                     f"max relative deviation {worst:.3e} vs tolerance "
-                    f"{match_tol:g} inside horizon {horizon:g}")
+                    f"{SOLVER_MATCH_TOL:g} inside horizon {horizon:g}")
 
 
-def _run_regularity_loss(cfg, summary, report, override):
-    _oracle_fits(cfg, summary, override)
-    gap_min = float(cfg.fit.get("gap_min", 0.1))
-    l_top = max(cfg.fit["l_list"])
+def _run_regularity_loss(cfg, summary, report):
+    _oracle_fits(cfg, summary)
+    l_top = max(cfg.fit.l_list)
     for entry in summary.fits:
         l, slope, theory = entry["l"], entry["slope"], entry["theory"]
         if l <= report.n0 + 1e-9:
@@ -426,51 +447,41 @@ def _run_regularity_loss(cfg, summary, report, override):
                             f"(order within the tracked range n0={report.n0:g})")
         elif l == l_top:
             gap = slope - theory
-            entry["pass"] = bool(gap >= gap_min)
+            entry["pass"] = bool(gap >= LOSS_GAP_MIN)
             summary.verdict(f"loss-gap(l={l:g})", entry["pass"],
                             f"slope {slope:.4f} is slower than the formal rate "
-                            f"{theory:.4f} by {gap:.3f} (needs >= {gap_min:g})")
+                            f"{theory:.4f} by {gap:.3f} (needs >= {LOSS_GAP_MIN:g})")
         else:
             entry["pass"] = True
 
 
-def _run_lemma_verification(cfg, summary, report, override):
+def _run_lemma_verification(cfg, summary, report):
     profile = build_profile(cfg)
-    window = tuple(cfg.fit["window"])
-    R = float(cfg.fit.get("cutoff_radius", 0.5))
-    tol_quad = float(cfg.fit.get("oracle_tol", 1e-8))
-    beta = float(cfg.fit.get("beta", 1.0))
-    rate_margin = float(cfg.fit.get("rate_margin", 0.9))
-    falsify = bool(cfg.fit.get("falsify", False))
-    ts_low = np.array(cfg.fit.get("t_samples",
-                                  np.geomspace(window[0], window[1], 9)), dtype=float)
-    ts_high = np.array(cfg.fit.get("high_t_samples", np.linspace(1.0, 8.0, 8)),
-                       dtype=float)
-    for l in cfg.fit["l_list"]:
-        rep = probe_low_band(profile, l, ts_low, cfg.model, R=R, tol=tol_quad)
+    ts_low = np.geomspace(*cfg.fit.window, 9)
+    ts_high = np.linspace(1.0, 8.0, 8)  # gain-regime high band: 1, 2, ..., 8
+    for l in cfg.fit.l_list:
+        rep = probe_low_band(profile, l, ts_low, cfg.model)
         summary.series(f"probe_low_l{l:g}.csv", rep.times, rep.ratios)
         summary.probes.append({"name": f"low-band(l={l:g})", **rep.to_dict()})
         summary.verdict(f"low-band(l={l:g})", rep.verdict == BOUNDED,
                         f"tail slope {rep.tail_slope:+.4f} (bounded iff within "
                         f"+-0.05), sup ratio {rep.sup_ratio:.4g}")
-        if falsify:
-            bad = probe_low_band(profile, l, ts_low, cfg.model, R=R,
-                                 rate_offset=0.1, tol=tol_quad)
+        if cfg.fit.falsify:
+            bad = probe_low_band(profile, l, ts_low, cfg.model, rate_offset=0.1)
             summary.verdict(f"falsification(l={l:g})", bad.verdict == UNBOUNDED,
                             f"over-weighted probe tail slope {bad.tail_slope:+.4f} "
                             "must be flagged unbounded")
         if cfg.model.alpha >= 1.0:
-            rep_h = probe_high_band(profile, l, ts_high, cfg.model, R=R, tol=tol_quad)
-            ref = rate_margin * sigma(2.0 * R, cfg.model)
+            rep_h = probe_high_band(profile, l, ts_high, cfg.model)
+            ref = RATE_MARGIN * sigma(2.0 * CUTOFF_RADIUS, cfg.model)
             ok = rep_h.verdict == BOUNDED and rep_h.fitted_rate >= ref
             detail = (f"fitted exponential rate {rep_h.fitted_rate:.4f} vs reference "
-                      f"{ref:.4f} = {rate_margin:g} * sigma(2R)")
+                      f"{ref:.4f} = {RATE_MARGIN:g} * sigma(2R)")
         else:
-            rep_h = probe_high_band(profile, l, ts_low, cfg.model, R=R, beta=beta,
-                                    tol=tol_quad)
+            rep_h = probe_high_band(profile, l, ts_low, cfg.model, beta=LEMMA_BETA)
             ok = rep_h.verdict == BOUNDED
             detail = (f"weighted ratio tail slope {rep_h.tail_slope:+.4g}; "
-                      f"beta {beta:g} derivatives spent")
+                      f"beta {LEMMA_BETA:g} derivatives spent")
         summary.series(f"probe_high_l{l:g}.csv", rep_h.times, rep_h.ratios)
         summary.probes.append({"name": f"high-band(l={l:g})", **rep_h.to_dict()})
         summary.verdict(f"high-band(l={l:g})", ok, detail)
@@ -483,31 +494,28 @@ def _default_sample_times(window, t_end, dt):
     return tuple(float(t) for t in ts if t <= t_end)
 
 
-def _run_nonlinear_smalldata(cfg, summary, report, override):
-    from .diagnostics import record
-    window = tuple(cfg.fit["window"])
-    R = float(cfg.fit.get("cutoff_radius", 0.5))
+def _run_nonlinear_smalldata(cfg, summary, report):
+    from .diagnostics import record  # local: perfbench hooks fpplab.diagnostics.record
+    window = cfg.fit.window
     horizon = contamination_horizon(cfg.grid, cfg.model)
     u0 = build_field(cfg)
     run = cfg.run
     if not run.sample_times:
         run = replace(run, sample_times=_default_sample_times(window, run.t_end, run.dt))
     result = solve(u0, cfg.model, run)
-    series = record(result.trajectory, cfg.fit["l_list"], R,
-                    params=cfg.model, s=cfg.s)
+    series = record(result.trajectory, cfg.fit.l_list, params=cfg.model, s=cfg.s)
     e0 = sg.sobolev_norm(u0, cfg.s) + sg.lp_norm(u0, 1)
     wf = weighted_functionals(series, cfg.model, cfg.s, e0=e0)
-    for i, l in enumerate(cfg.fit["l_list"]):
+    for l, tol in zip(cfg.fit.l_list, cfg.fit.tolerance):
         for ns in series:
-            if ns.norm != "L2" or ns.l != float(l):
+            if ns.norm != "L2" or ns.l != l:
                 continue
             csv = f"series_l{ns.l:g}_{ns.component}.csv"
             summary.series(csv, ns.times, ns.values)
             if ns.component != "full":
                 continue
             fit = fit_decay(ns, window, horizon=horizon)
-            entry = _fit_entry(cfg, l, ns, fit, _tolerance_for(cfg, i, override),
-                               "solver", csv)
+            entry = _fit_entry(cfg, l, ns, fit, tol, "solver", csv)
             summary.fits.append(entry)
             summary.verdict(f"decay(l={l:g})", entry["pass"],
                             f"slope {fit.slope:.4f} vs theory {entry['theory']:.4f} "
@@ -517,11 +525,10 @@ def _run_nonlinear_smalldata(cfg, summary, report, override):
     summary.verdict("m1-nondecreasing", nondec, "running weighted sup must not decrease")
     i_half = int(np.searchsorted(wf.times, run.t_end / 2.0))
     i_half = min(i_half, len(m1) - 1)
-    growth_tol = float(cfg.fit.get("m1_growth_tol", 0.05))
-    stable = bool(m1[-1] <= (1.0 + growth_tol) * m1[i_half]) if m1[i_half] > 0 else False
+    stable = bool(m1[-1] <= (1.0 + M1_GROWTH_TOL) * m1[i_half]) if m1[i_half] > 0 else False
     summary.verdict("m1-stability", stable,
                     f"m1 grew by factor {m1[-1] / max(m1[i_half], 1e-300):.4f} over the "
-                    f"second half of the run (allowed {1.0 + growth_tol:g})")
+                    f"second half of the run (allowed {1.0 + M1_GROWTH_TOL:g})")
     summary.functionals = {
         "e0": e0,
         "m1_final": float(m1[-1]),
@@ -537,7 +544,7 @@ def _run_nonlinear_smalldata(cfg, summary, report, override):
     summary.step_count = result.step_count
 
 
-def _run_convergence_study(cfg, summary, report, override):
+def _run_convergence_study(cfg, summary, report):
     u0 = build_field(cfg)
     run = cfg.run
     finals = []
@@ -552,7 +559,7 @@ def _run_convergence_study(cfg, summary, report, override):
         raise OracleConvergenceError("Richardson differences vanished; "
                                      "run is below roundoff, enlarge dt or t_end")
     order = math.log2(e1 / e2)
-    band = cfg.fit.get("order_band", _ORDER_BANDS[run.scheme])
+    band = _ORDER_BANDS[run.scheme]
     summary.verdict("observed-order", band[0] <= order <= band[1],
                     f"order {order:.3f} from errors {e1:.3e}/{e2:.3e} "
                     f"(relative {e1 / scale:.3e}/{e2 / scale:.3e}), band {list(band)}")
@@ -573,22 +580,31 @@ def run_scenario(doc, output_dir=None, tolerance_override=None,
                  quiet: bool = False) -> RunSummary:
     """Execute one scenario config; writes summary JSON, CSVs, and a plot script.
 
-    Raises ConfigError for malformed configs; numerical failures propagate
-    (OracleConvergenceError, SolverBlowupError).
+    Nothing is written until the runner has returned.  Raises ConfigError for
+    malformed configs; numerical failures propagate (OracleConvergenceError,
+    SolverBlowupError).
     """
     cfg = parse_config(doc)
+    if tolerance_override is not None:
+        tolerance = (float(tolerance_override),) * len(cfg.fit.l_list)
+        cfg = replace(cfg, fit=replace(cfg.fit, tolerance=tolerance))
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    blocker = next(p for p in (out, *out.parents) if p.exists())
+    if not blocker.is_dir():
+        raise ConfigError(f"output_dir: {blocker} exists and is not a directory")
     t0 = time.perf_counter()
     report = validate(cfg.model, cfg.s)
-    summary = RunSummary(cfg.scenario, cfg.raw, report.to_dict(), out)
-    _RUNNERS[cfg.scenario](cfg, summary, report, tolerance_override)
+    summary = RunSummary(cfg.scenario, cfg.raw, report.to_dict())
+    _RUNNERS[cfg.scenario](cfg, summary, report)
     summary.wall_clock_s = time.perf_counter() - t0
+    out.mkdir(parents=True, exist_ok=True)
+    for csv, (times, values) in summary.series_files.items():
+        write_series_csv(out / csv, times, values)
     result = summary.to_dict()
     with open(out / "summary.json", "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    emit_plots(result, summary.series_files, out / "plot_series.py")
+    emit_plots(result, result["series_files"], out / "plot_series.py")
     if not quiet:
         for v in summary.verdicts:
             status = "PASS" if v["pass"] else "FAIL"

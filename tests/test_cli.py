@@ -26,6 +26,14 @@ def _linear_config(out_dir, l_list=(0.0,), tolerance=0.05):
     }
 
 
+# Former fit keys, each with the value that is now pinned in the code.
+_PINNED_FIT_SETTINGS = {
+    "cutoff_radius": 0.5, "oracle_tol": 1e-8, "r_squared_min": 0.995,
+    "solver_match_tol": 1e-4, "rate_margin": 0.9, "t_samples": [1.0, 10.0],
+    "high_t_samples": [1.0, 2.0], "m1_growth_tol": 0.05, "order_band": [1.7, 2.3],
+}
+
+
 class TestParseConfig:
     def test_missing_grid_reports_field_path(self, tmp_path):
         doc = {
@@ -150,10 +158,65 @@ class TestRunCommand:
         assert f"fit.{key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("tolerance", "0.05x"),
+        ("n_samples", "12"),
+        ("n_samples", 12.5),
+        ("window", [100, "x"]),
+        ("gap_min", "0.1"),
+    ], ids=["tolerance", "n_samples", "fractional-n_samples", "window", "gap_min"])
+    def test_mistyped_fit_value_is_a_config_error(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        doc = _linear_config(out, l_list=(0.0, 1.0))
+        doc["fit"][key] = value
+        assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
+        assert f"fit.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", sorted(_PINNED_FIT_SETTINGS))
+    def test_pinned_fit_setting_is_a_config_error(self, tmp_path, capsys, key):
+        # these thresholds are fixed by the acceptance criteria; a config that
+        # sets one, even to the pinned value, is refused rather than obeyed
+        out = tmp_path / "out"
+        doc = _linear_config(out)
+        doc["fit"][key] = _PINNED_FIT_SETTINGS[key]
+        assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
+        assert f"fit.{key}: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, pinned, other", [
+        ("gap_min", 0.1, 0.0),  # 0 would pass any loss gap
+        ("beta", 1.0, 2.0),
+    ])
+    def test_pinned_fit_value_cannot_change(self, tmp_path, capsys, key, pinned, other):
+        # still accepted at the pinned value, which some configs state
+        doc = _linear_config(tmp_path / "out")
+        doc["fit"][key] = pinned
+        parse_config(doc)
+        doc["fit"][key] = other
+        assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
+        assert f"fit.{key}: pinned at {pinned:g}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_output_dir_under_a_file_is_a_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep")
+        for out in (blocker, blocker / "out"):
+            assert main(["run", _write(tmp_path, _linear_config(out)), "--quiet"]) == 2
+            assert "output_dir" in capsys.readouterr().err
+        assert blocker.read_text() == "keep"
+
     def test_tolerance_override_forces_failure(self, tmp_path):
         out = tmp_path / "out"
         cfg = _write(tmp_path, _linear_config(out))
         assert main(["run", cfg, "--quiet", "--tolerance-override", "1e-5"]) == 1
+        # a per-order tolerance list is replaced for every order
+        doc = _linear_config(out, l_list=(0.0, 1.0), tolerance=[0.05, 0.05])
+        cfg = _write(tmp_path, doc)
+        assert main(["run", cfg, "--quiet", "--tolerance-override", "1e-5"]) == 1
+        fits = json.loads((out / "summary.json").read_text())["fits"]
+        assert [f["tolerance"] for f in fits] == [1e-5, 1e-5]
+        assert not any(f["pass"] for f in fits)
 
     def test_output_dir_flag_wins(self, tmp_path):
         out_a = tmp_path / "a"
@@ -164,15 +227,18 @@ class TestRunCommand:
         assert not out_a.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path):
+        out = tmp_path / "out"
         doc = {
             "scenario": "linear-decay",
             "model": {"n": 1, "m": 1.0, "alpha": 0.5, "theta": 3},
             # Lam^2 of a r^-1 power tail diverges: oracle must refuse
             "data": {"kind": "power_tail", "exponent": 1.0, "amplitude": 1.0},
-            "fit": {"window": [100.0, 10000.0], "l_list": [2.0], "n_samples": 12},
-            "output_dir": str(tmp_path / "out"),
+            "fit": {"window": [100.0, 10000.0], "l_list": [0.0, 2.0], "n_samples": 12},
+            "output_dir": str(out),
         }
         assert main(["run", _write(tmp_path, doc), "--quiet"]) == 3
+        # l=0 succeeds before l=2 fails; a failed run leaves no directory
+        assert not out.exists()
 
     def test_determinism_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

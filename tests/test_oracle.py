@@ -41,8 +41,8 @@ class TestRadialWeightedL2:
             lambda r: base.profile(r) + np.where(np.asarray(r) > 1.0, 50.0, 0.0),
             DecayClass("compact_support", 30.0),
         )
-        a = radial_weighted_l2(base, 0.5, 2.0, gain_params, window="low", R=0.5)
-        b = radial_weighted_l2(spiked, 0.5, 2.0, gain_params, window="low", R=0.5)
+        a = radial_weighted_l2(base, 0.5, 2.0, gain_params, window="low")
+        b = radial_weighted_l2(spiked, 0.5, 2.0, gain_params, window="low")
         assert b == pytest.approx(a, rel=1e-8)
 
     def test_large_time_rate_stabilizes(self, gain_params):
@@ -77,7 +77,7 @@ class TestRadialWeightedL2:
             return sum(c * np.exp(-0.5 * (w * r) ** 2) for c, w in zip(coeff, width))
 
         prof = RadialProfile(prof_fn, DecayClass("gaussian", float(width.min())))
-        kw = dict(params=gain_params, R=0.5, tol=1e-10)
+        kw = dict(params=gain_params, tol=1e-10)
         full = radial_weighted_l2(prof, 0.5, 1.0, window="full", **kw)
         low = radial_weighted_l2(prof, 0.5, 1.0, window="low", **kw)
         high = radial_weighted_l2(prof, 0.5, 1.0, window="high", **kw)
@@ -118,7 +118,7 @@ class TestRadialWeightedL2:
         base = gaussian_profile(1.0, 1.0, n=1)
         trunc = truncated_profile(base, 0.25)
         full = radial_weighted_l2(trunc, 0.0, 0.0, gain_params, window="full")
-        low = radial_weighted_l2(trunc, 0.0, 0.0, gain_params, window="low", R=0.5)
+        low = radial_weighted_l2(trunc, 0.0, 0.0, gain_params, window="low")
         assert full == pytest.approx(low, rel=1e-9)  # support inside r <= R
 
     def test_input_validation(self, gain_params):
@@ -137,7 +137,7 @@ class TestRadialWeightedL2:
         # 40-digit mpmath on 400 subpanels
         prof = gaussian_profile(1.0, 1.0, n=1)
         got = radial_weighted_l2(prof, 0.0, 1000.0, gain_params, window="high",
-                                 R=0.5, tol=1e-10)
+                                 tol=1e-10)
         assert got == pytest.approx(1.187148682271904e-103, rel=1e-10)
 
     @pytest.mark.parametrize("exponent,want", [(4.56, 2.8857087903205126),
