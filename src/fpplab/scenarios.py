@@ -77,6 +77,15 @@ _DATA_KEYS = {"gaussian": ("width", "amplitude"),
               "power_tail": ("exponent", "amplitude"),
               "single_mode": ("k", "amplitude")}
 _FIT_KEYS = ("window", "l_list", "tolerance", "s", "n_samples", "falsify")
+# The fit keys each scenario reads.  Another known key is a config error too,
+# so a setting the scenario ignores cannot look as if it took effect.
+_FIT_KEYS_READ = {
+    "linear-decay": ("window", "l_list", "tolerance", "s", "n_samples"),
+    "regularity-loss-probe": ("window", "l_list", "tolerance", "s", "n_samples"),
+    "nonlinear-smalldata": ("window", "l_list", "tolerance", "s"),
+    "lemma-verification": ("window", "l_list", "s", "falsify"),
+    "convergence-study": ("s",),
+}
 # Former fit keys that the benchmark's workload configs still state at their
 # pinned value: that value is accepted, any other is a config error.
 _PINNED_FIT_KEYS = {"gap_min": LOSS_GAP_MIN, "beta": LEMMA_BETA}
@@ -124,7 +133,7 @@ class FitSettings:
     """The fit section with every default filled in by parse_config."""
 
     window: tuple      # (t0, t1); None in convergence-study
-    l_list: tuple      # derivative orders; () when convergence-study gives none
+    l_list: tuple      # derivative orders; () in convergence-study
     tolerance: tuple   # decay-rate tolerance of each order of l_list
     n_samples: int
     falsify: bool
@@ -205,12 +214,16 @@ def parse_config(doc: dict) -> ScenarioConfig:
         if key in fit and _number(fit[key], f"fit.{key}") != pinned:
             raise ConfigError(f"fit.{key}: pinned at {pinned:g} in the code; "
                               f"a config cannot change it, got {fit[key]!r}")
+    read = _FIT_KEYS_READ[scenario]
+    for key in fit:
+        if key in _FIT_KEYS and key not in read:
+            raise ConfigError(f"fit.{key}: not read by {scenario}")
     window, l_list = None, ()
-    if scenario != "convergence-study":
+    if "window" in read:
         window = _numbers(_need(fit, "window", "fit"), "fit.window")
         if not (len(window) == 2 and 0 < window[0] < window[1]):
             raise ConfigError("fit.window: expected [t0, t1] with 0 < t0 < t1")
-    if "l_list" in fit or scenario != "convergence-study":
+    if "l_list" in read:
         l_list = _numbers(_need(fit, "l_list", "fit"), "fit.l_list")
         if not l_list or min(l_list) < 0:
             raise ConfigError("fit.l_list: expected a nonempty list of orders >= 0")
@@ -226,7 +239,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if not n_samples.is_integer():
         raise ConfigError(f"fit.n_samples: expected a whole number, got {n_samples:g}")
     n_samples = int(n_samples)
-    if scenario in ("linear-decay", "regularity-loss-probe") and n_samples < MIN_FIT_SAMPLES:
+    if n_samples < MIN_FIT_SAMPLES:
         raise ConfigError(f"fit.n_samples: the decay fit needs at least "
                           f"{MIN_FIT_SAMPLES} samples, got {n_samples}")
     s = _number(fit.get("s", max(l_list, default=1.0)), "fit.s")

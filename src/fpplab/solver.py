@@ -92,17 +92,17 @@ class SolverConfig:
 class EnergyLedger:
     """Running terms of the energy balance.
 
-    e = ||u||_L2^2 + m ||Lam u||_L2^2, diss_integral and source_integral are
-    trapezoid accumulations of ||Lam^alpha u||^2 and int u^(theta+2) dx at
-    step resolution, d/p hold the current instantaneous values so the
-    trapezoid can be chained.
+    e = ||u||_L2^2 + m ||Lam u||_L2^2.  diss_integral accumulates
+    int ||Lam^alpha u||^2 dt by an exponentially fitted trapezoid per mode,
+    exact on the linear flow and second order otherwise; source_integral
+    accumulates int u^(theta+2) dx dt by the plain trapezoid, and p holds the
+    current int u^(theta+2) dx so that trapezoid can be chained.
     """
 
     e0: float
     e: float
     diss_integral: float = 0.0
     source_integral: float = 0.0
-    d: float = 0.0
     p: float = 0.0
 
 
@@ -132,12 +132,14 @@ def pad_factor(theta: int) -> float:
 
 
 class _Live(NamedTuple):
-    """A state inside the step loop: its half spectrum and, for a nonlinear
-    run, its forcing Binv(u^(theta+1)), computed by the same padded
-    transform that gave the ledger its source term."""
+    """A state inside the step loop: its half spectrum, its |half|^2 (shared
+    by the energy and dissipation sums) and, for a nonlinear run, its
+    forcing Binv(u^(theta+1)), computed by the same padded transform that
+    gave the ledger its source term."""
 
     t: float
     half: np.ndarray
+    sq: np.ndarray
     ledger: EnergyLedger
     forcing: np.ndarray
 
@@ -154,32 +156,34 @@ class _Stepper:
         self.nonlinear = nonlinear
         N = grid.points_per_dim
         mag = sg.wavenumber_magnitude(grid)[..., : N // 2 + 1]
-        sig = sigma(mag, params)
-        self.decay = np.exp(-sig * dt)
-        self.dt_phi1 = dt * phi1(-sig * dt)
-        self.dt_phi2 = dt * phi2(-sig * dt)
+        z = -sigma(mag, params) * dt
+        self.decay = np.exp(z)
+        self.dt_phi1 = dt * phi1(z)
+        self.dt_phi2 = dt * phi2(z)
         self.forcing_multiplier = b_inverse(mag, params)
         # interior last-axis columns stand for themselves and their mirror images
         columns = np.full(N // 2 + 1, 2.0)
         columns[0] = columns[-1] = 1.0
         norm = columns * grid.box_length ** grid.n / N ** (2 * grid.n)
-        self.diss_weight = norm * mag ** (2.0 * params.alpha)
         self.energy_weight = norm * (1.0 + params.m * mag * mag)
+        # Exponentially fitted trapezoid: diss_step * (|a|^2 + |b|^2) / 2 is
+        # the exact step integral of the dissipation when b = decay * a.
+        self.diss_step = (norm * mag ** (2.0 * params.alpha) * dt * phi1(2.0 * z)
+                          / (0.5 * (1.0 + self.decay * self.decay)))
         self.pad_factor = pad_factor(params.theta)
 
-    @staticmethod
-    def _weighted_sum(weight: np.ndarray, half: np.ndarray) -> float:
-        return float(np.vdot(weight, half.real ** 2 + half.imag ** 2))
-
-    def _nonlinear(self, half: np.ndarray) -> tuple:
+    def _nonlinear(self, half: np.ndarray, need_forcing: bool = True) -> tuple:
         """Forcing and int u^(theta+2) dx of a state from one padded inverse
-        transform, or (None, 0.0) for a linear run.  The padded arrays die
-        here, so only lattice-sized arrays live between steps."""
+        transform, or (None, 0.0) for a linear run; the forcing is None when
+        not needed.  The padded arrays die here, so only lattice-sized arrays
+        live between steps."""
         if not self.nonlinear:
             return None, 0.0
         up, M = sg.padded_physical(half, self.pad_factor)
         power = sg.pointwise_power(up, self.params.theta + 1)
         source = float(np.vdot(power, up)) * (self.grid.box_length / M) ** self.grid.n
+        if not need_forcing:
+            return None, source
         del up  # one padded array fewer alive during the forward transform
         # a non-finite power gives a non-finite forcing, which advance() checks
         with np.errstate(over="ignore", invalid="ignore"):
@@ -191,16 +195,18 @@ class _Stepper:
         """Bring the initial field into the loop at t = 0 with a new ledger."""
         half = sg.half_spectrum(field)
         forcing, p = self._nonlinear(half)
-        e = self._weighted_sum(self.energy_weight, half)
-        ledger = EnergyLedger(e0=e, e=e, d=self._weighted_sum(self.diss_weight, half), p=p)
-        return _Live(0.0, half, ledger, forcing)
+        sq = half.real ** 2 + half.imag ** 2
+        e = float(np.vdot(self.energy_weight, sq))
+        return _Live(0.0, half, sq, EnergyLedger(e0=e, e=e, p=p), forcing)
 
     def leave(self, live: _Live) -> StepState:
         """The full-spectrum state, without the cached forcing."""
         return StepState(t=live.t, field=sg.from_half_spectrum(self.grid, live.half),
                          ledger=live.ledger)
 
-    def advance(self, live: _Live) -> _Live:
+    def advance(self, live: _Live, _last: bool = False) -> _Live:
+        """One step of length dt.  With _last set the new state's forcing,
+        which no further step would read, is not formed."""
         u = live.half
         if not self.nonlinear:
             new = self.decay * u
@@ -213,18 +219,18 @@ class _Stepper:
         t_new = live.t + self.dt
         if not np.all(np.isfinite(new)):
             raise SolverBlowupError(t_new)
-        forcing, p_new = self._nonlinear(new)
-        d_new = self._weighted_sum(self.diss_weight, new)
+        forcing, p_new = self._nonlinear(new, need_forcing=not _last)
+        sq = new.real ** 2 + new.imag ** 2
+        diss = 0.5 * float(np.vdot(self.diss_step, live.sq + sq))
         led = live.ledger
         ledger = replace(
             led,
-            e=self._weighted_sum(self.energy_weight, new),
-            diss_integral=led.diss_integral + 0.5 * self.dt * (led.d + d_new),
+            e=float(np.vdot(self.energy_weight, sq)),
+            diss_integral=led.diss_integral + diss,
             source_integral=led.source_integral + 0.5 * self.dt * (led.p + p_new),
-            d=d_new,
             p=p_new,
         )
-        return _Live(t_new, new, ledger, forcing)
+        return _Live(t_new, new, sq, ledger, forcing)
 
 
 @dataclass(frozen=True)
@@ -238,35 +244,50 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
           on_sample=None) -> SolveResult:
     """Integrate from u0 to t_end, snapshotting at the configured sample times.
 
-    Sample times are snapped to the step lattice (floor of t/dt), so a fixed
-    config reproduces bit-identical output.  With the nonlinearity disabled
-    every step applies the exact semigroup multiplier.
+    A linear run (nonlinearity disabled) jumps from one sample time to the
+    next, and then to t_end, with the exact semigroup multiplier: sample
+    times land exactly, dt and the scheme play no part, and step_count
+    counts the jumps.  A nonlinear run takes fixed steps of dt and snaps its
+    sample times to the step lattice (floor of t/dt), so a fixed config
+    reproduces bit-identical output.
     """
     stepper = _Stepper(u0.grid, params, config.dt, config.scheme,
                        config.enable_nonlinearity)
-    n_steps = int(math.floor(config.t_end / config.dt + 1e-9))
-    remainder = config.t_end - n_steps * config.dt
-    sample_idx = sorted({min(int(math.floor(t / config.dt + 1e-9)), n_steps)
-                         for t in config.sample_times})
-    want = set(sample_idx)
-
     live = stepper.enter(u0)
     trajectory = []
 
-    def maybe_emit(i, current):
-        if i in want:
-            st = stepper.leave(current)
-            trajectory.append((st.t, st.field))
-            if on_sample is not None:
-                on_sample(st)
+    def emit(current):
+        st = stepper.leave(current)
+        trajectory.append((st.t, st.field))
+        if on_sample is not None:
+            on_sample(st)
 
-    maybe_emit(0, live)
+    if not config.enable_nonlinearity:
+        samples = {min(t, config.t_end) for t in config.sample_times}
+        jumps = 0
+        for stop in sorted(samples | {config.t_end}):
+            if stop > live.t:
+                jump = _Stepper(u0.grid, params, stop - live.t, config.scheme, False)
+                live = jump.advance(live)._replace(t=stop)
+                jumps += 1
+            if stop in samples:
+                emit(live)
+        return SolveResult(trajectory=tuple(trajectory), final_state=stepper.leave(live),
+                           step_count=jumps)
+
+    n_steps = int(math.floor(config.t_end / config.dt + 1e-9))
+    remainder = config.t_end - n_steps * config.dt
+    has_tail = remainder > 1e-9 * max(config.dt, 1.0)
+    want = {min(int(math.floor(t / config.dt + 1e-9)), n_steps)
+            for t in config.sample_times}
+    if 0 in want:
+        emit(live)
     for i in range(1, n_steps + 1):
-        live = stepper.advance(live)
-        maybe_emit(i, live)
-    if remainder > 1e-9 * max(config.dt, 1.0):
-        tail = _Stepper(u0.grid, params, remainder, config.scheme,
-                        config.enable_nonlinearity)
-        live = tail.advance(live)
+        live = stepper.advance(live, _last=i == n_steps and not has_tail)
+        if i in want:
+            emit(live)
+    if has_tail:
+        tail = _Stepper(u0.grid, params, remainder, config.scheme, True)
+        live = tail.advance(live, _last=True)
     return SolveResult(trajectory=tuple(trajectory), final_state=stepper.leave(live),
                        step_count=n_steps)

@@ -184,6 +184,34 @@ class TestRunCommand:
         assert f"fit.{key}: unknown key" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario, key, value", [
+        ("nonlinear-smalldata", "falsify", True),
+        ("nonlinear-smalldata", "n_samples", 100),
+        ("lemma-verification", "tolerance", 0.1),
+        ("lemma-verification", "n_samples", 12),
+        ("linear-decay", "falsify", True),
+        ("convergence-study", "window", [1.0, 2.0]),
+        ("convergence-study", "l_list", [0.0]),
+    ])
+    def test_fit_key_the_scenario_does_not_read_is_a_config_error(
+            self, tmp_path, capsys, scenario, key, value):
+        # a setting with no effect must not look as if it took one
+        out = tmp_path / "out"
+        doc = {
+            "scenario": scenario,
+            "model": {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 5},
+            "grid": {"n": 1, "points_per_dim": 64, "box_length": 40.0},
+            "data": {"kind": "gaussian", "width": 1.0, "amplitude": 0.01},
+            "run": {"scheme": "etd2", "dt": 0.1, "t_end": 1.0},
+            "fit": {} if scenario == "convergence-study" else
+                   {"window": [0.5, 1.0], "l_list": [0.0]},
+            "output_dir": str(out),
+        }
+        doc["fit"][key] = value
+        assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
+        assert f"fit.{key}: not read by {scenario}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, pinned, other", [
         ("gap_min", 0.1, 0.0),  # 0 would pass any loss gap
         ("beta", 1.0, 2.0),

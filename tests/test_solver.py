@@ -127,6 +127,23 @@ class TestLoopCache:
     def test_ledger_source_after_remainder_step(self, n, N):
         self._check_source(n, N, dt=0.05, t_end=0.2 + 0.05 / 3)
 
+    @pytest.mark.parametrize("t_end, steps", [(0.2, 4), (0.2 + 0.05 / 3, 5)],
+                             ids=["whole-steps", "remainder-step"])
+    def test_final_state_forms_no_forcing(self, monkeypatch, t_end, steps):
+        # the last state needs its padded transform for the ledger's p, but
+        # no forward transform: no step reads its forcing
+        calls = {"padded_physical": 0, "truncated_spectrum": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(sg, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(sg, name, counted)
+        g = sg.make_grid(1, 64, 12.0)
+        params = ModelParams(n=1, m=1.0, alpha=1.0, theta=4)
+        u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.8, n=1).profile)
+        solve(u0, params, SolverConfig(scheme="etd2", dt=0.05, t_end=t_end))
+        assert calls == {"padded_physical": 2 * steps + 1, "truncated_spectrum": 2 * steps}
+
     @pytest.mark.parametrize("theta", range(1, 9))
     def test_multiplication_chain_matches_pow(self, theta):
         x = np.random.default_rng(theta).uniform(-2.0, 2.0, 1000)
@@ -165,6 +182,25 @@ class TestEnergyBalance:
         cfg = SolverConfig(dt=1e-4, t_end=2.0, enable_nonlinearity=False)
         res = solve(u0, gain_params, cfg)
         assert abs(energy_balance_residual(res.final_state.ledger)) < 1e-8
+
+    def test_linear_run_residual_is_exact_at_any_sample_spacing(self, gain_params):
+        # the exponentially fitted ledger is exact on the linear flow, so
+        # uneven, long jumps between sample times leave only roundoff
+        g = sg.make_grid(1, 128, 100.0)
+        u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 1.0, n=1).profile)
+        cfg = SolverConfig(dt=1.0, t_end=200.0, enable_nonlinearity=False,
+                           sample_times=tuple(np.geomspace(0.5, 200.0, 50)))
+        res = solve(u0, gain_params, cfg)
+        assert abs(energy_balance_residual(res.final_state.ledger)) <= 1e-13
+
+    def test_nonlinear_residual_is_second_order_in_dt(self, gain_params):
+        g = sg.make_grid(1, 256, 100.0)
+        u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.5, n=1).profile)
+        residuals = [energy_balance_residual(
+            solve(u0, gain_params, SolverConfig(dt=dt, t_end=2.0)).final_state.ledger)
+            for dt in (0.04, 0.02, 0.01)]
+        for coarse, fine in zip(residuals, residuals[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
 
     @pytest.mark.parametrize("amplitude", [0.01, 0.5])
     def test_nonlinear_resolved_run_residual(self, gain_params, amplitude):
@@ -206,6 +242,31 @@ class TestSamples:
                            sample_times=(0.0, 0.5, 1.0))
         res = solve(f, gain_params, cfg)
         assert [t for t, _ in res.trajectory] == pytest.approx([0.0, 0.5, 1.0])
+
+    def test_nonlinear_sample_times_snapped_to_step_lattice(self, gain_params):
+        # a nonlinear run keeps its fixed steps and floors each time to them
+        g = sg.make_grid(1, 32, 10.0)
+        f = random_real_field(g, seed=6)
+        f = f.with_coefficients(0.01 * f.coefficients)
+        cfg = SolverConfig(dt=0.1, t_end=1.0, sample_times=(0.0, 0.37, 1.0))
+        res = solve(f, gain_params, cfg)
+        assert [t for t, _ in res.trajectory] == pytest.approx([0.0, 0.3, 1.0])
+        assert res.step_count == 10
+
+    def test_linear_sample_times_land_exactly(self, gain_params):
+        # a linear run jumps from sample to sample with the exact semigroup
+        g = sg.make_grid(1, 64, 20.0)
+        f = random_real_field(g, seed=7)
+        ts = (0.37, 1.9, 4.25)
+        seen = []
+        cfg = SolverConfig(dt=0.5, t_end=5.0, enable_nonlinearity=False, sample_times=ts)
+        res = solve(f, gain_params, cfg, on_sample=seen.append)
+        assert tuple(t for t, _ in res.trajectory) == ts
+        assert [st.t for st in seen] == list(ts)
+        assert res.step_count == 4  # three samples, then t_end
+        for t, got in res.trajectory:
+            want = propagate(f, t, gain_params).coefficients
+            assert np.max(np.abs(got.coefficients - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
