@@ -10,9 +10,9 @@ of the high-frequency dissipation.
 from .model import (GAIN, LOSS, ModelParams, RegimeReport, b_inverse,
                     cutoff_chi, decay_exponent, sigma, validate)
 from .grid import (GridSpec, SpectralField, apply_radial_multiplier,
-                   field_from_spectral_profile, hermitian_symmetrize, lp_norm,
-                   make_grid, sobolev_norm, sobolev_seminorm, split_low_high,
-                   to_physical, to_spectral)
+                   field_from_spectral_profile, lp_norm, make_grid,
+                   sobolev_norm, sobolev_seminorm, split_low_high, to_physical,
+                   to_spectral)
 from .oracle import (DecayClass, OracleConvergenceError, RadialProfile,
                      gaussian_profile, oracle_decay_fit, power_tail_profile,
                      radial_weighted_l2, sphere_area, truncated_profile)
@@ -30,9 +30,8 @@ __all__ = [
     "GAIN", "LOSS", "ModelParams", "RegimeReport", "b_inverse", "cutoff_chi",
     "decay_exponent", "sigma", "validate",
     "GridSpec", "SpectralField", "apply_radial_multiplier",
-    "field_from_spectral_profile", "hermitian_symmetrize", "lp_norm",
-    "make_grid", "sobolev_norm", "sobolev_seminorm", "split_low_high",
-    "to_physical", "to_spectral",
+    "field_from_spectral_profile", "lp_norm", "make_grid", "sobolev_norm",
+    "sobolev_seminorm", "split_low_high", "to_physical", "to_spectral",
     "DecayClass", "OracleConvergenceError", "RadialProfile", "gaussian_profile",
     "oracle_decay_fit", "power_tail_profile", "radial_weighted_l2",
     "sphere_area", "truncated_profile",

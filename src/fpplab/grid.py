@@ -4,11 +4,14 @@ Conventions, fixed once for the whole package:
 
 * wavenumbers per axis are k_j = 2 pi j / L for j in {-N/2, ..., N/2 - 1},
   stored in FFT order;
+* a field is real, so it is stored as its half spectrum (``rfftn`` layout,
+  ``GridSpec.half_shape``); each omitted mode is F(-k) = conj(F(k));
 * spectral coefficients are plain DFT sums, F_k = sum_x f(x) exp(-i k x),
   so the discrete Parseval identity reads
 
-      sum_j |f(x_j)|^2 h^n  =  (L^n / N^(2n)) sum_k |F_k|^2;
+      sum_j |f(x_j)|^2 h^n  =  (L^n / N^(2n)) sum_k c_k |F_k|^2
 
+  over the half lattice, c_k being the ``column_weights`` of k's column;
 * a continuum radial profile uhat0(r) is planted on the lattice through
   ``field_from_spectral_profile`` so that box norms approximate the
   whole-space norms computed by the quadrature oracle (both sides use the
@@ -56,6 +59,10 @@ class GridSpec:
         return (self.points_per_dim,) * self.n
 
     @property
+    def half_shape(self) -> tuple:
+        return self.shape[:-1] + (self.points_per_dim // 2 + 1,)
+
+    @property
     def cell_volume(self) -> float:
         return self.spacing ** self.n
 
@@ -75,12 +82,24 @@ def axis_wavenumbers(grid: GridSpec) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def wavenumber_magnitude(grid: GridSpec) -> np.ndarray:
-    """|k| over the full lattice, shape grid.shape, read-only."""
+    """|k| over the half lattice, shape grid.half_shape, read-only."""
     k = axis_wavenumbers(grid)
-    axes = np.meshgrid(*([k] * grid.n), indexing="ij")
+    axes = np.meshgrid(*([k] * (grid.n - 1)), k[: grid.half_shape[-1]], indexing="ij")
     mag = np.sqrt(sum(a * a for a in axes))
     mag.setflags(write=False)
     return mag
+
+
+def column_weights(N: int) -> np.ndarray:
+    """Lattice modes per last-axis column of a half spectrum: 1 at 0 and N/2, else 2."""
+    w = np.full(N // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    return w
+
+
+def lattice_norm(half: np.ndarray) -> float:
+    """sqrt(sum_k |F_k|^2) over the full lattice of the half spectrum `half`."""
+    return math.sqrt(np.vdot(half, column_weights(2 * half.shape[-1] - 2) * half).real)
 
 
 @lru_cache(maxsize=64)
@@ -93,7 +112,7 @@ def physical_nodes(grid: GridSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """A field stored as plain-DFT spectral coefficients over the lattice.
+    """A real field stored as its plain-DFT half spectrum, shape grid.half_shape.
 
     Treat instances as immutable values: operations return new fields.
     """
@@ -102,11 +121,9 @@ class SpectralField:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        if self.coefficients.shape != self.grid.shape:
-            raise ValueError(
-                f"coefficient shape {self.coefficients.shape} does not match "
-                f"grid shape {self.grid.shape}"
-            )
+        if self.coefficients.shape != self.grid.half_shape:
+            raise ValueError(f"coefficient shape {self.coefficients.shape} is not the "
+                             f"half spectrum shape {self.grid.half_shape}")
 
     def with_coefficients(self, coefficients: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, coefficients)
@@ -117,12 +134,13 @@ def to_spectral(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     samples = np.asarray(samples)
     if samples.shape != grid.shape:
         raise ValueError(f"sample shape {samples.shape} does not match grid shape {grid.shape}")
-    return SpectralField(grid, np.fft.fftn(samples))
+    return SpectralField(grid, np.fft.rfftn(samples))
 
 
 def to_physical(field: SpectralField) -> np.ndarray:
-    """Inverse transform; complex array (imaginary part ~ roundoff for real data)."""
-    return np.fft.ifftn(field.coefficients)
+    """Inverse transform to the real samples on the lattice."""
+    g = field.grid
+    return np.fft.irfftn(field.coefficients, s=g.shape, axes=tuple(range(g.n)))
 
 
 def apply_radial_multiplier(field: SpectralField, g) -> SpectralField:
@@ -135,7 +153,7 @@ def spectral_weighted_norm(field: SpectralField, weights: np.ndarray) -> float:
     """sqrt( (L^n / N^(2n)) sum_k |w_k F_k|^2 ) for a precomputed weight array."""
     g = field.grid
     scale = math.sqrt(g.box_length ** g.n) / g.points_per_dim ** g.n
-    return scale * float(np.linalg.norm(weights * field.coefficients))
+    return scale * lattice_norm(weights * field.coefficients)
 
 
 def sobolev_seminorm(field: SpectralField, l: float) -> float:
@@ -184,18 +202,6 @@ def _reverse_indices(N: int) -> np.ndarray:
     return (-np.arange(N)) % N
 
 
-def reflected_conjugate(field: SpectralField) -> np.ndarray:
-    """conj(F(-k)), the array a real-data field must equal."""
-    N = field.grid.points_per_dim
-    idx = _reverse_indices(N)
-    return np.conj(field.coefficients[np.ix_(*([idx] * field.grid.n))])
-
-
-def hermitian_symmetrize(field: SpectralField) -> SpectralField:
-    """Project onto the real-data subspace by conjugate averaging."""
-    return field.with_coefficients(0.5 * (field.coefficients + reflected_conjugate(field)))
-
-
 def field_from_spectral_profile(grid: GridSpec, profile) -> SpectralField:
     """Plant a continuum radial spectral profile uhat0(r) on the lattice.
 
@@ -215,23 +221,6 @@ def padded_size(N: int, pad_factor: float) -> int:
     """Points per axis of the padded grid: the even M >= pad_factor*N, never below N."""
     M = int(math.ceil(N * pad_factor))
     return max(M + M % 2, N)
-
-
-def half_spectrum(field: SpectralField) -> np.ndarray:
-    """The last-axis half spectrum (``rfftn`` layout, N/2 + 1 columns) of a real field."""
-    return field.coefficients[..., : field.grid.points_per_dim // 2 + 1].copy()
-
-
-def from_half_spectrum(grid: GridSpec, half: np.ndarray) -> SpectralField:
-    """The full-spectrum field of the real data whose half spectrum is `half`.
-
-    The omitted last-axis columns are filled exactly from F(-k) = conj(F(k)).
-    """
-    N = grid.points_per_dim
-    full = np.empty(grid.shape, dtype=complex)
-    full[..., : N // 2 + 1] = half
-    full[..., N // 2 + 1 :] = np.conj(_reflect(half[..., N // 2 - 1 : 0 : -1], grid.n - 1))
-    return SpectralField(grid, full)
 
 
 def _reflect(a: np.ndarray, axes: int) -> np.ndarray:

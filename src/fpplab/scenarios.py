@@ -116,6 +116,18 @@ def _as_mapping(obj, path, keys=None):
     return obj
 
 
+def _require_finite(obj, path):
+    """Reject NaN and +-Infinity, which json.load accepts, anywhere in obj."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ConfigError(f"{path}: expected a finite number, got {obj!r}")
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _require_finite(value, _path(path, key))
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            _require_finite(value, f"{path}[{i}]")
+
+
 def _number(value, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
@@ -155,6 +167,7 @@ class ScenarioConfig:
 def parse_config(doc: dict) -> ScenarioConfig:
     """Validate a raw config document; raises ConfigError with a field path."""
     doc = _as_mapping(doc, "", _TOP_KEYS)
+    _require_finite(doc, "")
     scenario = _need(doc, "scenario", "")
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario: unknown scenario {scenario!r}; "
@@ -230,7 +243,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     tolerance = fit.get("tolerance", 0.05)
     if isinstance(tolerance, (list, tuple)):
         tolerance = _numbers(tolerance, "fit.tolerance")
-        if len(tolerance) < len(l_list):
+        if len(tolerance) != len(l_list):
             raise ConfigError(f"fit.tolerance: {len(tolerance)} values for the "
                               f"{len(l_list)} orders of fit.l_list")
     else:
@@ -565,9 +578,9 @@ def _run_convergence_study(cfg, summary, report):
         r = solve(u0, cfg.model, replace(run, dt=run.dt / 2 ** k, sample_times=()))
         finals.append(r.final_state.field.coefficients)
         summary.step_count += r.step_count
-    scale = float(np.linalg.norm(finals[2]))
-    e1 = float(np.linalg.norm(finals[0] - finals[1]))
-    e2 = float(np.linalg.norm(finals[1] - finals[2]))
+    scale = sg.lattice_norm(finals[2])
+    e1 = sg.lattice_norm(finals[0] - finals[1])
+    e2 = sg.lattice_norm(finals[1] - finals[2])
     if e2 == 0.0 or e1 == 0.0:
         raise OracleConvergenceError("Richardson differences vanished; "
                                      "run is below roundoff, enlarge dt or t_end")

@@ -10,9 +10,9 @@ discretize the integral with the phi functions, so the linear sub-flow is
 exact per step and the decay measurements are never polluted by linear
 solver error.  The nonlinear power is evaluated pointwise on a zero-padded
 grid and truncated to the lattice, which removes aliasing entirely.
-Inside the step loop a state is its real-to-complex half spectrum plus its
-forcing: one padded transform per state gives both that forcing and the
-energy ledger's source term.
+A state is its real-to-complex half spectrum, like every ``SpectralField``,
+and inside the step loop also its forcing: one padded transform per state
+gives both that forcing and the energy ledger's source term.
 """
 
 from __future__ import annotations
@@ -155,16 +155,13 @@ class _Stepper:
         self.scheme = scheme
         self.nonlinear = nonlinear
         N = grid.points_per_dim
-        mag = sg.wavenumber_magnitude(grid)[..., : N // 2 + 1]
+        mag = sg.wavenumber_magnitude(grid)
         z = -sigma(mag, params) * dt
         self.decay = np.exp(z)
         self.dt_phi1 = dt * phi1(z)
         self.dt_phi2 = dt * phi2(z)
         self.forcing_multiplier = b_inverse(mag, params)
-        # interior last-axis columns stand for themselves and their mirror images
-        columns = np.full(N // 2 + 1, 2.0)
-        columns[0] = columns[-1] = 1.0
-        norm = columns * grid.box_length ** grid.n / N ** (2 * grid.n)
+        norm = sg.column_weights(N) * grid.box_length ** grid.n / N ** (2 * grid.n)
         self.energy_weight = norm * (1.0 + params.m * mag * mag)
         # Exponentially fitted trapezoid: diss_step * (|a|^2 + |b|^2) / 2 is
         # the exact step integral of the dissipation when b = decay * a.
@@ -193,15 +190,15 @@ class _Stepper:
 
     def enter(self, field: sg.SpectralField) -> _Live:
         """Bring the initial field into the loop at t = 0 with a new ledger."""
-        half = sg.half_spectrum(field)
+        half = field.coefficients
         forcing, p = self._nonlinear(half)
         sq = half.real ** 2 + half.imag ** 2
         e = float(np.vdot(self.energy_weight, sq))
         return _Live(0.0, half, sq, EnergyLedger(e0=e, e=e, p=p), forcing)
 
     def leave(self, live: _Live) -> StepState:
-        """The full-spectrum state, without the cached forcing."""
-        return StepState(t=live.t, field=sg.from_half_spectrum(self.grid, live.half),
+        """The state as a field, without the cached forcing."""
+        return StepState(t=live.t, field=sg.SpectralField(self.grid, live.half),
                          ledger=live.ledger)
 
     def advance(self, live: _Live, _last: bool = False) -> _Live:

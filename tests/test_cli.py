@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,9 +148,10 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("tolerance", [0.02]),  # one value for the two orders of l_list
-        ("n_samples", 7),       # the decay fit needs 8
-    ], ids=["short-tolerance-list", "too-few-samples"])
+        ("tolerance", [0.02]),              # one value for the two orders of l_list
+        ("tolerance", [0.02, 0.02, 0.02]),  # a third value would go unused
+        ("n_samples", 7),                   # the decay fit needs 8
+    ], ids=["short-tolerance-list", "long-tolerance-list", "too-few-samples"])
     def test_unusable_fit_value_is_a_config_error(self, tmp_path, capsys, key, value):
         out = tmp_path / "out"
         doc = _linear_config(out, l_list=(0.0, 1.0))
@@ -171,6 +173,43 @@ class TestRunCommand:
         doc["fit"][key] = value
         assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
         assert f"fit.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path, value", [
+        ("fit.window[1]", math.inf),
+        ("fit.tolerance", math.nan),
+        ("fit.s", math.inf),
+        ("model.m", math.inf),
+        ("grid.box_length", math.inf),
+        ("run.t_end", math.inf),
+        ("data.amplitude", math.nan),
+        ("run.sample_times[0]", -math.inf),
+    ])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, path, value):
+        # json.load reads NaN, Infinity and -Infinity; none of them may run
+        out = tmp_path / "out"
+        doc = {
+            "scenario": "nonlinear-smalldata",
+            "model": {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 5},
+            "grid": {"n": 1, "points_per_dim": 64, "box_length": 64.0},
+            "data": {"kind": "gaussian", "width": 1.0, "amplitude": 0.01},
+            "run": {"scheme": "etd2", "dt": 0.5, "t_end": 8.0, "sample_times": [1.0]},
+            "fit": {"window": [1.0, 8.0], "l_list": [0.0], "tolerance": 10.0},
+            "output_dir": str(out),
+        }
+        *outer, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", path)]
+        target = doc
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        cfg = _write(tmp_path, doc)
+        message = f"{path}: expected a finite number, got {value!r}"
+        assert main(["run", cfg, "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["validate", cfg, "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_scenario(doc, quiet=True)
         assert not out.exists()
 
     @pytest.mark.parametrize("key", sorted(_PINNED_FIT_SETTINGS))

@@ -73,7 +73,7 @@ class TestHorizon:
 class TestRecord:
     def test_zero_trajectory_gives_zero_series(self, gain_params):
         g = sg.make_grid(1, 32, 10.0)
-        zero = sg.SpectralField(g, np.zeros(g.shape, dtype=complex))
+        zero = sg.SpectralField(g, np.zeros(g.half_shape, dtype=complex))
         series = record([(0.0, zero), (1.0, zero)], [0.0, 1.0], R=0.5)
         assert len(series) == 6  # 2 orders x 3 components
         for ns in series:
@@ -87,8 +87,8 @@ class TestRecord:
         low_sq = sg.sobolev_seminorm(low, 0.0) ** 2
         high_sq = sg.sobolev_seminorm(high, 0.0) ** 2
         scale = g.box_length ** g.n / g.points_per_dim ** (2 * g.n)
-        cross = scale * float(np.sum(
-            (low.coefficients * np.conj(high.coefficients)).real))
+        cross = scale * float(np.sum(sg.column_weights(g.points_per_dim)
+                                     * (low.coefficients * np.conj(high.coefficients)).real))
         assert abs(full_sq - low_sq - high_sq - 2.0 * cross) <= 1e-10 * full_sq
 
     def test_linear_run_matches_oracle(self, gain_params):
