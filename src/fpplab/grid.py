@@ -20,12 +20,12 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import fft
 
 from .model import cutoff_chi
 
@@ -75,7 +75,7 @@ def make_grid(n: int, N: int, L: float) -> GridSpec:
 def axis_wavenumbers(grid: GridSpec) -> np.ndarray:
     """1-D wavenumber axis 2 pi j / L in FFT order, read-only."""
     N, L = grid.points_per_dim, grid.box_length
-    k = 2.0 * np.pi * np.fft.fftfreq(N, d=L / N)
+    k = 2.0 * np.pi * fft.fftfreq(N, d=L / N)
     k.setflags(write=False)
     return k
 
@@ -134,13 +134,13 @@ def to_spectral(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     samples = np.asarray(samples)
     if samples.shape != grid.shape:
         raise ValueError(f"sample shape {samples.shape} does not match grid shape {grid.shape}")
-    return SpectralField(grid, np.fft.rfftn(samples))
+    return SpectralField(grid, fft.rfftn(samples, axes=tuple(range(grid.n))))
 
 
 def to_physical(field: SpectralField) -> np.ndarray:
     """Inverse transform to the real samples on the lattice."""
     g = field.grid
-    return np.fft.irfftn(field.coefficients, s=g.shape, axes=tuple(range(g.n)))
+    return fft.irfftn(field.coefficients, s=g.shape, axes=tuple(range(g.n)))
 
 
 def apply_radial_multiplier(field: SpectralField, g) -> SpectralField:
@@ -198,10 +198,6 @@ def split_low_high(field: SpectralField, R: float) -> tuple:
     return low, high
 
 
-def _reverse_indices(N: int) -> np.ndarray:
-    return (-np.arange(N)) % N
-
-
 def field_from_spectral_profile(grid: GridSpec, profile) -> SpectralField:
     """Plant a continuum radial spectral profile uhat0(r) on the lattice.
 
@@ -223,32 +219,29 @@ def padded_size(N: int, pad_factor: float) -> int:
     return max(M + M % 2, N)
 
 
-def _reflect(a: np.ndarray, axes: int) -> np.ndarray:
-    """a at -k along its first `axes` axes (lattice index j -> -j mod N)."""
-    for axis in range(axes):
-        a = np.take(a, _reverse_indices(a.shape[axis]), axis=axis)
-    return a
+def _pad_axis(a: np.ndarray, axis: int, M: int) -> np.ndarray:
+    """a with the full-length `axis` zero-padded from N to M modes: modes
+    -N/2 < j < N/2 keep their places, and the Nyquist coefficient is split
+    evenly between +N/2 and -N/2, so the padded field stays real and still
+    interpolates the lattice samples."""
+    h = a.shape[axis] // 2
+    out = np.zeros(a.shape[:axis] + (M,) + a.shape[axis + 1:], dtype=complex)
+    o, i = np.moveaxis(out, axis, 0), np.moveaxis(a, axis, 0)
+    o[:h], o[M - h + 1:] = i[:h], i[h + 1:]
+    o[h] = o[M - h] = 0.5 * i[h]
+    return out
 
 
-@lru_cache(maxsize=16)
-def _pad_pieces(n: int, N: int, M: int) -> tuple:
-    """(lattice block, padded block, weight) of every piece of a half spectrum.
-
-    Full-length axes keep modes -N/2 < j < N/2 and split the Nyquist
-    coefficient evenly between +N/2 and -N/2, so the padded field stays real
-    and still interpolates the lattice samples.  On the last (half) axis the
-    -N/2 share is implied by conjugate symmetry, so only 0.5 c is stored.
-    """
-    h = N // 2
-    full_axis = ((slice(0, h), slice(0, h), 1.0),
-                 (slice(h + 1, N), slice(M - h + 1, M), 1.0),
-                 (slice(h, h + 1), slice(h, h + 1), 0.5),
-                 (slice(h, h + 1), slice(M - h, M - h + 1), 0.5))
-    half_axis = ((slice(0, h), slice(0, h), 1.0),
-                 (slice(h, h + 1), slice(h, h + 1), 0.5))
-    return tuple((tuple(c[0] for c in combo), tuple(c[1] for c in combo),
-                  math.prod(c[2] for c in combo))
-                 for combo in itertools.product(*([full_axis] * (n - 1) + [half_axis])))
+def _fold_axis(a: np.ndarray, axis: int, N: int) -> np.ndarray:
+    """a with the full-length `axis` cut from M modes down to N: the +N/2
+    and -N/2 modes, which the lattice cannot tell apart, are folded together
+    into its Nyquist coefficient."""
+    M, h = a.shape[axis], N // 2
+    out = np.empty(a.shape[:axis] + (N,) + a.shape[axis + 1:], dtype=complex)
+    o, i = np.moveaxis(out, axis, 0), np.moveaxis(a, axis, 0)
+    o[:h], o[h + 1:] = i[:h], i[M - h + 1:]
+    o[h] = i[h] + i[M - h]
+    return out
 
 
 def padded_physical(half: np.ndarray, pad_factor: float) -> tuple:
@@ -257,39 +250,42 @@ def padded_physical(half: np.ndarray, pad_factor: float) -> tuple:
 
     Returns (samples, M).  Used for alias-free pointwise products: a product
     of degree d is exact on the original lattice when pad_factor >= (d + 1) / 2.
+    The transform runs axis by axis and never touches the pad's zero blocks.
+    ``irfft`` pads the last axis itself; there the -N/2 share of the Nyquist
+    column is implied by conjugate symmetry, so only half that column is kept.
     """
     n = half.ndim
     N = 2 * (half.shape[-1] - 1)
     M = padded_size(N, pad_factor)
     if M == N:
-        return np.fft.irfftn(half, s=(N,) * n, axes=tuple(range(n))), N
-    padded = np.zeros((M,) * (n - 1) + (M // 2 + 1,), dtype=complex)
-    scale = (M / N) ** n
-    for lattice, pad, weight in _pad_pieces(n, N, M):
-        padded[pad] = (weight * scale) * half[lattice]
-    return np.fft.irfftn(padded, s=(M,) * n, axes=tuple(range(n))), M
+        return fft.irfftn(half, s=(N,) * n, axes=tuple(range(n))), N
+    a = half * (M / N) ** n
+    a[..., -1] *= 0.5
+    for axis in range(n - 1):
+        a = fft.ifft(_pad_axis(a, axis, M), axis=axis, overwrite_x=True)
+    return fft.irfft(a, n=M, axis=-1), M
 
 
 def truncated_spectrum(samples: np.ndarray, N: int) -> np.ndarray:
     """Half spectrum on the N-point lattice of real samples on a padded grid.
 
-    Modes beyond the lattice are discarded; the +N/2 and -N/2 modes of the
-    padded grid, which the lattice cannot tell apart, are folded together
-    into its Nyquist coefficient.
+    Modes beyond the lattice are discarded as soon as an axis is
+    transformed: the last axis keeps its first N/2 + 1 columns, then each
+    full-length axis is transformed and folded down to N modes.
     """
     n = samples.ndim
     M = samples.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.fft.rfftn(samples)
         if M == N:
-            return w
-        out = np.zeros((N,) * (n - 1) + (N // 2 + 1,), dtype=complex)
-        for lattice, pad, _ in _pad_pieces(n, N, M):
-            out[lattice] += w[pad]
-        # the last axis's -N/2 column is the conjugate mirror of its +N/2 column
-        nyquist = out[..., N // 2]
-        out[..., N // 2] = nyquist + np.conj(_reflect(nyquist, n - 1))
-        return out * (N / M) ** n
+            return fft.rfftn(samples)
+        w = fft.rfft(samples, axis=-1)[..., : N // 2 + 1]
+        for axis in reversed(range(n - 1)):
+            w = _fold_axis(fft.fft(w, axis=axis), axis, N)
+        # the last axis's -N/2 column is the conjugate mirror of its +N/2
+        # column: the same column at -k (lattice index j -> -j mod N)
+        nyquist, minus = w[..., N // 2], (-np.arange(N)) % N
+        w[..., N // 2] = nyquist + np.conj(nyquist[np.ix_(*[minus] * (n - 1))])
+        return w * (N / M) ** n
 
 
 def _chain_power(x: np.ndarray, power: int) -> np.ndarray:

@@ -35,6 +35,11 @@ _PINNED_FIT_SETTINGS = {
 }
 
 
+def _summary_without_wall_clock(out):
+    lines = (out / "summary.json").read_text().splitlines()
+    return [line for line in lines if '"wall_clock_s"' not in line]
+
+
 class TestParseConfig:
     def test_missing_grid_reports_field_path(self, tmp_path):
         doc = {
@@ -316,12 +321,24 @@ class TestRunCommand:
             (out_b / "series_l0_full.csv").read_bytes()
         assert (out_a / "plot_series.py").read_bytes() == \
             (out_b / "plot_series.py").read_bytes()
+        assert _summary_without_wall_clock(out_a) == _summary_without_wall_clock(out_b)
 
-        def summary_without_wall_clock(out):
-            lines = (out / "summary.json").read_text().splitlines()
-            return [line for line in lines if '"wall_clock_s"' not in line]
-
-        assert summary_without_wall_clock(out_a) == summary_without_wall_clock(out_b)
+    def test_determinism_byte_identical_nonlinear_3d(self, tmp_path):
+        # the padded transforms of a 3-D nonlinear run: 8^3 lattice, 28^3 padded
+        doc = {
+            "scenario": "convergence-study",
+            "model": {"n": 3, "m": 1.0, "alpha": 1.0, "theta": 5},
+            "grid": {"n": 3, "points_per_dim": 8, "box_length": 8.0},
+            "data": {"kind": "gaussian", "width": 1.0, "amplitude": 1.0},
+            "run": {"scheme": "etd2", "dt": 0.2, "t_end": 0.4},
+        }
+        cfg = _write(tmp_path, doc)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        for out in (out_a, out_b):
+            assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 0
+        assert (out_a / "plot_series.py").read_bytes() == \
+            (out_b / "plot_series.py").read_bytes()
+        assert _summary_without_wall_clock(out_a) == _summary_without_wall_clock(out_b)
 
     @pytest.mark.parametrize("section, key, misspelt", [
         ("run", "scheme", "sheme"),

@@ -301,3 +301,64 @@ class TestPaddedPower:
         for _ in range(2):
             conv = _circular_free_convolution(conv, series, N)
         assert np.allclose(out.coefficients / N, conv[: N // 2 + 1], atol=1e-13)
+
+
+def _along_axes(matrix, a):
+    """Apply `matrix` to every axis of a in turn."""
+    for axis in range(a.ndim):
+        a = np.moveaxis(np.tensordot(matrix, a, axes=(1, axis)), 0, axis)
+    return a
+
+
+def _spread(N, M):
+    """(M, N) 0/1 map of lattice modes onto padded modes; the Nyquist mode
+    -N/2 goes half to +N/2 and half to -N/2."""
+    h = N // 2
+    S = np.zeros((M, N))
+    S[np.arange(h), np.arange(h)] = 1.0
+    S[np.arange(M - h + 1, M), np.arange(h + 1, N)] = 1.0
+    S[h, h] = S[M - h, h] = 0.5
+    return S
+
+
+def _fold(N, M):
+    """(N, M) map of padded modes onto lattice modes: beyond the lattice
+    dropped, +N/2 and -N/2 both landing on the Nyquist mode."""
+    F, h = _spread(N, M).T, N // 2
+    F[h, h] = F[h, M - h] = 1.0
+    return F
+
+
+class TestPrunedPaddedTransforms:
+    """padded_physical and truncated_spectrum against dense zero-padded
+    full-lattice transforms built with plain numpy.fft."""
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    @pytest.mark.parametrize("N", (6, 8, 10))
+    @pytest.mark.parametrize("pad", (1.5, 2.0, 3.5))
+    def test_match_dense_padding(self, n, N, pad):
+        rng = np.random.default_rng(100 * n + N)
+        M = sg.padded_size(N, pad)
+        u = rng.standard_normal((N,) * n)
+        dense = _along_axes(_spread(N, M), np.fft.fftn(u)) * (M / N) ** n
+        ref = np.fft.irfftn(dense[..., : M // 2 + 1], s=(M,) * n, axes=range(n))
+        up, M_out = sg.padded_physical(np.fft.rfftn(u), pad)
+        assert M_out == M and up.shape == (M,) * n
+        assert np.max(np.abs(up - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+        v = rng.standard_normal((M,) * n)
+        folded = _along_axes(_fold(N, M), np.fft.fftn(v)) * (N / M) ** n
+        ref = folded[..., : N // 2 + 1]
+        out = sg.truncated_spectrum(v, N)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_non_finite_samples_raise_no_warning(self, n):
+        # one overflowed sample gives inf and nan coefficients, which the
+        # fold and the scaling must pass on without a warning
+        v = np.ones((12,) * n)
+        v.flat[5] = np.inf
+        out = sg.truncated_spectrum(v, 8)
+        assert not np.all(np.isfinite(out))
