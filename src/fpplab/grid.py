@@ -214,9 +214,11 @@ def field_from_spectral_profile(grid: GridSpec, profile) -> SpectralField:
 
 
 def padded_size(N: int, pad_factor: float) -> int:
-    """Points per axis of the padded grid: the even M >= pad_factor*N, never below N."""
+    """Points per axis of the padded grid: the even M >= pad_factor*N > N."""
+    if not pad_factor > 1:
+        raise ValueError(f"pad_factor must exceed 1, got {pad_factor}")
     M = int(math.ceil(N * pad_factor))
-    return max(M + M % 2, N)
+    return M + M % 2
 
 
 def _pad_axis(a: np.ndarray, axis: int, M: int) -> np.ndarray:
@@ -257,8 +259,6 @@ def padded_physical(half: np.ndarray, pad_factor: float) -> tuple:
     n = half.ndim
     N = 2 * (half.shape[-1] - 1)
     M = padded_size(N, pad_factor)
-    if M == N:
-        return fft.irfftn(half, s=(N,) * n, axes=tuple(range(n))), N
     a = half * (M / N) ** n
     a[..., -1] *= 0.5
     for axis in range(n - 1):
@@ -275,9 +275,9 @@ def truncated_spectrum(samples: np.ndarray, N: int) -> np.ndarray:
     """
     n = samples.ndim
     M = samples.shape[0]
+    if not M > N:
+        raise ValueError(f"padded grid of {M} points per axis is not larger than N={N}")
     with np.errstate(over="ignore", invalid="ignore"):
-        if M == N:
-            return fft.rfftn(samples)
         w = fft.rfft(samples, axis=-1)[..., : N // 2 + 1]
         for axis in reversed(range(n - 1)):
             w = _fold_axis(fft.fft(w, axis=axis), axis, N)

@@ -141,10 +141,6 @@ class RegimeReport:
     n0: float
     warnings: tuple = ()
 
-    @property
-    def hypotheses_ok(self) -> bool:
-        return self.theta_ok and self.s_ok
-
     def to_dict(self) -> dict:
         return {
             "regime": self.regime,

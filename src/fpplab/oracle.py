@@ -64,15 +64,15 @@ class OracleConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class DecayClass:
-    """Tail behaviour of a profile: gaussian | power_tail(p) | compact_support(r)."""
+    """Tail behaviour of a profile: gaussian(width) | power_tail(p)."""
 
     kind: str
     parameter: float = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "power_tail", "compact_support"):
+        if self.kind not in ("gaussian", "power_tail"):
             raise ValueError(f"unknown decay class {self.kind!r}")
-        if self.kind in ("power_tail", "compact_support") and not (
+        if self.kind == "power_tail" and not (
             self.parameter is not None and self.parameter > 0
         ):
             raise ValueError(f"{self.kind} needs a positive parameter")
@@ -125,18 +125,6 @@ def power_tail_profile(exponent: float, amplitude: float = 1.0,
 
     return RadialProfile(f, DecayClass("power_tail", exponent),
                          l1_norm_hint=(2.0 * np.pi) ** (n / 2.0) * abs(amplitude))
-
-
-def truncated_profile(base: RadialProfile, radius: float) -> RadialProfile:
-    """Sharp spectral truncation of a profile to r <= radius."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-
-    def f(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r <= radius, base.profile(r), 0.0)
-
-    return RadialProfile(f, DecayClass("compact_support", radius))
 
 
 def sphere_area(n: int) -> float:
@@ -296,8 +284,6 @@ def _weighted_integral(profile: RadialProfile, l: float, t: np.ndarray,
     r_up, r_down = _sigma_crossings(t, params)
     lo = R if window in ("high", "cross") else 0.0
     hi = 2.0 * R if window in ("low", "cross") else math.inf
-    if dc.kind == "compact_support":
-        hi = max(min(hi, dc.parameter), lo)
 
     marks = [np.full(t.size, p) for p in (R, 2.0 * R, 1.0)] + [np.fmax(r_up, lo)]
     if dc.kind == "gaussian":

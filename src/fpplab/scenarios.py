@@ -140,6 +140,12 @@ def _numbers(value, path) -> tuple:
     return tuple(_number(v, path) for v in value)
 
 
+def _boolean(value, path) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FitSettings:
     """The fit section with every default filled in by parse_config."""
@@ -195,7 +201,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         raise ConfigError(f"data.kind: unknown kind {kind!r}")
     _as_mapping(data, "data", ("kind",) + _DATA_KEYS[kind])
     for key in _DATA_KEYS[kind]:
-        _need(data, key, "data")
+        _number(_need(data, key, "data"), f"data.{key}")
     if kind == "single_mode" and scenario in _PROFILE_SCENARIOS:
         raise ConfigError(f"data.kind: {kind!r} has no continuum radial profile; "
                           f"use gaussian or power_tail for {scenario}")
@@ -203,14 +209,16 @@ def parse_config(doc: dict) -> ScenarioConfig:
     run = None
     if "run" in doc or needs_solver:
         run_cfg = _as_mapping(_need(doc, "run", ""), "run", _RUN_KEYS)
+        settings = dict(
+            scheme=run_cfg.get("scheme", "etd2"),
+            dt=_number(_need(run_cfg, "dt", "run"), "run.dt"),
+            t_end=_number(_need(run_cfg, "t_end", "run"), "run.t_end"),
+            sample_times=_numbers(run_cfg.get("sample_times", ()), "run.sample_times"),
+            enable_nonlinearity=_boolean(run_cfg.get("enable_nonlinearity", True),
+                                         "run.enable_nonlinearity"),
+        )
         try:
-            run = SolverConfig(
-                scheme=run_cfg.get("scheme", "etd2"),
-                dt=_need(run_cfg, "dt", "run"),
-                t_end=_need(run_cfg, "t_end", "run"),
-                sample_times=tuple(run_cfg.get("sample_times", ())),
-                enable_nonlinearity=run_cfg.get("enable_nonlinearity", True),
-            )
+            run = SolverConfig(**settings)
         except ValueError as exc:
             raise ConfigError(f"run: {exc}") from exc
         if needs_solver and run.enable_nonlinearity:
@@ -258,11 +266,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
     s = _number(fit.get("s", max(l_list, default=1.0)), "fit.s")
     if s < 0:
         raise ConfigError(f"fit.s: data regularity must be nonnegative, got {s:g}")
-    falsify = fit.get("falsify", False)
-    if not isinstance(falsify, bool):
-        raise ConfigError(f"fit.falsify: expected true or false, got {falsify!r}")
+    falsify = _boolean(fit.get("falsify", False), "fit.falsify")
 
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         scenario=scenario,
         model=model,
         grid=grid,
@@ -274,6 +280,12 @@ def parse_config(doc: dict) -> ScenarioConfig:
         output_dir=str(doc.get("output_dir", f"runs/{scenario}")),
         raw=doc,
     )
+    if kind != "single_mode":
+        try:
+            build_profile(cfg)
+        except ValueError as exc:
+            raise ConfigError(f"data: {exc}") from exc
+    return cfg
 
 
 def build_profile(cfg: ScenarioConfig) -> RadialProfile:

@@ -192,6 +192,27 @@ class TestRunCommand:
     ])
     def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, path, value):
         # json.load reads NaN, Infinity and -Infinity; none of them may run
+        message = f"{path}: expected a finite number, got {value!r}"
+        self._assert_smalldata_refused(tmp_path, capsys, path, value, message)
+
+    @pytest.mark.parametrize("path, value, message", [
+        ("run.enable_nonlinearity", "no",
+         "run.enable_nonlinearity: expected true or false, got 'no'"),
+        ("run.dt", "0.1", "run.dt: expected a number, got '0.1'"),
+        ("run.sample_times", "abc", "run.sample_times: expected a list of numbers"),
+        ("data.width", "abc", "data.width: expected a number, got 'abc'"),
+        ("data.amplitude", "x", "data.amplitude: expected a number, got 'x'"),
+        ("data.width", -1, "data: width must be positive"),
+    ])
+    def test_mistyped_run_or_data_value_is_a_config_error(self, tmp_path, capsys,
+                                                          path, value, message):
+        # a non-empty string must not pass for true, nor a string for a number
+        self._assert_smalldata_refused(tmp_path, capsys, path, value, message)
+
+    @staticmethod
+    def _assert_smalldata_refused(tmp_path, capsys, path, value, message):
+        """The smoke-sized smalldata config with `path` set to `value` exits 2
+        from run and validate with `message`, and writes nothing."""
         out = tmp_path / "out"
         doc = {
             "scenario": "nonlinear-smalldata",
@@ -208,7 +229,6 @@ class TestRunCommand:
             target = target[key]
         target[last] = value
         cfg = _write(tmp_path, doc)
-        message = f"{path}: expected a finite number, got {value!r}"
         assert main(["run", cfg, "--quiet"]) == 2
         assert message in capsys.readouterr().err
         assert main(["validate", cfg, "--quiet"]) == 2

@@ -266,7 +266,7 @@ class TestPaddedPower:
         assert np.max(others) <= 1e-14
 
     @given(n=st.sampled_from((1, 2, 3)), seed=st.integers(0, 1000),
-           pad=st.floats(1.0, 3.5))
+           pad=st.floats(1.0, 3.5, exclude_min=True))
     @settings(max_examples=30, deadline=None)
     def test_first_power_returns_every_mode(self, n, seed, pad):
         # white spectrum: the Nyquist coefficients are as large as any other
@@ -352,6 +352,18 @@ class TestPrunedPaddedTransforms:
         out = sg.truncated_spectrum(v, N)
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("pad", (1.0, 0.5))
+    def test_pad_factor_must_exceed_one(self, pad):
+        # the pad must hold the split Nyquist modes, so M == N is refused
+        with pytest.raises(ValueError, match="pad_factor must exceed 1"):
+            sg.padded_size(8, pad)
+        with pytest.raises(ValueError, match="pad_factor must exceed 1"):
+            sg.padded_physical(np.ones(5, dtype=complex), pad)
+
+    def test_unpadded_samples_are_refused(self):
+        with pytest.raises(ValueError, match="not larger than N=8"):
+            sg.truncated_spectrum(np.ones((8, 8)), 8)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", (1, 2, 3))

@@ -34,7 +34,7 @@ class TestValidate:
         assert rep.regime == GAIN
         assert rep.theta_ok and rep.s_ok
         assert rep.n0 == 1.0
-        assert rep.hypotheses_ok
+        assert rep.theta_ok and rep.s_ok
 
     def test_theta_boundary_not_ok(self):
         rep = validate(ModelParams(n=1, m=1.0, alpha=1.0, theta=4), s=1.0)

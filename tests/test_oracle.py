@@ -9,8 +9,7 @@ import fpplab.oracle as oracle
 from fpplab.model import ModelParams
 from fpplab.oracle import (DecayClass, OracleConvergenceError, RadialProfile,
                            gaussian_profile, oracle_decay_fit,
-                           power_tail_profile, radial_weighted_l2, sphere_area,
-                           truncated_profile)
+                           power_tail_profile, radial_weighted_l2, sphere_area)
 
 
 def test_sphere_areas():
@@ -39,7 +38,7 @@ class TestRadialWeightedL2:
         base = gaussian_profile(1.0, 1.0, n=1)
         spiked = RadialProfile(
             lambda r: base.profile(r) + np.where(np.asarray(r) > 1.0, 50.0, 0.0),
-            DecayClass("compact_support", 30.0),
+            DecayClass("gaussian", 1.0),
         )
         a = radial_weighted_l2(base, 0.5, 2.0, gain_params, window="low")
         b = radial_weighted_l2(spiked, 0.5, 2.0, gain_params, window="low")
@@ -114,13 +113,6 @@ class TestRadialWeightedL2:
         val = radial_weighted_l2(prof, 2.0, 1.0, p)
         assert math.isfinite(val) and val > 0
 
-    def test_compact_support_restricts_domain(self, gain_params):
-        base = gaussian_profile(1.0, 1.0, n=1)
-        trunc = truncated_profile(base, 0.25)
-        full = radial_weighted_l2(trunc, 0.0, 0.0, gain_params, window="full")
-        low = radial_weighted_l2(trunc, 0.0, 0.0, gain_params, window="low")
-        assert full == pytest.approx(low, rel=1e-9)  # support inside r <= R
-
     def test_input_validation(self, gain_params):
         prof = gaussian_profile(1.0, 1.0, n=1)
         with pytest.raises(ValueError):
@@ -179,11 +171,6 @@ QUAD_TABLE = [
     ("power_tail", 4.6, 1, 0.5, 1.0, "high", 1000.0, 1.0759578472097875e-09),
     ("power_tail", 3.0, 2, 1.5, 2.0, "full", 1.0, 0.5677772068892329),
     ("power_tail", 4.0, 3, 0.5, 0.5, "high", 10.0, 0.023457434739502937),
-    ("compact_support", 0.25, 1, 1.0, 0.0, "full", 0.0, 0.6998398205021715),
-    ("compact_support", 0.25, 1, 1.0, 0.0, "low", 10.0, 0.5909441874282143),
-    ("compact_support", 3.0, 1, 0.5, 1.0, "high", 2.0, 0.31664708969713456),
-    ("compact_support", 3.0, 2, 1.0, 0.5, "full", 30.0, 0.07889276403535629),
-    ("compact_support", 0.8, 3, 1.5, 0.0, "cross", 5.0, 0.1097802810999279),
 ]
 
 
@@ -191,10 +178,8 @@ QUAD_TABLE = [
 def test_matches_adaptive_quadrature_table(kind, param, n, alpha, l, window, t, want):
     if kind == "gaussian":
         prof = gaussian_profile(param, 1.0, n=n)
-    elif kind == "power_tail":
-        prof = power_tail_profile(param, 1.0, n=n)
     else:
-        prof = truncated_profile(gaussian_profile(1.0, 1.0, n=n), param)
+        prof = power_tail_profile(param, 1.0, n=n)
     params = ModelParams(n=n, m=1.0, alpha=alpha, theta=5)
     got = radial_weighted_l2(prof, l, t, params, window=window, tol=1e-10)
     assert got == pytest.approx(want, rel=1e-8)
