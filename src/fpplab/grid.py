@@ -246,46 +246,67 @@ def _fold_axis(a: np.ndarray, axis: int, N: int) -> np.ndarray:
     return out
 
 
-def padded_physical(half: np.ndarray, pad_factor: float) -> tuple:
-    """Real samples, on a zero-padded grid of M >= pad_factor*N points per
-    axis, of the field whose half spectrum is `half`.
+# Padded points the kernel below transforms at a time: 2^16 float64 samples,
+# 512 KiB, so a 3-D step never holds the whole padded grid.
+PADDED_BLOCK_POINTS = 2 ** 16
 
-    Returns (samples, M).  Used for alias-free pointwise products: a product
-    of degree d is exact on the original lattice when pad_factor >= (d + 1) / 2.
-    The transform runs axis by axis and never touches the pad's zero blocks.
-    ``irfft`` pads the last axis itself; there the -N/2 share of the Nyquist
-    column is implied by conjugate symmetry, so only half that column is kept.
+
+@lru_cache(maxsize=16)
+def _nyquist_mirror(N: int, n: int) -> tuple:
+    """Index of the last axis's -N/2 column in the +N/2 column: the same
+    column at -k, lattice index j -> -j mod N on each leading axis."""
+    minus = (-np.arange(N)) % N
+    minus.setflags(write=False)
+    return np.ix_(*[minus] * (n - 1))
+
+
+def padded_power(half: np.ndarray, power: int, pad_factor: float,
+                 spectrum: bool = True) -> tuple:
+    """Alias-free u^power of the field whose half spectrum is `half`.
+
+    Returns (the lattice half spectrum of u^power, or None when `spectrum`
+    is false; the raw sum of u^(power+1) over the padded nodes).  The power
+    is taken on a zero-padded grid of M >= pad_factor*N points per axis,
+    which is exact on the lattice for degree d when pad_factor >= (d+1)/2.
+    Axis 0 is padded and inverse transformed first.  Then blocks of axis-0
+    slabs, about PADDED_BLOCK_POINTS padded points each, go through the
+    other axes, the power, the sum and back, each axis cut to the lattice
+    once it is done; axis 0 is folded last.  No transform touches the pad's
+    zero blocks.  ``irfft`` pads the last axis itself, so only half the
+    Nyquist column is kept; the -N/2 share comes back from its conjugate
+    mirror.  Non-finite values pass through without a warning.
     """
     n = half.ndim
     N = 2 * (half.shape[-1] - 1)
     M = padded_size(N, pad_factor)
-    a = half * (M / N) ** n
-    a[..., -1] *= 0.5
-    for axis in range(n - 1):
-        a = fft.ifft(_pad_axis(a, axis, M), axis=axis, overwrite_x=True)
-    return fft.irfft(a, n=M, axis=-1), M
-
-
-def truncated_spectrum(samples: np.ndarray, N: int) -> np.ndarray:
-    """Half spectrum on the N-point lattice of real samples on a padded grid.
-
-    Modes beyond the lattice are discarded as soon as an axis is
-    transformed: the last axis keeps its first N/2 + 1 columns, then each
-    full-length axis is transformed and folded down to N modes.
-    """
-    n = samples.ndim
-    M = samples.shape[0]
-    if not M > N:
-        raise ValueError(f"padded grid of {M} points per axis is not larger than N={N}")
+    total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        w = fft.rfft(samples, axis=-1)[..., : N // 2 + 1]
-        for axis in reversed(range(n - 1)):
-            w = _fold_axis(fft.fft(w, axis=axis), axis, N)
-        # the last axis's -N/2 column is the conjugate mirror of its +N/2
-        # column: the same column at -k (lattice index j -> -j mod N)
-        nyquist, minus = w[..., N // 2], (-np.arange(N)) % N
-        w[..., N // 2] = nyquist + np.conj(nyquist[np.ix_(*[minus] * (n - 1))])
-        return w * (N / M) ** n
+        a = half * (M / N) ** n
+        a[..., -1] *= 0.5
+        if n == 1:
+            a = a[np.newaxis]  # the single row is one block
+        else:
+            a = fft.ifft(_pad_axis(a, 0, M), axis=0, overwrite_x=True)
+        rows = max(1, PADDED_BLOCK_POINTS // M ** (n - 1))
+        for start in range(0, a.shape[0], rows):
+            block = a[start:start + rows]
+            for axis in range(1, n - 1):
+                block = fft.ifft(_pad_axis(block, axis, M), axis=axis, overwrite_x=True)
+            samples = fft.irfft(block, n=M, axis=-1)
+            raised = pointwise_power(samples, power)
+            total += np.vdot(raised, samples)
+            if spectrum:
+                w = fft.rfft(raised, axis=-1)[..., : N // 2 + 1]
+                for axis in reversed(range(1, n - 1)):
+                    w = _fold_axis(fft.fft(w, axis=axis), axis, N)
+                # this block's slabs of `a` are read: they take its result
+                a[start:start + rows] = w
+        if not spectrum:
+            return None, float(total)
+        w = a[0] if n == 1 else _fold_axis(fft.fft(a, axis=0, overwrite_x=True), 0, N)
+        nyquist = w[..., N // 2]
+        w[..., N // 2] = nyquist + np.conj(nyquist[_nyquist_mirror(N, n)])
+        return w * (N / M) ** n, float(total)
 
 
 def _chain_power(x: np.ndarray, power: int) -> np.ndarray:
@@ -309,8 +330,7 @@ def _chain_power(x: np.ndarray, power: int) -> np.ndarray:
 def pointwise_power(u: np.ndarray, power: int) -> np.ndarray:
     """u^power of physical samples for an integer power >= 1.
 
-    Alias-free products come from padding first: ``padded_physical``, this,
-    then ``truncated_spectrum``.
+    ``padded_power`` applies it to padded samples, for alias-free products.
     """
     if int(power) != power or power < 1:
         raise ValueError(f"power must be an integer >= 1, got {power}")

@@ -62,9 +62,10 @@ M1_GROWTH_TOL = 0.05     # nonlinear-smalldata: m1 growth over the run's second 
 LOSS_GAP_MIN = 0.1       # regularity-loss-probe: top order decays slower by at least this
 LEMMA_BETA = 1.0         # lemma-verification (alpha < 1): derivatives spent on the high band
 
-# Largest padded sample array a nonlinear run may allocate.  A step holds
-# several arrays of that size at once, so this keeps a run well inside a
-# few GB; n=3, N=128, theta=5 would need 448^3 float64 values (686 MiB) per array.
+# Largest padded grid, counted as float64 samples, that a nonlinear step may
+# transform.  The step never holds the whole grid (grid.padded_power works
+# through it in blocks), but its time and its axis-0 stage grow with it;
+# n=3, N=128, theta=5 would need 448^3 samples (686 MiB).
 MAX_PADDED_BYTES = 256 * 2 ** 20
 
 # The keys a config may carry, per section.  Any other key is a config
@@ -76,6 +77,8 @@ _RUN_KEYS = ("scheme", "dt", "t_end", "sample_times", "enable_nonlinearity")
 _DATA_KEYS = {"gaussian": ("width", "amplitude"),
               "power_tail": ("exponent", "amplitude"),
               "single_mode": ("k", "amplitude")}
+# Values that count dimensions, points or powers, or index a mode.
+_WHOLE_KEYS = ("n", "points_per_dim", "theta", "k")
 _FIT_KEYS = ("window", "l_list", "tolerance", "s", "n_samples", "falsify")
 # The fit keys each scenario reads.  Another known key is a config error too,
 # so a setting the scenario ignores cannot look as if it took effect.
@@ -134,6 +137,20 @@ def _number(value, path) -> float:
     return float(value)
 
 
+def _whole(value, path) -> int:
+    number = _number(value, path)
+    if not number.is_integer():
+        raise ConfigError(f"{path}: expected a whole number, got {number:g}")
+    return int(number)
+
+
+def _section_numbers(section, keys, path) -> dict:
+    """The values of `keys` in `section`, each required and checked to be a
+    number, and a whole number where it counts or indexes (_WHOLE_KEYS)."""
+    return {key: (_whole if key in _WHOLE_KEYS else _number)(
+        _need(section, key, path), _path(path, key)) for key in keys}
+
+
 def _numbers(value, path) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{path}: expected a list of numbers, got {value!r}")
@@ -180,7 +197,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
                           f"choose one of {', '.join(SCENARIOS)}")
     model_cfg = _as_mapping(_need(doc, "model", ""), "model", _MODEL_KEYS)
     try:
-        model = ModelParams(**{key: _need(model_cfg, key, "model") for key in _MODEL_KEYS})
+        model = ModelParams(**_section_numbers(model_cfg, _MODEL_KEYS, "model"))
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
@@ -189,7 +206,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if "grid" in doc or needs_solver:
         grid_cfg = _as_mapping(_need(doc, "grid", ""), "grid", _GRID_KEYS)
         try:
-            grid = sg.GridSpec(**{key: _need(grid_cfg, key, "grid") for key in _GRID_KEYS})
+            grid = sg.GridSpec(**_section_numbers(grid_cfg, _GRID_KEYS, "grid"))
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}") from exc
         if grid.n != model.n:
@@ -200,8 +217,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if kind not in _DATA_KEYS:
         raise ConfigError(f"data.kind: unknown kind {kind!r}")
     _as_mapping(data, "data", ("kind",) + _DATA_KEYS[kind])
-    for key in _DATA_KEYS[kind]:
-        _number(_need(data, key, "data"), f"data.{key}")
+    _section_numbers(data, _DATA_KEYS[kind], "data")
     if kind == "single_mode" and scenario in _PROFILE_SCENARIOS:
         raise ConfigError(f"data.kind: {kind!r} has no continuum radial profile; "
                           f"use gaussian or power_tail for {scenario}")
@@ -227,7 +243,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
             if size > MAX_PADDED_BYTES:
                 raise ConfigError(
                     f"grid.points_per_dim: the nonlinear term needs a padded grid of "
-                    f"{M}^{grid.n} samples ({size / 2 ** 20:.0f} MiB per array), over the "
+                    f"{M}^{grid.n} samples ({size / 2 ** 20:.0f} MiB as float64), over the "
                     f"{MAX_PADDED_BYTES / 2 ** 20:.0f} MiB limit; lower points_per_dim")
 
     fit = _as_mapping(doc.get("fit", {}), "fit", _FIT_KEYS + tuple(_PINNED_FIT_KEYS))
@@ -256,10 +272,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
                               f"{len(l_list)} orders of fit.l_list")
     else:
         tolerance = (_number(tolerance, "fit.tolerance"),) * len(l_list)
-    n_samples = _number(fit.get("n_samples", 24), "fit.n_samples")
-    if not n_samples.is_integer():
-        raise ConfigError(f"fit.n_samples: expected a whole number, got {n_samples:g}")
-    n_samples = int(n_samples)
+    n_samples = _whole(fit.get("n_samples", 24), "fit.n_samples")
     if n_samples < MIN_FIT_SAMPLES:
         raise ConfigError(f"fit.n_samples: the decay fit needs at least "
                           f"{MIN_FIT_SAMPLES} samples, got {n_samples}")
@@ -267,6 +280,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if s < 0:
         raise ConfigError(f"fit.s: data regularity must be nonnegative, got {s:g}")
     falsify = _boolean(fit.get("falsify", False), "fit.falsify")
+    output_dir = doc.get("output_dir", f"runs/{scenario}")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
 
     cfg = ScenarioConfig(
         scenario=scenario,
@@ -277,7 +293,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         fit=FitSettings(window=window, l_list=l_list, tolerance=tolerance,
                         n_samples=n_samples, falsify=falsify),
         s=s,
-        output_dir=str(doc.get("output_dir", f"runs/{scenario}")),
+        output_dir=output_dir,
         raw=doc,
     )
     if kind != "single_mode":

@@ -11,8 +11,8 @@ exact per step and the decay measurements are never polluted by linear
 solver error.  The nonlinear power is evaluated pointwise on a zero-padded
 grid and truncated to the lattice, which removes aliasing entirely.
 A state is its real-to-complex half spectrum, like every ``SpectralField``,
-and inside the step loop also its forcing: one padded transform per state
-gives both that forcing and the energy ledger's source term.
+and inside the step loop also its forcing: one padded-power kernel call per
+state gives both that forcing and the energy ledger's source term.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def pad_factor(theta: int) -> float:
 class _Live(NamedTuple):
     """A state inside the step loop: its half spectrum, its |half|^2 (shared
     by the energy and dissipation sums) and, for a nonlinear run, its
-    forcing Binv(u^(theta+1)), computed by the same padded transform that
+    forcing Binv(u^(theta+1)), computed by the same padded-power call that
     gave the ledger its source term."""
 
     t: float
@@ -168,25 +168,26 @@ class _Stepper:
         self.diss_step = (norm * mag ** (2.0 * params.alpha) * dt * phi1(2.0 * z)
                           / (0.5 * (1.0 + self.decay * self.decay)))
         self.pad_factor = pad_factor(params.theta)
+        # volume (L/M)^n of one padded node, which turns the kernel's raw sum
+        # of u^(theta+2) into an integral
+        M = sg.padded_size(N, self.pad_factor)
+        self.node_volume = (grid.box_length / M) ** grid.n
 
     def _nonlinear(self, half: np.ndarray, need_forcing: bool = True) -> tuple:
-        """Forcing and int u^(theta+2) dx of a state from one padded inverse
-        transform, or (None, 0.0) for a linear run; the forcing is None when
-        not needed.  The padded arrays die here, so only lattice-sized arrays
-        live between steps."""
+        """Forcing and int u^(theta+2) dx of a state from one padded-power
+        kernel call, or (None, 0.0) for a linear run; the forcing is None
+        when not needed.  The kernel's padded blocks die inside it, so only
+        lattice-sized arrays live between steps."""
         if not self.nonlinear:
             return None, 0.0
-        up, M = sg.padded_physical(half, self.pad_factor)
-        power = sg.pointwise_power(up, self.params.theta + 1)
-        source = float(np.vdot(power, up)) * (self.grid.box_length / M) ** self.grid.n
-        if not need_forcing:
+        power, raw = sg.padded_power(half, self.params.theta + 1, self.pad_factor,
+                                     spectrum=need_forcing)
+        source = raw * self.node_volume
+        if power is None:
             return None, source
-        del up  # one padded array fewer alive during the forward transform
         # a non-finite power gives a non-finite forcing, which advance() checks
         with np.errstate(over="ignore", invalid="ignore"):
-            forcing = self.forcing_multiplier * sg.truncated_spectrum(
-                power, self.grid.points_per_dim)
-        return forcing, source
+            return self.forcing_multiplier * power, source
 
     def enter(self, field: sg.SpectralField) -> _Live:
         """Bring the initial field into the loop at t = 0 with a new ledger."""

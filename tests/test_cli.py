@@ -203,10 +203,21 @@ class TestRunCommand:
         ("data.width", "abc", "data.width: expected a number, got 'abc'"),
         ("data.amplitude", "x", "data.amplitude: expected a number, got 'x'"),
         ("data.width", -1, "data: width must be positive"),
+        ("grid.n", "1", "grid.n: expected a number, got '1'"),
+        ("grid.points_per_dim", "64", "grid.points_per_dim: expected a number, got '64'"),
+        ("grid.points_per_dim", 64.5, "grid.points_per_dim: expected a whole number, got 64.5"),
+        ("grid.box_length", "64", "grid.box_length: expected a number, got '64'"),
+        ("model.n", "1", "model.n: expected a number, got '1'"),
+        ("model.alpha", "1", "model.alpha: expected a number, got '1'"),
+        ("model.theta", 5.5, "model.theta: expected a whole number, got 5.5"),
+        ("output_dir", 5, "output_dir: expected a string, got 5"),
+        ("data", {"kind": "single_mode", "k": 1.5, "amplitude": 0.01},
+         "data.k: expected a whole number, got 1.5"),
     ])
     def test_mistyped_run_or_data_value_is_a_config_error(self, tmp_path, capsys,
                                                           path, value, message):
-        # a non-empty string must not pass for true, nor a string for a number
+        # a non-empty string must not pass for true, nor a string for a
+        # number, nor a fraction for a count or a mode index
         self._assert_smalldata_refused(tmp_path, capsys, path, value, message)
 
     @staticmethod

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,12 +228,10 @@ class TestSplit:
             assert sg.sobolev_seminorm(high, l) <= full * (1 + 1e-12)
 
 
-def padded_power(f, power, pad):
-    """Spectral image of f^power by the step loop's route: pad, raise the
-    padded samples pointwise, truncate back to the lattice."""
-    up, _ = sg.padded_physical(f.coefficients, pad)
-    return f.with_coefficients(
-        sg.truncated_spectrum(sg.pointwise_power(up, power), f.grid.points_per_dim))
+def lattice_power(f, power, pad):
+    """Spectral image of f^power by the step loop's route, the padded-power
+    kernel."""
+    return f.with_coefficients(sg.padded_power(f.coefficients, power, pad)[0])
 
 
 def _circular_free_convolution(a, b, N):
@@ -258,7 +257,7 @@ class TestPaddedPower:
         x = sg.physical_nodes(g)
         a = 0.7
         f = sg.to_spectral(g, a * np.cos(2.0 * x))
-        sq = padded_power(f, 2, pad_factor(1))
+        sq = lattice_power(f, 2, pad_factor(1))
         c = sq.coefficients / g.points_per_dim  # Fourier-series coefficients
         assert c[0] == pytest.approx(a * a / 2.0, rel=1e-13)
         assert c[4] == pytest.approx(a * a / 4.0, rel=1e-13)
@@ -272,7 +271,7 @@ class TestPaddedPower:
         # white spectrum: the Nyquist coefficients are as large as any other
         g = sg.make_grid(n, {1: 32, 2: 16, 3: 8}[n], 5.0)
         f = random_real_field(g, seed=seed, decay=0.0)
-        out = padded_power(f, 1, pad)
+        out = lattice_power(f, 1, pad)
         ref = np.max(np.abs(f.coefficients))
         assert np.max(np.abs(out.coefficients - f.coefficients)) <= 1e-14 * ref
 
@@ -280,7 +279,7 @@ class TestPaddedPower:
         g = sg.make_grid(1, 32, 4.0)
         c = 0.3
         f = sg.to_spectral(g, np.full(g.shape, c))
-        out = padded_power(f, 3, pad_factor(2))
+        out = lattice_power(f, 3, pad_factor(2))
         phys = sg.to_physical(out)
         assert np.allclose(phys.real, c**3, rtol=1e-13)
         assert np.max(np.abs(out.coefficients[1:])) <= 1e-12 * abs(out.coefficients[0])
@@ -296,7 +295,7 @@ class TestPaddedPower:
             if idx:
                 series[-idx] = np.conj(val)
         f = sg.SpectralField(g, series[: N // 2 + 1] * N)
-        out = padded_power(f, 3, pad_factor(2))
+        out = lattice_power(f, 3, pad_factor(2))
         conv = series.copy()
         for _ in range(2):
             conv = _circular_free_convolution(conv, series, N)
@@ -329,9 +328,17 @@ def _fold(N, M):
     return F
 
 
+def dense_padded_samples(u, M):
+    """Samples on the M-point padded grid of the lattice samples u, by a
+    dense zero-padded full-lattice transform with plain numpy.fft."""
+    N, n = u.shape[0], u.ndim
+    dense = _along_axes(_spread(N, M), np.fft.fftn(u)) * (M / N) ** n
+    return np.fft.irfftn(dense[..., : M // 2 + 1], s=(M,) * n, axes=range(n))
+
+
 class TestPrunedPaddedTransforms:
-    """padded_physical and truncated_spectrum against dense zero-padded
-    full-lattice transforms built with plain numpy.fft."""
+    """padded_power against dense zero-padded full-lattice transforms built
+    with plain numpy.fft."""
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     @pytest.mark.parametrize("N", (6, 8, 10))
@@ -340,18 +347,17 @@ class TestPrunedPaddedTransforms:
         rng = np.random.default_rng(100 * n + N)
         M = sg.padded_size(N, pad)
         u = rng.standard_normal((N,) * n)
-        dense = _along_axes(_spread(N, M), np.fft.fftn(u)) * (M / N) ** n
-        ref = np.fft.irfftn(dense[..., : M // 2 + 1], s=(M,) * n, axes=range(n))
-        up, M_out = sg.padded_physical(np.fft.rfftn(u), pad)
-        assert M_out == M and up.shape == (M,) * n
-        assert np.max(np.abs(up - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-        v = rng.standard_normal((M,) * n)
-        folded = _along_axes(_fold(N, M), np.fft.fftn(v)) * (N / M) ** n
-        ref = folded[..., : N // 2 + 1]
-        out = sg.truncated_spectrum(v, N)
-        assert out.shape == ref.shape
-        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+        up = dense_padded_samples(u, M)
+        # the first power, and u^(theta+1) for the theta this pad serves
+        for power in (1, round(2 * pad) - 1):
+            raised = up ** power
+            folded = _along_axes(_fold(N, M), np.fft.fftn(raised)) * (N / M) ** n
+            ref = folded[..., : N // 2 + 1]
+            out, total = sg.padded_power(np.fft.rfftn(u), power, pad)
+            assert out.shape == ref.shape
+            assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+            terms = raised * up
+            assert abs(total - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
 
     @pytest.mark.parametrize("pad", (1.0, 0.5))
     def test_pad_factor_must_exceed_one(self, pad):
@@ -359,18 +365,40 @@ class TestPrunedPaddedTransforms:
         with pytest.raises(ValueError, match="pad_factor must exceed 1"):
             sg.padded_size(8, pad)
         with pytest.raises(ValueError, match="pad_factor must exceed 1"):
-            sg.padded_physical(np.ones(5, dtype=complex), pad)
-
-    def test_unpadded_samples_are_refused(self):
-        with pytest.raises(ValueError, match="not larger than N=8"):
-            sg.truncated_spectrum(np.ones((8, 8)), 8)
+            sg.padded_power(np.ones(5, dtype=complex), 2, pad)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_non_finite_samples_raise_no_warning(self, n):
-        # one overflowed sample gives inf and nan coefficients, which the
-        # fold and the scaling must pass on without a warning
-        v = np.ones((12,) * n)
-        v.flat[5] = np.inf
-        out = sg.truncated_spectrum(v, 8)
+        # an overflowed power gives inf and nan samples and coefficients,
+        # which the sum, the folds and the scaling must pass on without a warning
+        u = np.ones((8,) * n)
+        u.flat[5] = 1e60
+        out, total = sg.padded_power(np.fft.rfftn(u), 6, 3.5)
         assert not np.all(np.isfinite(out))
+        assert not np.isfinite(total)
+
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_partial_last_block_matches_one_block(self, monkeypatch, n):
+        # N = 8 pads to 28 slabs; blocks of 3 slabs leave one slab over
+        half = np.fft.rfftn(np.random.default_rng(n).standard_normal((8,) * n))
+        monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 28 ** n)
+        whole, whole_sum = sg.padded_power(half, 5, 3.5)
+        monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 3 * 28 ** (n - 1))
+        blocked, blocked_sum = sg.padded_power(half, 5, 3.5)
+        assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
+        # u^6 >= 0, so the sum has no cancellation
+        assert blocked_sum == pytest.approx(whole_sum, rel=1e-14)
+
+    def test_one_call_holds_less_than_one_padded_cube(self):
+        # n = 3, N = 32, theta = 5 pads to 112^3 points: 10.7 MB as float64
+        theta, N = 5, 32
+        M = sg.padded_size(N, pad_factor(theta))
+        half = np.fft.rfftn(np.random.default_rng(0).standard_normal((N,) * 3))
+        tracemalloc.start()
+        try:
+            sg.padded_power(half, theta + 1, pad_factor(theta))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * M ** 3

@@ -10,7 +10,7 @@ from fpplab.propagator import propagate
 from fpplab.solver import (SolverConfig, SolverBlowupError, _Stepper,
                            energy_balance_residual, pad_factor, phi1, phi2, solve)
 from conftest import random_real_field
-from test_grid import padded_power
+from test_grid import dense_padded_samples, lattice_power
 
 
 class TestPhiFunctions:
@@ -50,7 +50,7 @@ class TestNonlinearTerm:
         x = sg.physical_nodes(g)
         a = 0.9
         f = sg.to_spectral(g, a * np.cos(2.0 * x))
-        out = padded_power(f, p.theta + 1, pad_factor(p.theta))
+        out = lattice_power(f, p.theta + 1, pad_factor(p.theta))
         c = out.coefficients / g.points_per_dim
         assert c[0].real == pytest.approx(a * a / 2.0, rel=1e-13)
         assert c[4].real == pytest.approx(a * a / 4.0, rel=1e-13)
@@ -63,7 +63,7 @@ class TestNonlinearTerm:
         f = random_real_field(g, seed=1, decay=0.0)
         forcing, _ = _Stepper(g, p, 0.1, "etd2", True)._nonlinear(f.coefficients)
         mag = sg.wavenumber_magnitude(g)
-        power = padded_power(f, p.theta + 1, pad_factor(p.theta))
+        power = lattice_power(f, p.theta + 1, pad_factor(p.theta))
         assert np.array_equal(forcing, b_inverse(mag, p) * power.coefficients)
 
 
@@ -107,7 +107,7 @@ class TestStep:
 
 class TestLoopCache:
     """The step loop takes each state's source term and its next forcing
-    from one padded transform; they must belong to the state they ride
+    from one padded-power call; they must belong to the state they ride
     with.  theta = 4 keeps u^(theta+2) >= 0, so no cancellation."""
 
     def _check_source(self, n, N, dt, t_end):
@@ -115,7 +115,8 @@ class TestLoopCache:
         params = ModelParams(n=n, m=1.0, alpha=1.0, theta=4)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.8, n=n).profile)
         state = solve(u0, params, SolverConfig(dt=dt, t_end=t_end)).final_state
-        up, M = sg.padded_physical(state.field.coefficients, pad_factor(params.theta))
+        M = sg.padded_size(N, pad_factor(params.theta))
+        up = dense_padded_samples(sg.to_physical(state.field), M)
         fresh = float(np.sum(up ** (params.theta + 2))) * (g.box_length / M) ** n
         assert state.ledger.p == pytest.approx(fresh, rel=1e-13)
 
@@ -130,19 +131,20 @@ class TestLoopCache:
     @pytest.mark.parametrize("t_end, steps", [(0.2, 4), (0.2 + 0.05 / 3, 5)],
                              ids=["whole-steps", "remainder-step"])
     def test_final_state_forms_no_forcing(self, monkeypatch, t_end, steps):
-        # the last state needs its padded transform for the ledger's p, but
-        # no forward transform: no step reads its forcing
-        calls = {"padded_physical": 0, "truncated_spectrum": 0}
-        for name in calls:
-            def counted(*args, _name=name, _f=getattr(sg, name)):
-                calls[_name] += 1
-                return _f(*args)
-            monkeypatch.setattr(sg, name, counted)
+        # the last state needs its padded power for the ledger's p, but not
+        # its spectrum: no step reads its forcing
+        calls = {"padded_power": 0, "spectrum": 0}
+
+        def counted(*args, _f=sg.padded_power, **kwargs):
+            calls["padded_power"] += 1
+            calls["spectrum"] += kwargs.get("spectrum", True)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(sg, "padded_power", counted)
         g = sg.make_grid(1, 64, 12.0)
         params = ModelParams(n=1, m=1.0, alpha=1.0, theta=4)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.8, n=1).profile)
         solve(u0, params, SolverConfig(scheme="etd2", dt=0.05, t_end=t_end))
-        assert calls == {"padded_physical": 2 * steps + 1, "truncated_spectrum": 2 * steps}
+        assert calls == {"padded_power": 2 * steps + 1, "spectrum": 2 * steps}
 
     @pytest.mark.parametrize("theta", range(1, 9))
     def test_multiplication_chain_matches_pow(self, theta):
