@@ -39,9 +39,7 @@ def _load(path: str) -> dict:
 def _cmd_run(args) -> int:
     try:
         doc = _load(args.config)
-        summary = run_scenario(doc, output_dir=args.output_dir,
-                               tolerance_override=args.tolerance_override,
-                               quiet=args.quiet)
+        summary = run_scenario(doc, output_dir=args.output_dir, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -83,7 +81,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--output-dir", default=None)
     p_run.add_argument("--quiet", action="store_true")
-    p_run.add_argument("--tolerance-override", type=float, default=None)
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="parse a config and print the regime report")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as sg
-from .model import CUTOFF_RADIUS, ModelParams, sigma, validate
+from .model import ModelParams, sigma, validate
 
 R_SQUARED_POWER_LAW = 0.995
 HORIZON_CONSTANT = 0.1
@@ -112,18 +112,18 @@ def fit_decay(series: NormSeries, window, horizon: float = None) -> DecayFit:
                     window=(t0, t1), horizon_warning=warn)
 
 
-def record(trajectory, l_list, R: float = CUTOFF_RADIUS,
-           params: ModelParams = None, s: float = None) -> list:
+def record(trajectory, l_list, params: ModelParams = None, s: float = None) -> list:
     """Norm series for every (l, component) over a solver trajectory.
 
     trajectory is a sequence of (t, SpectralField).  For each l the full
-    field and its low/high split are measured in ||Lam^l . ||_L2.  When a
-    loss-regime params/s pair is supplied, the mixed-weight high-band
-    series needed by the time-weighted functionals are recorded too.
+    field and its low/high split at model.CUTOFF_RADIUS are measured in
+    ||Lam^l . ||_L2.  When a loss-regime params/s pair is supplied, the
+    mixed-weight high-band series needed by the time-weighted functionals
+    are recorded too.
     """
     times = np.array([t for t, _ in trajectory], dtype=float)
     fields = [f for _, f in trajectory]
-    lows, highs = zip(*(sg.split_low_high(f, R) for f in fields))
+    lows, highs = zip(*(sg.split_low_high(f) for f in fields))
     out = []
     for l in l_list:
         for comp, fs in (("full", fields), ("low", lows), ("high", highs)):

@@ -67,17 +67,10 @@ class GridSpec:
         return self.spacing ** self.n
 
 
-def make_grid(n: int, N: int, L: float) -> GridSpec:
-    return GridSpec(n=n, points_per_dim=N, box_length=L)
-
-
-@lru_cache(maxsize=64)
 def axis_wavenumbers(grid: GridSpec) -> np.ndarray:
-    """1-D wavenumber axis 2 pi j / L in FFT order, read-only."""
+    """1-D wavenumber axis 2 pi j / L in FFT order."""
     N, L = grid.points_per_dim, grid.box_length
-    k = 2.0 * np.pi * fft.fftfreq(N, d=L / N)
-    k.setflags(write=False)
-    return k
+    return 2.0 * np.pi * fft.fftfreq(N, d=L / N)
 
 
 @lru_cache(maxsize=64)
@@ -102,12 +95,9 @@ def lattice_norm(half: np.ndarray) -> float:
     return math.sqrt(np.vdot(half, column_weights(2 * half.shape[-1] - 2) * half).real)
 
 
-@lru_cache(maxsize=64)
 def physical_nodes(grid: GridSpec) -> np.ndarray:
-    """1-D physical axis x_j = j h, read-only."""
-    x = grid.spacing * np.arange(grid.points_per_dim, dtype=float)
-    x.setflags(write=False)
-    return x
+    """1-D physical axis x_j = j h."""
+    return grid.spacing * np.arange(grid.points_per_dim, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -124,9 +114,6 @@ class SpectralField:
         if self.coefficients.shape != self.grid.half_shape:
             raise ValueError(f"coefficient shape {self.coefficients.shape} is not the "
                              f"half spectrum shape {self.grid.half_shape}")
-
-    def with_coefficients(self, coefficients: np.ndarray) -> "SpectralField":
-        return SpectralField(self.grid, coefficients)
 
 
 def to_spectral(grid: GridSpec, samples: np.ndarray) -> SpectralField:
@@ -146,7 +133,7 @@ def to_physical(field: SpectralField) -> np.ndarray:
 def apply_radial_multiplier(field: SpectralField, g) -> SpectralField:
     """Multiply coefficients by g(|k|); g must accept an ndarray of radii."""
     mag = wavenumber_magnitude(field.grid)
-    return field.with_coefficients(field.coefficients * g(mag))
+    return SpectralField(field.grid, field.coefficients * g(mag))
 
 
 def spectral_weighted_norm(field: SpectralField, weights: np.ndarray) -> float:
@@ -186,15 +173,15 @@ def lp_norm(field: SpectralField, p) -> float:
     raise ValueError(f"unsupported p={p!r}; p must be 1, 2, or inf")
 
 
-def split_low_high(field: SpectralField, R: float) -> tuple:
-    """Split into (low, high) parts with the smooth cutoff at radius R.
+def split_low_high(field: SpectralField) -> tuple:
+    """Split into (low, high) parts with the smooth cutoff at R = CUTOFF_RADIUS.
 
     low has multiplier chi(|k|), high has 1 - chi(|k|); their sum restores
     the field to machine precision because the weights sum to 1 exactly.
     """
-    chi = cutoff_chi(wavenumber_magnitude(field.grid), R)
-    low = field.with_coefficients(field.coefficients * chi)
-    high = field.with_coefficients(field.coefficients * (1.0 - chi))
+    chi = cutoff_chi(wavenumber_magnitude(field.grid))
+    low = SpectralField(field.grid, field.coefficients * chi)
+    high = SpectralField(field.grid, field.coefficients * (1.0 - chi))
     return low, high
 
 

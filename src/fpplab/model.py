@@ -84,27 +84,25 @@ def b_inverse(r, params: ModelParams):
     return _scalar_or_array(out, scalar)
 
 
-def cutoff_chi(r, R: float = CUTOFF_RADIUS):
-    """Smooth radial cutoff: 1 for r <= R, 0 for r >= 2R, monotone between.
+def cutoff_chi(r):
+    """Smooth cutoff at R = CUTOFF_RADIUS: 1 for r <= R, 0 for r >= 2R, monotone between.
 
     The transition uses the symmetric exp(-1/x) partition
     chi = f(2 - r/R) / (f(2 - r/R) + f(r/R - 1)), f(x) = exp(-1/x) for x > 0,
     which is C-infinity, has exact plateaus, and equals 1/2 at r = 1.5 R.
     """
-    return cutoff_partition(r, R)[0]
+    return cutoff_partition(r)[0]
 
 
-def cutoff_partition(r, R: float = CUTOFF_RADIUS):
+def cutoff_partition(r):
     """(chi, 1 - chi) of cutoff_chi, each formed as its own ratio.
 
     1 - chi by subtraction keeps no digits where chi rounds to 1 (just above
     R); f(r/R - 1) / (f(2 - r/R) + f(r/R - 1)) keeps them all.
     """
-    if not 0.0 < R < 1.0:
-        raise ValueError(f"cutoff radius R must lie in (0, 1), got {R}")
     scalar = np.ndim(r) == 0
     r = _as_radii(r)
-    t = r / R
+    t = r / CUTOFF_RADIUS
     chi = np.where(t <= 1.0, 1.0, 0.0)
     rest = np.where(t >= 2.0, 1.0, 0.0)
     mid = (t > 1.0) & (t < 2.0)

@@ -253,8 +253,9 @@ def _integrate(panel_sets, exact: np.ndarray, t: np.ndarray, l: float,
 
 
 def _weighted_integral(profile: RadialProfile, l: float, t: np.ndarray,
-                       params: ModelParams, window: str, R: float, tol: float):
+                       params: ModelParams, window: str, tol: float):
     """Squared norms Q(t)^2 of every time, at tol and at tol/2."""
+    R = CUTOFF_RADIUS
     alpha, m = params.alpha, params.m
     area = sphere_area(params.n)
     weigh = _WINDOWS[window]
@@ -266,7 +267,7 @@ def _weighted_integral(profile: RadialProfile, l: float, t: np.ndarray,
             amp = r ** half_pow * np.abs(profile(r))
             v = area * amp * amp * np.exp(-2.0 * t[rows, None, None] * sigma(r, params))
             if weigh is not None:
-                v *= weigh(*cutoff_partition(r, R))
+                v *= weigh(*cutoff_partition(r))
         return np.where(np.isfinite(v), v, 0.0)
 
     def tail(s, rows):
@@ -337,7 +338,7 @@ def radial_weighted_l2(profile: RadialProfile, l: float, t,
         raise ValueError(f"unknown window {window!r}; use full, low, high, or cross")
     _check_tail_convergence(profile, l, times, params)
     at_tol, at_half = _weighted_integral(profile, l, times.ravel(), params,
-                                         window, CUTOFF_RADIUS, tol)
+                                         window, tol)
     q_full, q_half = np.sqrt(at_tol), np.sqrt(at_half)
     bad = np.abs(q_full - q_half) > tol * np.maximum(q_half, 1e-300)
     if bad.any():

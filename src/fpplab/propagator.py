@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,19 +29,12 @@ BOUNDED = "bounded"
 UNBOUNDED = "unbounded"
 
 
-@lru_cache(maxsize=64)
-def _sigma_lattice(grid, params: ModelParams) -> np.ndarray:
-    out = sigma(wavenumber_magnitude(grid), params)
-    out.setflags(write=False)
-    return out
-
-
 def propagate(field: SpectralField, t: float, params: ModelParams) -> SpectralField:
     """Apply the exact linear semigroup: multiply mode k by exp(-sigma(|k|) t)."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    decay = np.exp(-_sigma_lattice(field.grid, params) * t)
-    return field.with_coefficients(field.coefficients * decay)
+    decay = np.exp(-sigma(wavenumber_magnitude(field.grid), params) * t)
+    return SpectralField(field.grid, field.coefficients * decay)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,17 +38,6 @@ from .oracle import (OracleConvergenceError, RadialProfile, gaussian_profile,
                      power_tail_profile, radial_weighted_l2)
 from .propagator import BOUNDED, UNBOUNDED, probe_high_band, probe_low_band
 from .solver import SolverConfig, energy_balance_residual, pad_factor, solve
-
-SCENARIOS = (
-    "linear-decay",
-    "regularity-loss-probe",
-    "nonlinear-smalldata",
-    "lemma-verification",
-    "convergence-study",
-)
-
-# Scenarios whose data must have a continuum radial profile for the oracle.
-_PROFILE_SCENARIOS = ("linear-decay", "regularity-loss-probe", "lemma-verification")
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -62,11 +52,14 @@ M1_GROWTH_TOL = 0.05     # nonlinear-smalldata: m1 growth over the run's second 
 LOSS_GAP_MIN = 0.1       # regularity-loss-probe: top order decays slower by at least this
 LEMMA_BETA = 1.0         # lemma-verification (alpha < 1): derivatives spent on the high band
 
-# Largest padded grid, counted as float64 samples, that a nonlinear step may
-# transform.  The step never holds the whole grid (grid.padded_power works
-# through it in blocks), but its time and its axis-0 stage grow with it;
-# n=3, N=128, theta=5 would need 448^3 samples (686 MiB).
-MAX_PADDED_BYTES = 256 * 2 ** 20
+# Largest grid, counted as float64 samples, that a solve may transform: the
+# padded grid of a nonlinear step, the lattice of a linear jump.  A step works
+# through the padded grid in blocks (grid.padded_power), but its time and its
+# axis-0 stage grow with it; n=3, N=128, theta=5 pads to 448^3 (686 MiB).
+MAX_GRID_BYTES = 256 * 2 ** 20
+# Work budget of a nonlinear run, in steps times padded points: about ten
+# minutes at the ~1.4e7 point-steps/s of a 1-D N=4096 run on one Xeon core.
+MAX_POINT_STEPS = 2 ** 33
 
 # The keys a config may carry, per section.  Any other key is a config
 # error, so a misspelt option cannot quietly run with its default.
@@ -74,21 +67,13 @@ _TOP_KEYS = ("scenario", "model", "grid", "data", "run", "fit", "output_dir")
 _MODEL_KEYS = ("n", "m", "alpha", "theta")
 _GRID_KEYS = ("n", "points_per_dim", "box_length")
 _RUN_KEYS = ("scheme", "dt", "t_end", "sample_times", "enable_nonlinearity")
+# In the order of the profile's arguments: gaussian_profile(width, amplitude).
 _DATA_KEYS = {"gaussian": ("width", "amplitude"),
               "power_tail": ("exponent", "amplitude"),
               "single_mode": ("k", "amplitude")}
 # Values that count dimensions, points or powers, or index a mode.
 _WHOLE_KEYS = ("n", "points_per_dim", "theta", "k")
 _FIT_KEYS = ("window", "l_list", "tolerance", "s", "n_samples", "falsify")
-# The fit keys each scenario reads.  Another known key is a config error too,
-# so a setting the scenario ignores cannot look as if it took effect.
-_FIT_KEYS_READ = {
-    "linear-decay": ("window", "l_list", "tolerance", "s", "n_samples"),
-    "regularity-loss-probe": ("window", "l_list", "tolerance", "s", "n_samples"),
-    "nonlinear-smalldata": ("window", "l_list", "tolerance", "s"),
-    "lemma-verification": ("window", "l_list", "s", "falsify"),
-    "convergence-study": ("s",),
-}
 # Former fit keys that the benchmark's workload configs still state at their
 # pinned value: that value is accepted, any other is a config error.
 _PINNED_FIT_KEYS = {"gap_min": LOSS_GAP_MIN, "beta": LEMMA_BETA}
@@ -178,8 +163,9 @@ class FitSettings:
 class ScenarioConfig:
     scenario: str
     model: ModelParams
-    grid: sg.GridSpec
-    data: dict
+    grid: sg.GridSpec  # None, as is run, where the scenario solves nothing
+    data: dict         # data.kind and its typed values
+    profile: RadialProfile  # None for single_mode data
     run: SolverConfig
     fit: FitSettings
     s: float  # data regularity: fit.s, else max(fit.l_list), else 1.0
@@ -192,18 +178,38 @@ def parse_config(doc: dict) -> ScenarioConfig:
     doc = _as_mapping(doc, "", _TOP_KEYS)
     _require_finite(doc, "")
     scenario = _need(doc, "scenario", "")
-    if scenario not in SCENARIOS:
+    if scenario not in _SCENARIOS:
         raise ConfigError(f"scenario: unknown scenario {scenario!r}; "
                           f"choose one of {', '.join(SCENARIOS)}")
+    spec = _SCENARIOS[scenario]
     model_cfg = _as_mapping(_need(doc, "model", ""), "model", _MODEL_KEYS)
     try:
         model = ModelParams(**_section_numbers(model_cfg, _MODEL_KEYS, "model"))
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
-    needs_solver = scenario in ("nonlinear-smalldata", "convergence-study")
-    grid = None
-    if "grid" in doc or needs_solver:
+    data = _as_mapping(_need(doc, "data", ""), "data")
+    kind = _need(data, "kind", "data")
+    if kind not in _DATA_KEYS:
+        raise ConfigError(f"data.kind: unknown kind {kind!r}")
+    _as_mapping(data, "data", ("kind",) + _DATA_KEYS[kind])
+    values = _section_numbers(data, _DATA_KEYS[kind], "data")
+    profile = None
+    if kind != "single_mode":
+        make = gaussian_profile if kind == "gaussian" else power_tail_profile
+        try:
+            profile = make(*values.values(), n=model.n)
+        except ValueError as exc:
+            raise ConfigError(f"data: {exc}") from exc
+    elif spec.profile:
+        raise ConfigError(f"data.kind: {kind!r} has no continuum radial profile; "
+                          f"use gaussian or power_tail for {scenario}")
+
+    present = [key for key in ("grid", "run") if key in doc]
+    if spec.sections == "refused" and present:
+        raise ConfigError(f"{present[0]}: not read by {scenario}")
+    grid = run = None
+    if spec.sections == "required" or present:
         grid_cfg = _as_mapping(_need(doc, "grid", ""), "grid", _GRID_KEYS)
         try:
             grid = sg.GridSpec(**_section_numbers(grid_cfg, _GRID_KEYS, "grid"))
@@ -211,56 +217,22 @@ def parse_config(doc: dict) -> ScenarioConfig:
             raise ConfigError(f"grid: {exc}") from exc
         if grid.n != model.n:
             raise ConfigError(f"grid.n: dimension {grid.n} does not match model.n={model.n}")
-
-    data = _as_mapping(_need(doc, "data", ""), "data")
-    kind = _need(data, "kind", "data")
-    if kind not in _DATA_KEYS:
-        raise ConfigError(f"data.kind: unknown kind {kind!r}")
-    _as_mapping(data, "data", ("kind",) + _DATA_KEYS[kind])
-    _section_numbers(data, _DATA_KEYS[kind], "data")
-    if kind == "single_mode" and scenario in _PROFILE_SCENARIOS:
-        raise ConfigError(f"data.kind: {kind!r} has no continuum radial profile; "
-                          f"use gaussian or power_tail for {scenario}")
-
-    run = None
-    if "run" in doc or needs_solver:
-        run_cfg = _as_mapping(_need(doc, "run", ""), "run", _RUN_KEYS)
-        settings = dict(
-            scheme=run_cfg.get("scheme", "etd2"),
-            dt=_number(_need(run_cfg, "dt", "run"), "run.dt"),
-            t_end=_number(_need(run_cfg, "t_end", "run"), "run.t_end"),
-            sample_times=_numbers(run_cfg.get("sample_times", ()), "run.sample_times"),
-            enable_nonlinearity=_boolean(run_cfg.get("enable_nonlinearity", True),
-                                         "run.enable_nonlinearity"),
-        )
-        try:
-            run = SolverConfig(**settings)
-        except ValueError as exc:
-            raise ConfigError(f"run: {exc}") from exc
-        if needs_solver and run.enable_nonlinearity:
-            M = sg.padded_size(grid.points_per_dim, pad_factor(model.theta))
-            size = 8 * M ** grid.n
-            if size > MAX_PADDED_BYTES:
-                raise ConfigError(
-                    f"grid.points_per_dim: the nonlinear term needs a padded grid of "
-                    f"{M}^{grid.n} samples ({size / 2 ** 20:.0f} MiB as float64), over the "
-                    f"{MAX_PADDED_BYTES / 2 ** 20:.0f} MiB limit; lower points_per_dim")
+        run = _parse_run(_need(doc, "run", ""), scenario, model, grid)
 
     fit = _as_mapping(doc.get("fit", {}), "fit", _FIT_KEYS + tuple(_PINNED_FIT_KEYS))
     for key, pinned in _PINNED_FIT_KEYS.items():
         if key in fit and _number(fit[key], f"fit.{key}") != pinned:
             raise ConfigError(f"fit.{key}: pinned at {pinned:g} in the code; "
                               f"a config cannot change it, got {fit[key]!r}")
-    read = _FIT_KEYS_READ[scenario]
     for key in fit:
-        if key in _FIT_KEYS and key not in read:
+        if key in _FIT_KEYS and key not in spec.fit_keys:
             raise ConfigError(f"fit.{key}: not read by {scenario}")
     window, l_list = None, ()
-    if "window" in read:
+    if "window" in spec.fit_keys:
         window = _numbers(_need(fit, "window", "fit"), "fit.window")
         if not (len(window) == 2 and 0 < window[0] < window[1]):
             raise ConfigError("fit.window: expected [t0, t1] with 0 < t0 < t1")
-    if "l_list" in read:
+    if "l_list" in spec.fit_keys:
         l_list = _numbers(_need(fit, "l_list", "fit"), "fit.l_list")
         if not l_list or min(l_list) < 0:
             raise ConfigError("fit.l_list: expected a nonempty list of orders >= 0")
@@ -284,11 +256,12 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
 
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         scenario=scenario,
         model=model,
         grid=grid,
-        data=dict(data),
+        data={"kind": kind, **values},
+        profile=profile,
         run=run,
         fit=FitSettings(window=window, l_list=l_list, tolerance=tolerance,
                         n_samples=n_samples, falsify=falsify),
@@ -296,34 +269,59 @@ def parse_config(doc: dict) -> ScenarioConfig:
         output_dir=output_dir,
         raw=doc,
     )
-    if kind != "single_mode":
-        try:
-            build_profile(cfg)
-        except ValueError as exc:
-            raise ConfigError(f"data: {exc}") from exc
-    return cfg
 
 
-def build_profile(cfg: ScenarioConfig) -> RadialProfile:
-    data, n = cfg.data, cfg.model.n
-    if data["kind"] == "gaussian":
-        return gaussian_profile(float(data["width"]), float(data["amplitude"]), n=n)
-    return power_tail_profile(float(data["exponent"]), float(data["amplitude"]), n=n)
+def _parse_run(run_cfg, scenario, model, grid) -> SolverConfig:
+    """The run section, checked against the grid a solve transforms and
+    against the work budget of a nonlinear run."""
+    run_cfg = _as_mapping(run_cfg, "run", _RUN_KEYS)
+    settings = dict(
+        scheme=run_cfg.get("scheme", "etd2"),
+        dt=_number(_need(run_cfg, "dt", "run"), "run.dt"),
+        t_end=_number(_need(run_cfg, "t_end", "run"), "run.t_end"),
+        sample_times=_numbers(run_cfg.get("sample_times", ()), "run.sample_times"),
+        enable_nonlinearity=_boolean(run_cfg.get("enable_nonlinearity", True),
+                                     "run.enable_nonlinearity"),
+    )
+    try:
+        run = SolverConfig(**settings)
+    except ValueError as exc:
+        raise ConfigError(f"run: {exc}") from exc
+    # linear-decay's cross check always solves the linear flow
+    nonlinear = run.enable_nonlinearity and scenario != "linear-decay"
+    if scenario == "convergence-study" and not nonlinear:
+        raise ConfigError("run.enable_nonlinearity: a linear run jumps exactly and ignores "
+                          "dt, so the dt, dt/2, dt/4 solves of convergence-study cannot "
+                          "differ; it needs true")
+    N, n = grid.points_per_dim, grid.n
+    M = sg.padded_size(N, pad_factor(model.theta)) if nonlinear else N
+    size = 8 * M ** n
+    if size > MAX_GRID_BYTES:
+        raise ConfigError(
+            f"grid.points_per_dim: the solve transforms a "
+            f"{'padded grid' if nonlinear else 'lattice'} of {M}^{n} samples "
+            f"({size / 2 ** 20:.0f} MiB as float64), over the "
+            f"{MAX_GRID_BYTES / 2 ** 20:.0f} MiB limit; lower points_per_dim")
+    # convergence-study solves at dt, dt/2 and dt/4: 1 + 2 + 4 times t_end/dt steps
+    steps = run.t_end / run.dt * (7 if scenario == "convergence-study" else 1)
+    if nonlinear and steps * M ** n > MAX_POINT_STEPS:
+        raise ConfigError(
+            f"run.dt: {steps:.3g} steps on {M}^{n} padded points exceed the work budget "
+            f"of 2^{MAX_POINT_STEPS.bit_length() - 1} point-steps; enlarge run.dt or "
+            f"shorten run.t_end")
+    return run
 
 
 def build_field(cfg: ScenarioConfig) -> sg.SpectralField:
-    data = cfg.data
-    if data["kind"] in ("gaussian", "power_tail"):
-        return sg.field_from_spectral_profile(cfg.grid, build_profile(cfg).profile)
+    if cfg.profile is not None:
+        return sg.field_from_spectral_profile(cfg.grid, cfg.profile.profile)
     # single_mode: product of cosines at integer mode index k per axis
-    k = int(data["k"])
-    amp = float(data["amplitude"])
     x = sg.physical_nodes(cfg.grid)
-    wave = np.cos(2.0 * np.pi * k * x / cfg.grid.box_length)
+    wave = np.cos(2.0 * np.pi * cfg.data["k"] * x / cfg.grid.box_length)
     samples = wave
     for _ in range(cfg.grid.n - 1):
         samples = np.multiply.outer(samples, wave)
-    return sg.to_spectral(cfg.grid, amp * samples)
+    return sg.to_spectral(cfg.grid, cfg.data["amplitude"] * samples)
 
 
 def _format_float(x) -> str:
@@ -337,7 +335,7 @@ def write_series_csv(path, times, values):
             fh.write(f"{_format_float(t)},{_format_float(v)}\n")
 
 
-def emit_plots(summary: dict, series_files, out_path) -> str:
+def emit_plots(summary: dict, out_path) -> str:
     """Write a self-contained matplotlib script for the recorded series.
 
     The script renders log-log curves with dashed reference lines at the
@@ -346,7 +344,7 @@ def emit_plots(summary: dict, series_files, out_path) -> str:
     """
     entries = []
     fits = {f.get("series_csv"): f for f in summary.get("fits", [])}
-    for path in series_files:
+    for path in summary["series_files"]:
         fit = fits.get(path, {})
         label = fit.get("label", path)
         slope = fit.get("theory")
@@ -445,26 +443,24 @@ def _fit_entry(cfg, l, series, fit, tol, source, csv):
 
 def _oracle_fits(cfg, summary):
     """Fit the oracle's ||Lam^l u(t)||_L2 for every l of fit.l_list over the
-    fit window, adding one series and one fits entry per order; returns the
-    profile for further oracle evaluations."""
-    profile = build_profile(cfg)
+    fit window, adding one series and one fits entry per order."""
     times = np.geomspace(*cfg.fit.window, cfg.fit.n_samples)
     for l, tol in zip(cfg.fit.l_list, cfg.fit.tolerance):
-        series = NormSeries(times, radial_weighted_l2(profile, l, times, cfg.model), l=l)
+        series = NormSeries(times, radial_weighted_l2(cfg.profile, l, times, cfg.model),
+                            l=l)
         csv = f"series_l{l:g}_full.csv"
         summary.series(csv, series.times, series.values)
         fit = fit_decay(series, cfg.fit.window)
         summary.fits.append(_fit_entry(cfg, l, series, fit, tol, "oracle", csv))
-    return profile
 
 
 def _run_linear_decay(cfg, summary, report):
-    profile = _oracle_fits(cfg, summary)
+    _oracle_fits(cfg, summary)
     for entry in summary.fits:
         summary.verdict(f"decay(l={entry['l']:g})", entry["pass"],
                         f"slope {entry['slope']:.4f} vs theory {entry['theory']:.4f} "
                         f"(tol {entry['tolerance']:g}, r2 {entry['r_squared']:.6f})")
-    if cfg.grid is None or cfg.run is None:
+    if cfg.grid is None:
         return
     t0, t1 = cfg.fit.window
     horizon = contamination_horizon(cfg.grid, cfg.model)
@@ -482,7 +478,7 @@ def _run_linear_decay(cfg, summary, report):
     if inside:
         times = np.array([t for t, _ in inside])
         values = np.array([sg.lp_norm(f, 2) for _, f in inside])
-        want = radial_weighted_l2(profile, 0.0, times, cfg.model)
+        want = radial_weighted_l2(cfg.profile, 0.0, times, cfg.model)
         worst = float(np.max(np.abs(values - want) / want))
         summary.series("series_solver_l0_full.csv", times, values)
     summary.verdict("solver-vs-oracle", worst <= SOLVER_MATCH_TOL,
@@ -510,7 +506,7 @@ def _run_regularity_loss(cfg, summary, report):
 
 
 def _run_lemma_verification(cfg, summary, report):
-    profile = build_profile(cfg)
+    profile = cfg.profile
     ts_low = np.geomspace(*cfg.fit.window, 9)
     ts_high = np.linspace(1.0, 8.0, 8)  # gain-regime high band: 1, 2, ..., 8
     for l in cfg.fit.l_list:
@@ -621,17 +617,31 @@ def _run_convergence_study(cfg, summary, report):
                            "dt_triplet": [run.dt, run.dt / 2, run.dt / 4]}
 
 
-_RUNNERS = {
-    "linear-decay": _run_linear_decay,
-    "regularity-loss-probe": _run_regularity_loss,
-    "nonlinear-smalldata": _run_nonlinear_smalldata,
-    "lemma-verification": _run_lemma_verification,
-    "convergence-study": _run_convergence_study,
+class _Scenario(NamedTuple):
+    runner: object     # fills a RunSummary from (cfg, summary, regime report)
+    sections: str      # grid and run: required, optional (both or neither) or refused
+    fit_keys: tuple    # the fit keys it reads; another known one is a config error
+    profile: bool      # its data need a continuum radial profile (the oracle's)
+
+
+# What each scenario reads, stated here only: parse_config checks every
+# config against its row, and SCENARIOS, which list-scenarios prints, is its
+# first column.
+_ORACLE_FIT_KEYS = ("window", "l_list", "tolerance", "s", "n_samples")
+_SCENARIOS = {
+    "linear-decay": _Scenario(_run_linear_decay, "optional", _ORACLE_FIT_KEYS, True),
+    "regularity-loss-probe": _Scenario(_run_regularity_loss, "refused",
+                                       _ORACLE_FIT_KEYS, True),
+    "nonlinear-smalldata": _Scenario(_run_nonlinear_smalldata, "required",
+                                     ("window", "l_list", "tolerance", "s"), False),
+    "lemma-verification": _Scenario(_run_lemma_verification, "refused",
+                                    ("window", "l_list", "s", "falsify"), True),
+    "convergence-study": _Scenario(_run_convergence_study, "required", ("s",), False),
 }
+SCENARIOS = tuple(_SCENARIOS)
 
 
-def run_scenario(doc, output_dir=None, tolerance_override=None,
-                 quiet: bool = False) -> RunSummary:
+def run_scenario(doc, output_dir=None, quiet: bool = False) -> RunSummary:
     """Execute one scenario config; writes summary JSON, CSVs, and a plot script.
 
     Nothing is written until the runner has returned.  Raises ConfigError for
@@ -639,9 +649,6 @@ def run_scenario(doc, output_dir=None, tolerance_override=None,
     SolverBlowupError).
     """
     cfg = parse_config(doc)
-    if tolerance_override is not None:
-        tolerance = (float(tolerance_override),) * len(cfg.fit.l_list)
-        cfg = replace(cfg, fit=replace(cfg.fit, tolerance=tolerance))
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     blocker = next(p for p in (out, *out.parents) if p.exists())
     if not blocker.is_dir():
@@ -649,7 +656,7 @@ def run_scenario(doc, output_dir=None, tolerance_override=None,
     t0 = time.perf_counter()
     report = validate(cfg.model, cfg.s)
     summary = RunSummary(cfg.scenario, cfg.raw, report.to_dict())
-    _RUNNERS[cfg.scenario](cfg, summary, report)
+    _SCENARIOS[cfg.scenario].runner(cfg, summary, report)
     summary.wall_clock_s = time.perf_counter() - t0
     out.mkdir(parents=True, exist_ok=True)
     for csv, (times, values) in summary.series_files.items():
@@ -658,7 +665,7 @@ def run_scenario(doc, output_dir=None, tolerance_override=None,
     with open(out / "summary.json", "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    emit_plots(result, result["series_files"], out / "plot_series.py")
+    emit_plots(result, out / "plot_series.py")
     if not quiet:
         for v in summary.verdicts:
             status = "PASS" if v["pass"] else "FAIL"

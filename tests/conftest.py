@@ -17,7 +17,7 @@ def loss_params():
 
 @pytest.fixture
 def grid_1d():
-    return sg.make_grid(1, 64, 2.0 * np.pi)
+    return sg.GridSpec(1, 64, 2.0 * np.pi)
 
 
 def random_real_field(grid, seed=0, decay=1.5):
@@ -26,4 +26,4 @@ def random_real_field(grid, seed=0, decay=1.5):
     samples = rng.standard_normal(grid.shape)
     field = sg.to_spectral(grid, samples)
     mag = sg.wavenumber_magnitude(grid)
-    return field.with_coefficients(field.coefficients / (1.0 + mag) ** decay)
+    return sg.SpectralField(grid, field.coefficients / (1.0 + mag) ** decay)

@@ -87,7 +87,7 @@ def test_c4_high_band_dichotomy():
 
 def test_c5_solver_matches_oracle_inside_horizon():
     params = ModelParams(n=1, m=1.0, alpha=1.0, theta=5)
-    grid = sg.make_grid(1, 8192, 2000.0)
+    grid = sg.GridSpec(1, 8192, 2000.0)
     prof = gaussian_profile(1.0, 1.0, n=1)
     u0 = sg.field_from_spectral_profile(grid, prof.profile)
     horizon = contamination_horizon(grid, params)
@@ -106,7 +106,7 @@ def test_c5_solver_matches_oracle_inside_horizon():
 
 def test_c6_etd2_self_convergence():
     params = ModelParams(n=1, m=1.0, alpha=1.0, theta=1)
-    grid = sg.make_grid(1, 128, 100.0)
+    grid = sg.GridSpec(1, 128, 100.0)
     u0 = sg.field_from_spectral_profile(grid, gaussian_profile(1.0, 0.2, n=1).profile)
     finals = []
     for dt in (0.2, 0.1, 0.05):
@@ -121,12 +121,12 @@ def test_c6_etd2_self_convergence():
 
 def test_c7_energy_balance():
     params = ModelParams(n=1, m=1.0, alpha=1.0, theta=5)
-    grid = sg.make_grid(1, 128, 100.0)
+    grid = sg.GridSpec(1, 128, 100.0)
     u0 = sg.field_from_spectral_profile(grid, gaussian_profile(1.0, 0.01, n=1).profile)
     lin = solve(u0, params, SolverConfig(dt=1e-4, t_end=2.0,
                                          enable_nonlinearity=False))
     r_lin = abs(energy_balance_residual(lin.final_state.ledger))
-    grid2 = sg.make_grid(1, 256, 100.0)
+    grid2 = sg.GridSpec(1, 256, 100.0)
     u0b = sg.field_from_spectral_profile(grid2, gaussian_profile(1.0, 0.01, n=1).profile)
     nl = solve(u0b, params, SolverConfig(dt=1e-3, t_end=2.0))
     r_nl = abs(energy_balance_residual(nl.final_state.ledger))
@@ -138,7 +138,7 @@ def test_c7_energy_balance():
 def test_c8_nonlinear_smalldata_decay_and_m1():
     t_start = time.perf_counter()
     params = ModelParams(n=1, m=1.0, alpha=1.0, theta=5)
-    grid = sg.make_grid(1, 4096, 400.0 * np.pi)
+    grid = sg.GridSpec(1, 4096, 400.0 * np.pi)
     prof = gaussian_profile(1.0, 0.01, n=1)
     u0 = sg.field_from_spectral_profile(grid, prof.profile)
     horizon = contamination_horizon(grid, params)
@@ -148,7 +148,7 @@ def test_c8_nonlinear_smalldata_decay_and_m1():
     cfg = SolverConfig(scheme="etd2", dt=0.1, t_end=t_end,
                        sample_times=tuple(ts))
     res = solve(u0, params, cfg)
-    series = record(res.trajectory, [0.0, 0.25, 0.5, 0.75, 1.0], R=0.5)
+    series = record(res.trajectory, [0.0, 0.25, 0.5, 0.75, 1.0])
     full0 = next(ns for ns in series if ns.component == "full" and ns.l == 0.0)
     fit = fit_decay(full0, (10.0, 500.0), horizon=horizon)
     e0 = sg.sobolev_norm(u0, 1.0) + sg.lp_norm(u0, 1)
@@ -187,7 +187,7 @@ def test_c9_regularity_loss_cap():
 
 def test_c10_property_suite(tmp_path):
     params = ModelParams(n=1, m=1.0, alpha=1.0, theta=5)
-    grid = sg.make_grid(1, 128, 40.0)
+    grid = sg.GridSpec(1, 128, 40.0)
     f = random_real_field(grid, seed=77)
     checks = {}
 
@@ -195,7 +195,7 @@ def test_c10_property_suite(tmp_path):
     spectral = sg.sobolev_seminorm(f, 0.0) ** 2
     checks["parseval@1e-12"] = abs(physical - spectral) <= 1e-12 * physical
 
-    low, high = sg.split_low_high(f, 0.5)
+    low, high = sg.split_low_high(f)
     recon = np.max(np.abs(low.coefficients + high.coefficients - f.coefficients))
     checks["split@1e-15"] = recon <= 1e-15 * np.max(np.abs(f.coefficients))
 

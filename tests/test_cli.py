@@ -1,13 +1,14 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fpplab.cli import main
-from fpplab.scenarios import (ConfigError, emit_plots, parse_config,
-                              run_scenario)
+from fpplab.scenarios import (_FIT_KEYS, _SCENARIOS, ConfigError, emit_plots,
+                              parse_config, run_scenario)
 
 
 def _write(tmp_path, doc, name="config.json"):
@@ -38,6 +39,58 @@ _PINNED_FIT_SETTINGS = {
 def _summary_without_wall_clock(out):
     lines = (out / "summary.json").read_text().splitlines()
     return [line for line in lines if '"wall_clock_s"' not in line]
+
+
+def _readme_table(header):
+    """Cells of each row of the README table whose first header cell is `header`."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"| {header} |"))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+# The README's scenario table: name -> (grid and run, data kinds), and its
+# fit-key table: key -> the scenarios that read it.  The config-error tests
+# below take their cases from these, and test_readme_tables_match_the_code
+# holds them to the code.
+_README_SCENARIOS = {row[0].strip("`"): (row[1], row[2])
+                     for row in _readme_table("scenario")}
+_README_FIT_READERS = {row[0].strip("`"): re.findall(r"`([a-z-]+)`", row[2])
+                       for row in _readme_table("`fit` key")}
+_FIT_VALUES = {"window": [0.5, 1.0], "l_list": [0.0], "tolerance": 0.1, "s": 1.0,
+               "n_samples": 12, "falsify": True}
+
+
+def _scenario_config(scenario, out):
+    """A config of `scenario` that parses, with grid and run where it reads
+    them and every fit key it requires."""
+    doc = {
+        "scenario": scenario,
+        "model": {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 5},
+        "data": {"kind": "gaussian", "width": 1.0, "amplitude": 0.01},
+        "fit": {key: _FIT_VALUES[key] for key in ("window", "l_list")
+                if scenario in _README_FIT_READERS[key]},
+        "output_dir": str(out),
+    }
+    if _README_SCENARIOS[scenario][0] != "refused":
+        doc["grid"] = {"n": 1, "points_per_dim": 64, "box_length": 40.0}
+        doc["run"] = {"scheme": "etd2", "dt": 0.1, "t_end": 1.0}
+    return doc
+
+
+def test_readme_tables_match_the_code():
+    assert list(_README_SCENARIOS) == list(_SCENARIOS)
+    assert list(_README_FIT_READERS) == list(_FIT_KEYS)
+    for name, spec in _SCENARIOS.items():
+        sections, kinds = _README_SCENARIOS[name]
+        assert sections == spec.sections, name
+        assert kinds == ("`gaussian`, `power_tail`" if spec.profile else "any"), name
+        read = [key for key, readers in _README_FIT_READERS.items() if name in readers]
+        assert read == list(spec.fit_keys), name
 
 
 class TestParseConfig:
@@ -121,6 +174,85 @@ class TestRunCommand:
         }
         assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
         assert "points_per_dim" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_linear_lattice_is_a_config_error(self, tmp_path, capsys):
+        # a linear jump transforms the lattice itself: 2048^3 float64 samples
+        # are 64 GiB, and the half spectrum alone as much again
+        out = tmp_path / "out"
+        doc = _linear_config(out)
+        doc["model"]["n"] = 3
+        doc["grid"] = {"n": 3, "points_per_dim": 2048, "box_length": 2000.0}
+        doc["run"] = {"dt": 2.0, "t_end": 100.0, "enable_nonlinearity": False}
+        cfg = _write(tmp_path, doc)
+        for command in ("run", "validate"):
+            assert main([command, cfg, "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert "grid.points_per_dim: the solve transforms a lattice of 2048^3" in err
+            assert "256 MiB limit" in err
+        assert not out.exists()
+
+    def test_step_budget_is_a_config_error(self, tmp_path, capsys):
+        # the smalldata-1d workload, whose 3,000 steps on 14,336 padded
+        # points are far inside the budget, at a dt that would take 3e302
+        out = tmp_path / "out"
+        doc = {
+            "scenario": "nonlinear-smalldata",
+            "model": {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 5},
+            "grid": {"n": 1, "points_per_dim": 4096, "box_length": 400.0 * math.pi},
+            "data": {"kind": "gaussian", "width": 1.0, "amplitude": 0.01},
+            "run": {"scheme": "etd2", "dt": 0.1, "t_end": 300.0},
+            "fit": {"window": [10.0, 150.0], "l_list": [0.0, 0.25, 0.5, 0.75, 1.0],
+                    "tolerance": 0.05},
+            "output_dir": str(out),
+        }
+        assert main(["validate", _write(tmp_path, doc), "--quiet"]) == 0
+        doc["run"]["dt"] = 1e-300
+        cfg = _write(tmp_path, doc)
+        for command in ("run", "validate"):
+            assert main([command, cfg, "--quiet"]) == 2
+            assert "run.dt: 3e+302 steps on 14336^1 padded points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_linear_convergence_study_is_a_config_error(self, tmp_path, capsys):
+        # a linear run jumps exactly and ignores dt, so its three solves agree
+        # and the Richardson differences vanish
+        out = tmp_path / "out"
+        doc = _scenario_config("convergence-study", out)
+        doc["run"]["enable_nonlinearity"] = False
+        cfg = _write(tmp_path, doc)
+        for command in ("run", "validate"):
+            assert main([command, cfg, "--quiet"]) == 2
+            assert "run.enable_nonlinearity:" in capsys.readouterr().err
+        assert not out.exists()
+        doc["run"]["enable_nonlinearity"] = True
+        assert main(["validate", _write(tmp_path, doc), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("scenario, section", [
+        (scenario, section) for scenario, (sections, _) in _README_SCENARIOS.items()
+        if sections == "refused" for section in ("grid", "run")])
+    def test_section_the_scenario_does_not_read_is_a_config_error(
+            self, tmp_path, capsys, scenario, section):
+        out = tmp_path / "out"
+        doc = _scenario_config(scenario, out)
+        doc[section] = _scenario_config("convergence-study", out)[section]
+        cfg = _write(tmp_path, doc)
+        for command in ("run", "validate"):
+            assert main([command, cfg, "--quiet"]) == 2
+            assert f"{section}: not read by {scenario}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["run", "grid"])
+    def test_optional_sections_come_together(self, tmp_path, capsys, missing):
+        # linear-decay's solver cross check needs both; one alone used to be
+        # ignored, skipping the check without a word
+        out = tmp_path / "out"
+        doc = _scenario_config("linear-decay", out)
+        del doc[missing]
+        cfg = _write(tmp_path, doc)
+        for command in ("run", "validate"):
+            assert main([command, cfg, "--quiet"]) == 2
+            assert f"{missing}: required field missing" in capsys.readouterr().err
         assert not out.exists()
 
     def test_removed_dealias_fraction_key_is_a_config_error(self, tmp_path, capsys):
@@ -259,30 +391,15 @@ class TestRunCommand:
         assert f"fit.{key}: unknown key" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("scenario, key, value", [
-        ("nonlinear-smalldata", "falsify", True),
-        ("nonlinear-smalldata", "n_samples", 100),
-        ("lemma-verification", "tolerance", 0.1),
-        ("lemma-verification", "n_samples", 12),
-        ("linear-decay", "falsify", True),
-        ("convergence-study", "window", [1.0, 2.0]),
-        ("convergence-study", "l_list", [0.0]),
-    ])
+    @pytest.mark.parametrize("scenario, key", [
+        (scenario, key) for scenario in _README_SCENARIOS
+        for key, readers in _README_FIT_READERS.items() if scenario not in readers])
     def test_fit_key_the_scenario_does_not_read_is_a_config_error(
-            self, tmp_path, capsys, scenario, key, value):
+            self, tmp_path, capsys, scenario, key):
         # a setting with no effect must not look as if it took one
         out = tmp_path / "out"
-        doc = {
-            "scenario": scenario,
-            "model": {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 5},
-            "grid": {"n": 1, "points_per_dim": 64, "box_length": 40.0},
-            "data": {"kind": "gaussian", "width": 1.0, "amplitude": 0.01},
-            "run": {"scheme": "etd2", "dt": 0.1, "t_end": 1.0},
-            "fit": {} if scenario == "convergence-study" else
-                   {"window": [0.5, 1.0], "l_list": [0.0]},
-            "output_dir": str(out),
-        }
-        doc["fit"][key] = value
+        doc = _scenario_config(scenario, out)
+        doc["fit"][key] = _FIT_VALUES[key]
         assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
         assert f"fit.{key}: not read by {scenario}" in capsys.readouterr().err
         assert not out.exists()
@@ -309,14 +426,10 @@ class TestRunCommand:
             assert "output_dir" in capsys.readouterr().err
         assert blocker.read_text() == "keep"
 
-    def test_tolerance_override_forces_failure(self, tmp_path):
+    def test_tight_tolerance_forces_failure(self, tmp_path):
         out = tmp_path / "out"
-        cfg = _write(tmp_path, _linear_config(out))
-        assert main(["run", cfg, "--quiet", "--tolerance-override", "1e-5"]) == 1
-        # a per-order tolerance list is replaced for every order
-        doc = _linear_config(out, l_list=(0.0, 1.0), tolerance=[0.05, 0.05])
-        cfg = _write(tmp_path, doc)
-        assert main(["run", cfg, "--quiet", "--tolerance-override", "1e-5"]) == 1
+        doc = _linear_config(out, l_list=(0.0, 1.0), tolerance=[1e-5, 1e-5])
+        assert main(["run", _write(tmp_path, doc), "--quiet"]) == 1
         fits = json.loads((out / "summary.json").read_text())["fits"]
         assert [f["tolerance"] for f in fits] == [1e-5, 1e-5]
         assert not any(f["pass"] for f in fits)
@@ -510,20 +623,21 @@ class TestEmitPlots:
                 {"series_csv": files[0], "label": "l=0", "theory": -0.25},
                 {"series_csv": files[1], "label": "l=1", "theory": -0.75},
             ],
+            "series_files": files,
         }
 
     def test_references_each_series_once(self, tmp_path):
         files = ["a.csv", "b.csv"]
-        text = emit_plots(self._summary(files), files, tmp_path / "plot.py")
+        text = emit_plots(self._summary(files), tmp_path / "plot.py")
         assert text.count("'a.csv'") == 1 and text.count("'b.csv'") == 1
 
     def test_reference_slopes_passed_through(self, tmp_path):
         files = ["a.csv", "b.csv"]
-        text = emit_plots(self._summary(files), files, tmp_path / "plot.py")
+        text = emit_plots(self._summary(files), tmp_path / "plot.py")
         assert "-0.25" in text and "-0.75" in text
 
     def test_regeneration_is_byte_identical(self, tmp_path):
         files = ["a.csv", "b.csv"]
-        emit_plots(self._summary(files), files, tmp_path / "p1.py")
-        emit_plots(self._summary(files), files, tmp_path / "p2.py")
+        emit_plots(self._summary(files), tmp_path / "p1.py")
+        emit_plots(self._summary(files), tmp_path / "p2.py")
         assert (tmp_path / "p1.py").read_bytes() == (tmp_path / "p2.py").read_bytes()

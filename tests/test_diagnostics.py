@@ -64,7 +64,7 @@ class TestFitDecay:
 
 class TestHorizon:
     def test_horizon_formula(self, gain_params):
-        g = sg.make_grid(1, 64, 100.0)
+        g = sg.GridSpec(1, 64, 100.0)
         k1 = 2.0 * np.pi / 100.0
         assert contamination_horizon(g, gain_params) == \
             pytest.approx(0.1 / sigma(k1, gain_params), rel=1e-12)
@@ -72,17 +72,17 @@ class TestHorizon:
 
 class TestRecord:
     def test_zero_trajectory_gives_zero_series(self, gain_params):
-        g = sg.make_grid(1, 32, 10.0)
+        g = sg.GridSpec(1, 32, 10.0)
         zero = sg.SpectralField(g, np.zeros(g.half_shape, dtype=complex))
-        series = record([(0.0, zero), (1.0, zero)], [0.0, 1.0], R=0.5)
+        series = record([(0.0, zero), (1.0, zero)], [0.0, 1.0])
         assert len(series) == 6  # 2 orders x 3 components
         for ns in series:
             assert np.all(ns.values == 0.0)
 
     def test_split_pythagoras_identity(self, gain_params):
-        g = sg.make_grid(1, 128, 40.0)
+        g = sg.GridSpec(1, 128, 40.0)
         f = random_real_field(g, seed=13)
-        low, high = sg.split_low_high(f, 0.5)
+        low, high = sg.split_low_high(f)
         full_sq = sg.sobolev_seminorm(f, 0.0) ** 2
         low_sq = sg.sobolev_seminorm(low, 0.0) ** 2
         high_sq = sg.sobolev_seminorm(high, 0.0) ** 2
@@ -93,14 +93,14 @@ class TestRecord:
 
     def test_linear_run_matches_oracle(self, gain_params):
         prof = gaussian_profile(1.0, 1.0, n=1)
-        g = sg.make_grid(1, 2048, 500.0)
+        g = sg.GridSpec(1, 2048, 500.0)
         u0 = sg.field_from_spectral_profile(g, prof.profile)
         horizon = contamination_horizon(g, gain_params)
         ts = tuple(np.geomspace(1.0, min(horizon, 200.0), 8))
         cfg = SolverConfig(dt=0.5, t_end=ts[-1], enable_nonlinearity=False,
                            sample_times=ts)
         res = solve(u0, gain_params, cfg)
-        series = record(res.trajectory, [0.0], R=0.5)
+        series = record(res.trajectory, [0.0])
         full = [ns for ns in series if ns.component == "full"][0]
         for t, v in zip(full.times, full.values):
             want = radial_weighted_l2(prof, 0.0, t, gain_params)
@@ -110,14 +110,14 @@ class TestRecord:
         # linear flow with L1-and-L2 data: fitted low-band slope is no
         # slower than the predicted exponent (up to fit tolerance)
         prof = gaussian_profile(1.0, 1.0, n=1)
-        g = sg.make_grid(1, 4096, 2000.0)
+        g = sg.GridSpec(1, 4096, 2000.0)
         u0 = sg.field_from_spectral_profile(g, prof.profile)
         horizon = contamination_horizon(g, gain_params)
         ts = tuple(np.geomspace(10.0, min(horizon, 5e3), 12))
         cfg = SolverConfig(dt=2.5, t_end=ts[-1], enable_nonlinearity=False,
                            sample_times=ts)
         res = solve(u0, gain_params, cfg)
-        series = record(res.trajectory, [0.0, 1.0], R=0.5)
+        series = record(res.trajectory, [0.0, 1.0])
         for ns in series:
             if ns.component != "low":
                 continue
@@ -156,13 +156,13 @@ class TestWeightedFunctionals:
             weighted_functionals(series, gain_params, 1.0)
 
     def test_loss_regime_functionals_from_solver_run(self, loss_params):
-        g = sg.make_grid(1, 256, 200.0)
+        g = sg.GridSpec(1, 256, 200.0)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.01, n=1).profile)
         s = 4.0
         ts = tuple(np.geomspace(0.5, 20.0, 10))
         res = solve(u0, loss_params, SolverConfig(dt=0.05, t_end=20.0, sample_times=ts))
         ls = [round(0.25 * k, 2) for k in range(17)]  # 0 .. 4 step 0.25
-        series = record(res.trajectory, ls, R=0.5, params=loss_params, s=s)
+        series = record(res.trajectory, ls, params=loss_params, s=s)
         wf = weighted_functionals(series, loss_params, s, e0=1.0)
         assert wf.e is not None and wf.l is not None
         assert np.all(np.diff(wf.e) >= -1e-12 * wf.e[-1])

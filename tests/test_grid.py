@@ -15,31 +15,31 @@ from conftest import random_real_field
 
 class TestMakeGrid:
     def test_integer_wavenumbers_on_2pi_box(self):
-        g = sg.make_grid(1, 8, 2.0 * np.pi)
+        g = sg.GridSpec(1, 8, 2.0 * np.pi)
         k = sg.axis_wavenumbers(g)
         assert np.allclose(sorted(k), np.arange(-4, 4))
 
     def test_wavenumber_spacing(self):
-        g = sg.make_grid(1, 4, 4.0 * np.pi)
+        g = sg.GridSpec(1, 4, 4.0 * np.pi)
         k = np.sort(sg.axis_wavenumbers(g))
         assert np.allclose(np.diff(k), 0.5)
 
     def test_rejects_odd_or_bad(self):
         with pytest.raises(ValueError, match="even"):
-            sg.make_grid(1, 7, 2.0 * np.pi)
+            sg.GridSpec(1, 7, 2.0 * np.pi)
         with pytest.raises(ValueError):
-            sg.make_grid(1, 8, -1.0)
+            sg.GridSpec(1, 8, -1.0)
         with pytest.raises(ValueError):
-            sg.make_grid(5, 8, 1.0)
+            sg.GridSpec(5, 8, 1.0)
         with pytest.raises(ValueError):
-            sg.make_grid(1, 2, 1.0)
+            sg.GridSpec(1, 2, 1.0)
 
 
 class TestTransforms:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_round_trip_identity(self, seed):
-        g = sg.make_grid(1, 64, 2.0 * np.pi)
+        g = sg.GridSpec(1, 64, 2.0 * np.pi)
         rng = np.random.default_rng(seed)
         f = rng.standard_normal(g.shape)
         back = sg.to_physical(sg.to_spectral(g, f))
@@ -48,14 +48,14 @@ class TestTransforms:
 
     def test_round_trip_2d_3d(self):
         for n, N in ((2, 16), (3, 8)):
-            g = sg.make_grid(n, N, 5.0)
+            g = sg.GridSpec(n, N, 5.0)
             rng = np.random.default_rng(n)
             f = rng.standard_normal(g.shape)
             back = sg.to_physical(sg.to_spectral(g, f))
             assert np.max(np.abs(back.real - f)) <= 1e-12
 
     def test_single_cosine_has_two_lines(self):
-        g = sg.make_grid(1, 32, 2.0 * np.pi)
+        g = sg.GridSpec(1, 32, 2.0 * np.pi)
         x = sg.physical_nodes(g)
         field = sg.to_spectral(g, np.cos(3.0 * x))
         c = field.coefficients
@@ -64,13 +64,13 @@ class TestTransforms:
         assert big[3]
 
     def test_size_mismatch(self):
-        g = sg.make_grid(1, 16, 1.0)
+        g = sg.GridSpec(1, 16, 1.0)
         with pytest.raises(ValueError):
             sg.to_spectral(g, np.zeros(8))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_full_lattice_array_is_rejected(self, n):
-        g = sg.make_grid(n, 8, 1.0)
+        g = sg.GridSpec(n, 8, 1.0)
         full = np.fft.fftn(np.ones(g.shape))
         with pytest.raises(ValueError, match=re.escape(f"half spectrum shape {g.half_shape}")):
             sg.SpectralField(g, full)
@@ -79,7 +79,7 @@ class TestTransforms:
            l=st.floats(0.0, 3.0))
     @settings(max_examples=30, deadline=None)
     def test_half_lattice_norms_equal_full_lattice_sums(self, n, seed, l):
-        g = sg.make_grid(n, {1: 64, 2: 16, 3: 8}[n], 5.0)
+        g = sg.GridSpec(n, {1: 64, 2: 16, 3: 8}[n], 5.0)
         x = np.random.default_rng(seed).standard_normal(g.shape)
         f = sg.to_spectral(g, x)
         full = np.fft.fftn(x)
@@ -97,7 +97,7 @@ class TestTransforms:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_discrete_parseval(self, seed):
-        g = sg.make_grid(1, 128, 10.0)
+        g = sg.GridSpec(1, 128, 10.0)
         rng = np.random.default_rng(seed)
         f = rng.standard_normal(g.shape)
         field = sg.to_spectral(g, f)
@@ -115,7 +115,7 @@ class TestRadialMultiplier:
         assert np.array_equal(out.coefficients, f.coefficients)
 
     def test_laplacian_symbol_on_single_mode(self):
-        g = sg.make_grid(1, 32, 2.0 * np.pi)
+        g = sg.GridSpec(1, 32, 2.0 * np.pi)
         x = sg.physical_nodes(g)
         f = sg.to_spectral(g, np.cos(2.0 * x))
         out = sg.apply_radial_multiplier(f, lambda r: r**2)
@@ -123,7 +123,7 @@ class TestRadialMultiplier:
 
     def test_sigma_multiplier_on_unit_mode(self):
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=1)
-        g = sg.make_grid(1, 32, 2.0 * np.pi)
+        g = sg.GridSpec(1, 32, 2.0 * np.pi)
         x = sg.physical_nodes(g)
         f = sg.to_spectral(g, np.cos(x))
         out = sg.apply_radial_multiplier(f, lambda r: sigma(r, p))
@@ -132,7 +132,7 @@ class TestRadialMultiplier:
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=15, deadline=None)
     def test_composition(self, seed):
-        g = sg.make_grid(1, 64, 7.0)
+        g = sg.GridSpec(1, 64, 7.0)
         f = random_real_field(g, seed=seed)
         g1 = lambda r: np.exp(-r)
         g2 = lambda r: 1.0 / (1.0 + r * r)
@@ -144,12 +144,12 @@ class TestRadialMultiplier:
 
 class TestNorms:
     def test_seminorm_of_constant_vanishes(self):
-        g = sg.make_grid(1, 16, 3.0)
+        g = sg.GridSpec(1, 16, 3.0)
         f = sg.to_spectral(g, np.full(g.shape, 2.5))
         assert sg.sobolev_seminorm(f, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_single_mode_weighting(self):
-        g = sg.make_grid(1, 32, 2.0 * np.pi)
+        g = sg.GridSpec(1, 32, 2.0 * np.pi)
         x = sg.physical_nodes(g)
         f = sg.to_spectral(g, np.cos(2.0 * x))
         a = sg.sobolev_seminorm(f, 0.0)
@@ -161,19 +161,19 @@ class TestNorms:
         assert abs(sg.sobolev_seminorm(f, 0.0) - l2) <= 1e-12 * l2
 
     def test_sup_norm_of_sine(self):
-        g = sg.make_grid(1, 128, 2.0 * np.pi)
+        g = sg.GridSpec(1, 128, 2.0 * np.pi)
         x = sg.physical_nodes(g)
         f = sg.to_spectral(g, np.sin(x))
         assert sg.lp_norm(f, np.inf) == pytest.approx(1.0, abs=g.spacing**2)
 
     def test_l1_of_constant(self):
-        g = sg.make_grid(1, 16, 5.0)
+        g = sg.GridSpec(1, 16, 5.0)
         f = sg.to_spectral(g, np.full(g.shape, -2.0))
         assert sg.lp_norm(f, 1) == pytest.approx(2.0 * 5.0, rel=1e-13)
 
     def test_l1_gaussian_against_quadrature(self):
         L = 40.0
-        g = sg.make_grid(1, 512, L)
+        g = sg.GridSpec(1, 512, L)
         x = sg.physical_nodes(g)
         f = sg.to_spectral(g, np.exp(-0.5 * (x - L / 2.0) ** 2))
         ref, _ = quad(lambda y: np.exp(-0.5 * (y - L / 2.0) ** 2), 0.0, L)
@@ -186,42 +186,42 @@ class TestNorms:
 
 class TestSplit:
     def test_low_supported_field_has_no_high_part(self):
-        g = sg.make_grid(1, 64, 2.0 * np.pi * 10)  # k spacing 0.1
+        g = sg.GridSpec(1, 64, 2.0 * np.pi * 10)  # k spacing 0.1
         mag = sg.wavenumber_magnitude(g)
         coeffs = np.where(mag <= 0.5, 1.0 + 0.0j, 0.0)
         f = sg.SpectralField(g, coeffs)
-        low, high = sg.split_low_high(f, 0.5)
+        low, high = sg.split_low_high(f)
         assert np.max(np.abs(high.coefficients)) == 0.0
 
     def test_high_supported_field_has_no_low_part(self):
-        g = sg.make_grid(1, 64, 2.0 * np.pi * 10)
+        g = sg.GridSpec(1, 64, 2.0 * np.pi * 10)
         mag = sg.wavenumber_magnitude(g)
         coeffs = np.where(mag >= 1.0, 1.0 + 0.0j, 0.0)
         f = sg.SpectralField(g, coeffs)
-        low, high = sg.split_low_high(f, 0.5)
+        low, high = sg.split_low_high(f)
         assert np.max(np.abs(low.coefficients)) == 0.0
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=15, deadline=None)
     def test_exact_reconstruction(self, seed):
-        g = sg.make_grid(1, 64, 40.0)
+        g = sg.GridSpec(1, 64, 40.0)
         f = random_real_field(g, seed=seed)
-        low, high = sg.split_low_high(f, 0.5)
+        low, high = sg.split_low_high(f)
         diff = np.abs(low.coefficients + high.coefficients - f.coefficients)
         assert np.max(diff) <= 1e-15 * np.max(np.abs(f.coefficients))
 
     def test_poincare_inequality_on_high_part(self):
-        g = sg.make_grid(1, 128, 40.0)
+        g = sg.GridSpec(1, 128, 40.0)
         f = random_real_field(g, seed=9)
-        _, high = sg.split_low_high(f, 0.5)
+        _, high = sg.split_low_high(f)
         for l in (0.5, 1.0, 2.0):
             lhs = sg.lp_norm(high, 2)
             assert lhs <= 0.5 ** (-l) * sg.sobolev_seminorm(high, l) * (1 + 1e-12)
 
     def test_parts_never_exceed_whole(self):
-        g = sg.make_grid(1, 128, 40.0)
+        g = sg.GridSpec(1, 128, 40.0)
         f = random_real_field(g, seed=11)
-        low, high = sg.split_low_high(f, 0.4)
+        low, high = sg.split_low_high(f)
         for l in (0.0, 0.5, 1.5):
             full = sg.sobolev_seminorm(f, l)
             assert sg.sobolev_seminorm(low, l) <= full * (1 + 1e-12)
@@ -231,7 +231,7 @@ class TestSplit:
 def lattice_power(f, power, pad):
     """Spectral image of f^power by the step loop's route, the padded-power
     kernel."""
-    return f.with_coefficients(sg.padded_power(f.coefficients, power, pad)[0])
+    return sg.SpectralField(f.grid, sg.padded_power(f.coefficients, power, pad)[0])
 
 
 def _circular_free_convolution(a, b, N):
@@ -253,7 +253,7 @@ def _circular_free_convolution(a, b, N):
 
 class TestPaddedPower:
     def test_square_of_cosine_two_lines(self):
-        g = sg.make_grid(1, 32, 2.0 * np.pi)
+        g = sg.GridSpec(1, 32, 2.0 * np.pi)
         x = sg.physical_nodes(g)
         a = 0.7
         f = sg.to_spectral(g, a * np.cos(2.0 * x))
@@ -269,14 +269,14 @@ class TestPaddedPower:
     @settings(max_examples=30, deadline=None)
     def test_first_power_returns_every_mode(self, n, seed, pad):
         # white spectrum: the Nyquist coefficients are as large as any other
-        g = sg.make_grid(n, {1: 32, 2: 16, 3: 8}[n], 5.0)
+        g = sg.GridSpec(n, {1: 32, 2: 16, 3: 8}[n], 5.0)
         f = random_real_field(g, seed=seed, decay=0.0)
         out = lattice_power(f, 1, pad)
         ref = np.max(np.abs(f.coefficients))
         assert np.max(np.abs(out.coefficients - f.coefficients)) <= 1e-14 * ref
 
     def test_constant_field_maps_to_zero_mode(self):
-        g = sg.make_grid(1, 32, 4.0)
+        g = sg.GridSpec(1, 32, 4.0)
         c = 0.3
         f = sg.to_spectral(g, np.full(g.shape, c))
         out = lattice_power(f, 3, pad_factor(2))
@@ -288,7 +288,7 @@ class TestPaddedPower:
         # power of a field with <= 4 active modes equals the convolution
         # theorem result restricted to the lattice
         N = 64
-        g = sg.make_grid(1, N, 2.0 * np.pi)
+        g = sg.GridSpec(1, N, 2.0 * np.pi)
         series = np.zeros(N, dtype=complex)
         for idx, val in ((0, 0.2), (1, 0.4), (2, 0.1), (3, 0.05)):
             series[idx] = val

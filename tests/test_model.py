@@ -111,28 +111,22 @@ class TestBInverse:
 
 class TestCutoffChi:
     def test_plateaus_and_midpoint(self):
-        assert cutoff_chi(0.3, 0.5) == 1.0
-        assert cutoff_chi(1.0, 0.5) == 0.0
-        assert cutoff_chi(0.75, 0.5) == pytest.approx(0.5, abs=1e-15)
-        mid = cutoff_chi(0.65, 0.5)
+        assert cutoff_chi(0.3) == 1.0
+        assert cutoff_chi(1.0) == 0.0
+        assert cutoff_chi(0.75) == pytest.approx(0.5, abs=1e-15)
+        mid = cutoff_chi(0.65)
         assert 0.0 < mid < 1.0
 
-    def test_rejects_bad_radius(self):
-        for R in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                cutoff_chi(0.5, R)
-
-    @given(r1=st.floats(0.0, 2.0), r2=st.floats(0.0, 2.0),
-           R=st.floats(0.05, 0.95))
+    @given(r1=st.floats(0.0, 2.0), r2=st.floats(0.0, 2.0))
     @settings(max_examples=100, deadline=None)
-    def test_monotone_nonincreasing(self, r1, r2, R):
+    def test_monotone_nonincreasing(self, r1, r2):
         lo, hi = sorted((r1, r2))
-        assert cutoff_chi(hi, R) <= cutoff_chi(lo, R) + 1e-15
+        assert cutoff_chi(hi) <= cutoff_chi(lo) + 1e-15
 
-    @given(r=st.floats(0.0, 3.0), R=st.floats(0.05, 0.95))
+    @given(r=st.floats(0.0, 3.0))
     @settings(max_examples=100, deadline=None)
-    def test_partition_of_unity_exact(self, r, R):
-        c = cutoff_chi(r, R)
+    def test_partition_of_unity_exact(self, r):
+        c = cutoff_chi(r)
         assert c + (1.0 - c) == 1.0
 
 

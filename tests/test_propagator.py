@@ -18,14 +18,14 @@ class TestPropagate:
         assert np.array_equal(out.coefficients, f.coefficients)
 
     def test_single_mode_decay_factor(self, gain_params):
-        g = sg.make_grid(1, 32, 2.0 * np.pi)
+        g = sg.GridSpec(1, 32, 2.0 * np.pi)
         x = sg.physical_nodes(g)
         f = sg.to_spectral(g, np.cos(x))
         out = propagate(f, 2.0, gain_params)  # sigma(1) = 0.5, factor e^-1
         assert np.allclose(out.coefficients, np.exp(-1.0) * f.coefficients)
 
     def test_constant_field_unchanged(self, gain_params):
-        g = sg.make_grid(1, 16, 4.0)
+        g = sg.GridSpec(1, 16, 4.0)
         f = sg.to_spectral(g, np.full(g.shape, 3.0))
         out = propagate(f, 50.0, gain_params)
         assert np.allclose(out.coefficients, f.coefficients)
@@ -38,7 +38,7 @@ class TestPropagate:
     @settings(max_examples=25, deadline=None)
     def test_semigroup_property(self, t1, t2):
         params = ModelParams(n=1, m=1.0, alpha=1.0, theta=5)
-        g = sg.make_grid(1, 64, 20.0)
+        g = sg.GridSpec(1, 64, 20.0)
         f = random_real_field(g, seed=4)
         two_step = propagate(propagate(f, t1, params), t2, params)
         one_step = propagate(f, t1 + t2, params)
@@ -46,14 +46,14 @@ class TestPropagate:
         assert np.max(np.abs(two_step.coefficients - one_step.coefficients) / ref) <= 1e-13
 
     def test_contraction_in_every_seminorm(self, gain_params):
-        g = sg.make_grid(1, 64, 20.0)
+        g = sg.GridSpec(1, 64, 20.0)
         f = random_real_field(g, seed=5)
         out = propagate(f, 3.0, gain_params)
         for l in (0.0, 0.5, 1.0, 2.0):
             assert sg.sobolev_seminorm(out, l) <= sg.sobolev_seminorm(f, l) * (1 + 1e-13)
 
     def test_zero_mode_constant_in_time(self, gain_params):
-        g = sg.make_grid(1, 64, 20.0)
+        g = sg.GridSpec(1, 64, 20.0)
         f = random_real_field(g, seed=6)
         out = propagate(f, 123.0, gain_params)
         assert out.coefficients[0] == f.coefficients[0]
@@ -64,7 +64,7 @@ class TestDichotomy:
         # sigma is increasing for alpha >= 1: inf over |k| >= 2R is sigma(2R) > 0
         for alpha in (1.0, 1.5, 2.0):
             p = ModelParams(n=1, m=1.0, alpha=alpha, theta=1)
-            g = sg.make_grid(1, 256, 100.0)
+            g = sg.GridSpec(1, 256, 100.0)
             mag = sg.wavenumber_magnitude(g)
             band = mag[mag >= 1.0]
             assert sigma(band, p).min() >= sigma(1.0, p) > 0.0

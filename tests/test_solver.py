@@ -46,7 +46,7 @@ class TestNonlinearTerm:
     def test_cosine_square_trig_identity(self):
         # the step loop's padded power of u^(theta+1) at theta = 1
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=1)
-        g = sg.make_grid(1, 64, 2.0 * np.pi)
+        g = sg.GridSpec(1, 64, 2.0 * np.pi)
         x = sg.physical_nodes(g)
         a = 0.9
         f = sg.to_spectral(g, a * np.cos(2.0 * x))
@@ -59,7 +59,7 @@ class TestNonlinearTerm:
     def test_is_the_padded_power_on_every_mode(self):
         # padding is the only dealiasing rule: no mode is masked out
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=3)
-        g = sg.make_grid(1, 64, 10.0)
+        g = sg.GridSpec(1, 64, 10.0)
         f = random_real_field(g, seed=1, decay=0.0)
         forcing, _ = _Stepper(g, p, 0.1, "etd2", True)._nonlinear(f.coefficients)
         mag = sg.wavenumber_magnitude(g)
@@ -69,7 +69,7 @@ class TestNonlinearTerm:
 
 class TestStep:
     def test_zero_data_is_fixed_point(self, gain_params):
-        g = sg.make_grid(1, 32, 10.0)
+        g = sg.GridSpec(1, 32, 10.0)
         u0 = sg.SpectralField(g, np.zeros(g.half_shape, dtype=complex))
         cfg = SolverConfig(dt=0.1, t_end=1.0)
         res = solve(u0, gain_params, cfg)
@@ -77,7 +77,7 @@ class TestStep:
         assert energy_balance_residual(res.final_state.ledger) == 0.0
 
     def test_linear_step_equals_propagate(self, gain_params):
-        g = sg.make_grid(1, 64, 20.0)
+        g = sg.GridSpec(1, 64, 20.0)
         f = random_real_field(g, seed=2)
         cfg = SolverConfig(dt=0.25, t_end=0.25, enable_nonlinearity=False)
         got = solve(f, gain_params, cfg).final_state.field
@@ -86,7 +86,7 @@ class TestStep:
         assert np.max(np.abs(got.coefficients - want.coefficients)) <= 1e-13 * ref
 
     def test_many_linear_steps_equal_one_propagate(self, gain_params):
-        g = sg.make_grid(1, 64, 20.0)
+        g = sg.GridSpec(1, 64, 20.0)
         f = random_real_field(g, seed=3)
         cfg = SolverConfig(dt=0.05, t_end=5.0, enable_nonlinearity=False)
         res = solve(f, gain_params, cfg)
@@ -97,7 +97,7 @@ class TestStep:
 
     def test_blowup_aborts_with_time(self):
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=1)
-        g = sg.make_grid(1, 64, 10.0)
+        g = sg.GridSpec(1, 64, 10.0)
         f = sg.to_spectral(g, np.full(g.shape, 60.0))  # u' ~ u^2, fast blowup
         cfg = SolverConfig(dt=0.5, t_end=50.0)
         with pytest.raises(SolverBlowupError) as err:
@@ -111,7 +111,7 @@ class TestLoopCache:
     with.  theta = 4 keeps u^(theta+2) >= 0, so no cancellation."""
 
     def _check_source(self, n, N, dt, t_end):
-        g = sg.make_grid(n, N, 12.0)
+        g = sg.GridSpec(n, N, 12.0)
         params = ModelParams(n=n, m=1.0, alpha=1.0, theta=4)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.8, n=n).profile)
         state = solve(u0, params, SolverConfig(dt=dt, t_end=t_end)).final_state
@@ -140,7 +140,7 @@ class TestLoopCache:
             calls["spectrum"] += kwargs.get("spectrum", True)
             return _f(*args, **kwargs)
         monkeypatch.setattr(sg, "padded_power", counted)
-        g = sg.make_grid(1, 64, 12.0)
+        g = sg.GridSpec(1, 64, 12.0)
         params = ModelParams(n=1, m=1.0, alpha=1.0, theta=4)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.8, n=1).profile)
         solve(u0, params, SolverConfig(scheme="etd2", dt=0.05, t_end=t_end))
@@ -159,7 +159,7 @@ class TestLoopCache:
 class TestConvergence:
     def _final(self, scheme, dt):
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=1)
-        g = sg.make_grid(1, 128, 100.0)
+        g = sg.GridSpec(1, 128, 100.0)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.2, n=1).profile)
         res = solve(u0, p, SolverConfig(scheme=scheme, dt=dt, t_end=4.0))
         return res.final_state.field.coefficients
@@ -183,14 +183,14 @@ class TestEnergyBalance:
         # the ledger and the grid's norms weigh the half spectrum's columns
         # by one rule; a white spectrum gives the Nyquist column full weight
         params = ModelParams(n=n, m=0.7, alpha=1.0, theta=2)
-        u0 = random_real_field(sg.make_grid(n, N, 7.0), seed=n, decay=0.0)
+        u0 = random_real_field(sg.GridSpec(n, N, 7.0), seed=n, decay=0.0)
         cfg = SolverConfig(dt=0.1, t_end=0.0, enable_nonlinearity=False)
         e0 = solve(u0, params, cfg).final_state.ledger.e0
         want = sg.sobolev_seminorm(u0, 0.0) ** 2 + params.m * sg.sobolev_seminorm(u0, 1.0) ** 2
         assert e0 == pytest.approx(want, rel=1e-13)
 
     def test_linear_run_residual(self, gain_params):
-        g = sg.make_grid(1, 128, 100.0)
+        g = sg.GridSpec(1, 128, 100.0)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.01, n=1).profile)
         cfg = SolverConfig(dt=1e-4, t_end=2.0, enable_nonlinearity=False)
         res = solve(u0, gain_params, cfg)
@@ -199,7 +199,7 @@ class TestEnergyBalance:
     def test_linear_run_residual_is_exact_at_any_sample_spacing(self, gain_params):
         # the exponentially fitted ledger is exact on the linear flow, so
         # uneven, long jumps between sample times leave only roundoff
-        g = sg.make_grid(1, 128, 100.0)
+        g = sg.GridSpec(1, 128, 100.0)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 1.0, n=1).profile)
         cfg = SolverConfig(dt=1.0, t_end=200.0, enable_nonlinearity=False,
                            sample_times=tuple(np.geomspace(0.5, 200.0, 50)))
@@ -207,7 +207,7 @@ class TestEnergyBalance:
         assert abs(energy_balance_residual(res.final_state.ledger)) <= 1e-13
 
     def test_nonlinear_residual_is_second_order_in_dt(self, gain_params):
-        g = sg.make_grid(1, 256, 100.0)
+        g = sg.GridSpec(1, 256, 100.0)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.5, n=1).profile)
         residuals = [energy_balance_residual(
             solve(u0, gain_params, SolverConfig(dt=dt, t_end=2.0)).final_state.ledger)
@@ -217,7 +217,7 @@ class TestEnergyBalance:
 
     @pytest.mark.parametrize("amplitude", [0.01, 0.5])
     def test_nonlinear_resolved_run_residual(self, gain_params, amplitude):
-        g = sg.make_grid(1, 256, 100.0)
+        g = sg.GridSpec(1, 256, 100.0)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, amplitude,
                                                                 n=1).profile)
         cfg = SolverConfig(dt=1e-3, t_end=2.0)
@@ -227,7 +227,7 @@ class TestEnergyBalance:
 
 class TestBoundedness:
     def test_small_data_h1_stays_bounded(self, gain_params):
-        g = sg.make_grid(1, 512, 400.0)
+        g = sg.GridSpec(1, 512, 400.0)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.01, n=1).profile)
         ts = tuple(np.linspace(0.0, 50.0, 26))
         res = solve(u0, gain_params, SolverConfig(dt=0.05, t_end=50.0, sample_times=ts))
@@ -239,7 +239,7 @@ class TestBoundedness:
     @settings(max_examples=15, deadline=None)
     def test_smoothing_operator_contracts_every_seminorm(self, seed):
         params = ModelParams(n=1, m=0.7, alpha=1.0, theta=1)
-        g = sg.make_grid(1, 64, 15.0)
+        g = sg.GridSpec(1, 64, 15.0)
         v = random_real_field(g, seed=seed)
         smoothed = sg.apply_radial_multiplier(v, lambda r: b_inverse(r, params))
         for l in (0.0, 0.5, 1.0, 2.0):
@@ -249,7 +249,7 @@ class TestBoundedness:
 
 class TestSamples:
     def test_sample_times_snapped_to_step_lattice(self, gain_params):
-        g = sg.make_grid(1, 32, 10.0)
+        g = sg.GridSpec(1, 32, 10.0)
         f = random_real_field(g, seed=6)
         cfg = SolverConfig(dt=0.1, t_end=1.0, enable_nonlinearity=False,
                            sample_times=(0.0, 0.5, 1.0))
@@ -258,9 +258,9 @@ class TestSamples:
 
     def test_nonlinear_sample_times_snapped_to_step_lattice(self, gain_params):
         # a nonlinear run keeps its fixed steps and floors each time to them
-        g = sg.make_grid(1, 32, 10.0)
+        g = sg.GridSpec(1, 32, 10.0)
         f = random_real_field(g, seed=6)
-        f = f.with_coefficients(0.01 * f.coefficients)
+        f = sg.SpectralField(g, 0.01 * f.coefficients)
         cfg = SolverConfig(dt=0.1, t_end=1.0, sample_times=(0.0, 0.37, 1.0))
         res = solve(f, gain_params, cfg)
         assert [t for t, _ in res.trajectory] == pytest.approx([0.0, 0.3, 1.0])
@@ -268,7 +268,7 @@ class TestSamples:
 
     def test_linear_sample_times_land_exactly(self, gain_params):
         # a linear run jumps from sample to sample with the exact semigroup
-        g = sg.make_grid(1, 64, 20.0)
+        g = sg.GridSpec(1, 64, 20.0)
         f = random_real_field(g, seed=7)
         ts = (0.37, 1.9, 4.25)
         seen = []
