@@ -280,15 +280,18 @@ def _parse_run(run_cfg, scenario, model, grid) -> SolverConfig:
         dt=_number(_need(run_cfg, "dt", "run"), "run.dt"),
         t_end=_number(_need(run_cfg, "t_end", "run"), "run.t_end"),
         sample_times=_numbers(run_cfg.get("sample_times", ()), "run.sample_times"),
-        enable_nonlinearity=_boolean(run_cfg.get("enable_nonlinearity", True),
-                                     "run.enable_nonlinearity"),
+        enable_nonlinearity=_boolean(
+            run_cfg.get("enable_nonlinearity", scenario != "linear-decay"),
+            "run.enable_nonlinearity"),
     )
     try:
         run = SolverConfig(**settings)
     except ValueError as exc:
         raise ConfigError(f"run: {exc}") from exc
-    # linear-decay's cross check always solves the linear flow
-    nonlinear = run.enable_nonlinearity and scenario != "linear-decay"
+    nonlinear = run.enable_nonlinearity
+    if scenario == "linear-decay" and nonlinear:
+        raise ConfigError("run.enable_nonlinearity: linear-decay checks the linear flow "
+                          "against the oracle; it needs false")
     if scenario == "convergence-study" and not nonlinear:
         raise ConfigError("run.enable_nonlinearity: a linear run jumps exactly and ignores "
                           "dt, so the dt, dt/2, dt/4 solves of convergence-study cannot "
@@ -470,7 +473,7 @@ def _run_linear_decay(cfg, summary, report):
     if not sample_times:
         t_hi = min(t1, horizon, run.t_end)
         sample_times = tuple(np.geomspace(max(t0, run.dt), t_hi, 12))
-    run = replace(run, sample_times=sample_times, enable_nonlinearity=False)
+    run = replace(run, sample_times=sample_times)
     result = solve(u0, cfg.model, run)
     summary.step_count = result.step_count
     inside = [(t, f) for t, f in result.trajectory if 0 < t <= horizon]

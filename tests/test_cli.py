@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +230,19 @@ class TestRunCommand:
         assert not out.exists()
         doc["run"]["enable_nonlinearity"] = True
         assert main(["validate", _write(tmp_path, doc), "--quiet"]) == 0
+
+    def test_nonlinear_linear_decay_is_a_config_error(self, tmp_path, capsys):
+        # the cross check compares a linear solve with the oracle: the key
+        # defaults to false there, and true is refused rather than ignored
+        out = tmp_path / "out"
+        doc = _scenario_config("linear-decay", out)
+        assert parse_config(doc).run.enable_nonlinearity is False
+        doc["run"]["enable_nonlinearity"] = True
+        cfg = _write(tmp_path, doc)
+        for command in ("run", "validate"):
+            assert main([command, cfg, "--quiet"]) == 2
+            assert "run.enable_nonlinearity: linear-decay" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("scenario, section", [
         (scenario, section) for scenario, (sections, _) in _README_SCENARIOS.items()
@@ -641,3 +657,16 @@ class TestEmitPlots:
         emit_plots(self._summary(files), tmp_path / "p1.py")
         emit_plots(self._summary(files), tmp_path / "p2.py")
         assert (tmp_path / "p1.py").read_bytes() == (tmp_path / "p2.py").read_bytes()
+
+
+def test_program_import_leaves_heavy_scipy_subpackages_unloaded():
+    # every run is a fresh process that pays for what the program imports;
+    # it transforms with scipy.fft and needs no solver or linear algebra
+    heavy = ["scipy.optimize", "scipy.linalg", "scipy.integrate"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import json, sys, fpplab.cli, fpplab.scenarios; "
+            f"print(json.dumps([m for m in {heavy!r} + ['scipy'] if m in sys.modules]))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == ["scipy"]
