@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft
+# The bare package, which loads no subpackage, only because perfbench/worker.py
+# reads its __version__ from sys.modules.  Every transform is numpy.fft.
+import scipy  # noqa: F401
 
 from .model import cutoff_chi
 
@@ -70,7 +72,7 @@ class GridSpec:
 def axis_wavenumbers(grid: GridSpec) -> np.ndarray:
     """1-D wavenumber axis 2 pi j / L in FFT order."""
     N, L = grid.points_per_dim, grid.box_length
-    return 2.0 * np.pi * fft.fftfreq(N, d=L / N)
+    return 2.0 * np.pi * np.fft.fftfreq(N, d=L / N)
 
 
 @lru_cache(maxsize=64)
@@ -121,13 +123,13 @@ def to_spectral(grid: GridSpec, samples: np.ndarray) -> SpectralField:
     samples = np.asarray(samples)
     if samples.shape != grid.shape:
         raise ValueError(f"sample shape {samples.shape} does not match grid shape {grid.shape}")
-    return SpectralField(grid, fft.rfftn(samples, axes=tuple(range(grid.n))))
+    return SpectralField(grid, np.fft.rfftn(samples, axes=tuple(range(grid.n))))
 
 
 def to_physical(field: SpectralField) -> np.ndarray:
     """Inverse transform to the real samples on the lattice."""
     g = field.grid
-    return fft.irfftn(field.coefficients, s=g.shape, axes=tuple(range(g.n)))
+    return np.fft.irfftn(field.coefficients, s=g.shape, axes=tuple(range(g.n)))
 
 
 def apply_radial_multiplier(field: SpectralField, g) -> SpectralField:
@@ -247,21 +249,33 @@ def _nyquist_mirror(N: int, n: int) -> tuple:
     return np.ix_(*[minus] * (n - 1))
 
 
+@lru_cache(maxsize=8)
+def _workspace(shape: tuple) -> tuple:
+    """The padded-size arrays of one ``padded_power`` block of `shape`
+    (rows, M, ..., M): its samples, their power and the power's last-axis
+    rfft.  Every call writes them before it reads them and returns none of
+    them, so they are reused from call to call instead of allocated anew."""
+    half = shape[:-1] + (shape[-1] // 2 + 1,)
+    return np.empty(shape), np.empty(shape), np.empty(half, dtype=complex)
+
+
 def padded_power(half: np.ndarray, power: int, pad_factor: float,
                  spectrum: bool = True) -> tuple:
     """Alias-free u^power of the field whose half spectrum is `half`.
 
-    Returns (the lattice half spectrum of u^power, or None when `spectrum`
-    is false; the raw sum of u^(power+1) over the padded nodes).  The power
-    is taken on a zero-padded grid of M >= pad_factor*N points per axis,
-    which is exact on the lattice for degree d when pad_factor >= (d+1)/2.
-    Axis 0 is padded and inverse transformed first.  Then blocks of axis-0
-    slabs, about PADDED_BLOCK_POINTS padded points each, go through the
-    other axes, the power, the sum and back, each axis cut to the lattice
-    once it is done; axis 0 is folded last.  No transform touches the pad's
-    zero blocks.  ``irfft`` pads the last axis itself, so only half the
-    Nyquist column is kept; the -N/2 share comes back from its conjugate
-    mirror.  Non-finite values pass through without a warning.
+    Returns (the lattice half spectrum of u^power, a new array, or None
+    when `spectrum` is false; the raw sum of u^(power+1) over the padded
+    nodes).  The power is taken on a zero-padded grid of M >= pad_factor*N
+    points per axis, which is exact on the lattice for degree d when
+    pad_factor >= (d+1)/2.  Axis 0 is padded and inverse transformed first.
+    Then blocks of axis-0 slabs, about PADDED_BLOCK_POINTS padded points
+    each, go through the other axes, the power, the sum and back, each axis
+    cut to the lattice once it is done; axis 0 is folded last.  No transform
+    touches the pad's zero blocks.  ``irfft`` pads the last axis itself, so
+    only half the Nyquist column is kept; the -N/2 share comes back from its
+    conjugate mirror.  A block's samples, power and rfft go to the buffers
+    of ``_workspace``, so the kernel is not reentrant.  Non-finite values
+    pass through without a warning.
     """
     n = half.ndim
     N = 2 * (half.shape[-1] - 1)
@@ -273,53 +287,65 @@ def padded_power(half: np.ndarray, power: int, pad_factor: float,
         if n == 1:
             a = a[np.newaxis]  # the single row is one block
         else:
-            a = fft.ifft(_pad_axis(a, 0, M), axis=0, overwrite_x=True)
-        rows = max(1, PADDED_BLOCK_POINTS // M ** (n - 1))
+            a = _pad_axis(a, 0, M)
+            np.fft.ifft(a, axis=0, out=a)
+        rows = min(a.shape[0], max(1, PADDED_BLOCK_POINTS // M ** (n - 1)))
+        samples, raised, raised_half = _workspace((rows,) + (M,) * (a.ndim - 1))
         for start in range(0, a.shape[0], rows):
             block = a[start:start + rows]
             for axis in range(1, n - 1):
-                block = fft.ifft(_pad_axis(block, axis, M), axis=axis, overwrite_x=True)
-            samples = fft.irfft(block, n=M, axis=-1)
-            raised = pointwise_power(samples, power)
-            total += np.vdot(raised, samples)
+                block = _pad_axis(block, axis, M)
+                np.fft.ifft(block, axis=axis, out=block)
+            k = len(block)
+            u = np.fft.irfft(block, n=M, axis=-1, out=samples[:k])
+            u_power = pointwise_power(u, power, out=raised[:k])
+            total += np.vdot(u_power, u)
             if spectrum:
-                w = fft.rfft(raised, axis=-1)[..., : N // 2 + 1]
+                w = np.fft.rfft(u_power, axis=-1, out=raised_half[:k])[..., : N // 2 + 1]
                 for axis in reversed(range(1, n - 1)):
-                    w = _fold_axis(fft.fft(w, axis=axis), axis, N)
+                    w = _fold_axis(np.fft.fft(w, axis=axis), axis, N)
                 # this block's slabs of `a` are read: they take its result
                 a[start:start + rows] = w
         if not spectrum:
             return None, float(total)
-        w = a[0] if n == 1 else _fold_axis(fft.fft(a, axis=0, overwrite_x=True), 0, N)
+        if n == 1:
+            w = a[0]
+        else:
+            np.fft.fft(a, axis=0, out=a)
+            w = _fold_axis(a, 0, N)
         nyquist = w[..., N // 2]
         w[..., N // 2] = nyquist + np.conj(nyquist[_nyquist_mirror(N, n)])
         return w * (N / M) ** n, float(total)
 
 
-def _chain_power(x: np.ndarray, power: int) -> np.ndarray:
-    """x**power by repeated squaring: a few multiplications, where numpy's
-    float ``pow`` for an integer exponent is tens of times slower.  The
-    squares are this function's own, so the product is built in place in
-    one of them; x itself is never written."""
-    base, result = x, None
+def _chain_power(x: np.ndarray, power: int, out: np.ndarray) -> np.ndarray:
+    """x**power into `out` by repeated squaring: a few multiplications, where
+    numpy's float ``pow`` for an integer exponent is tens of times slower.
+    The squares go to one array of this function's own, squared in place;
+    x itself is never written."""
+    base, square, started = x, None, False
     while True:
         if power & 1:
-            if result is None:
-                result = x.copy() if base is x else base
+            if started:
+                out *= base
             else:
-                result *= base
+                np.copyto(out, base)
+                started = True
         power >>= 1
         if not power:
-            return result
-        base = base * base
+            return out
+        base = square = np.multiply(base, base, out=square)
 
 
-def pointwise_power(u: np.ndarray, power: int) -> np.ndarray:
-    """u^power of physical samples for an integer power >= 1.
+def pointwise_power(u: np.ndarray, power: int, out: np.ndarray = None) -> np.ndarray:
+    """u^power of physical samples for an integer power >= 1, written into
+    `out` (an array of u's shape that does not overlap u) when it is given.
 
     ``padded_power`` applies it to padded samples, for alias-free products.
     """
     if int(power) != power or power < 1:
         raise ValueError(f"power must be an integer >= 1, got {power}")
+    if out is None:
+        out = np.empty_like(u)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _chain_power(u, int(power))
+        return _chain_power(u, int(power), out)

@@ -595,6 +595,21 @@ class TestScenarios:
         summary = run_scenario(doc, quiet=True)
         assert summary.all_pass
 
+    @pytest.mark.parametrize("N, L, detail", [
+        # an exact linear solve on a resolved box: rounding noise, ~3e-16
+        (1024, 200.0, "max relative deviation below 1e-12 vs"),
+        # a box too small for the data: a real deviation keeps its digits
+        (64, 40.0, "max relative deviation 7.647e-10 vs"),
+    ])
+    def test_solver_vs_oracle_detail_hides_rounding_noise(self, tmp_path, N, L, detail):
+        doc = _linear_config(tmp_path / "out")
+        doc["grid"] = {"n": 1, "points_per_dim": N, "box_length": L}
+        doc["run"] = {"scheme": "etd2", "dt": 2.0, "t_end": 10000.0,
+                      "enable_nonlinearity": False}
+        summary = run_scenario(doc, quiet=True)
+        [verdict] = [v for v in summary.verdicts if v["name"] == "solver-vs-oracle"]
+        assert verdict["pass"] and verdict["detail"].startswith(detail)
+
     def test_single_mode_rejected_for_oracle_scenario(self, tmp_path):
         doc = _linear_config(tmp_path / "out")
         doc["data"] = {"kind": "single_mode", "k": 1, "amplitude": 1.0}
@@ -661,8 +676,10 @@ class TestEmitPlots:
 
 def test_program_import_leaves_heavy_scipy_subpackages_unloaded():
     # every run is a fresh process that pays for what the program imports;
-    # it transforms with scipy.fft and needs no solver or linear algebra
-    heavy = ["scipy.optimize", "scipy.linalg", "scipy.integrate"]
+    # it transforms with numpy.fft and needs no solver or linear algebra, and
+    # scipy.fft alone would bring in scipy.special, numpy.f2py and numpy.testing
+    heavy = ["scipy.optimize", "scipy.linalg", "scipy.integrate", "scipy.fft",
+             "scipy.special", "numpy.f2py", "numpy.testing", "numpy.ma", "numpy.random"]
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import json, sys, fpplab.cli, fpplab.scenarios; "
             f"print(json.dumps([m for m in {heavy!r} + ['scipy'] if m in sys.modules]))")

@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,3 +406,55 @@ class TestPrunedPaddedTransforms:
         finally:
             tracemalloc.stop()
         assert peak < 8 * M ** 3
+
+
+def _random_half(n, N, seed):
+    return np.fft.rfftn(np.random.default_rng(seed).standard_normal((N,) * n))
+
+
+@pytest.fixture(scope="module")
+def fresh_process_powers(tmp_path_factory):
+    """padded_power of _random_half(n, 8, 1) for n = 1, 2, 3, each computed
+    first thing in a process of its own, where no buffer was used before."""
+    src = Path(sg.__file__).resolve().parents[1]
+    tmp = tmp_path_factory.mktemp("fresh")
+    code = ("import sys, numpy as np; from fpplab import grid as sg; n = int(sys.argv[1]); "
+            "h = np.fft.rfftn(np.random.default_rng(1).standard_normal((8,) * n)); "
+            "p, s = sg.padded_power(h, 6, 3.5); np.savez(sys.argv[2], p=p, s=s)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    powers = {}
+    for n in (1, 2, 3):
+        path = tmp / f"n{n}.npz"
+        subprocess.run([sys.executable, "-c", code, str(n), str(path)], env=env, check=True)
+        with np.load(path) as data:
+            powers[n] = data["p"], float(data["s"])
+    return powers
+
+
+class TestPaddedWorkspace:
+    """padded_power reuses its padded buffers from call to call; no result
+    may depend on what an earlier call left in them."""
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_result_is_not_overwritten_by_the_next_call(self, n):
+        first, _ = sg.padded_power(_random_half(n, 8, 1), 6, 3.5)
+        kept = first.copy()
+        sg.padded_power(_random_half(n, 8, 2), 6, 3.5)
+        assert np.array_equal(first, kept)
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_other_grid_in_between_changes_nothing(self, n):
+        half = _random_half(n, 8, 1)
+        first, first_sum = sg.padded_power(half, 6, 3.5)
+        sg.padded_power(_random_half(n, 16, 2), 6, 3.5)
+        again, again_sum = sg.padded_power(half, 6, 3.5)
+        assert np.array_equal(again, first) and again_sum == first_sum
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_non_finite_call_leaves_no_trace(self, n, fresh_process_powers):
+        u = np.ones((8,) * n)
+        u.flat[3] = np.inf
+        sg.padded_power(np.fft.rfftn(u), 6, 3.5)
+        power, total = sg.padded_power(_random_half(n, 8, 1), 6, 3.5)
+        want, want_sum = fresh_process_powers[n]
+        assert np.array_equal(power, want) and total == want_sum
