@@ -37,7 +37,7 @@ from .model import CUTOFF_RADIUS, ModelParams, decay_exponent, sigma, validate
 from .oracle import (OracleConvergenceError, RadialProfile, gaussian_profile,
                      power_tail_profile, radial_weighted_l2)
 from .propagator import BOUNDED, UNBOUNDED, probe_high_band, probe_low_band
-from .solver import SolverConfig, energy_balance_residual, pad_factor, solve
+from .solver import SolverConfig, energy_balance_residual, padding, solve
 
 EXIT_OK = 0
 EXIT_VERDICT_FAIL = 1
@@ -301,7 +301,7 @@ def _parse_run(run_cfg, scenario, model, grid) -> SolverConfig:
                           "dt, so the dt, dt/2, dt/4 solves of convergence-study cannot "
                           "differ; it needs true")
     N, n = grid.points_per_dim, grid.n
-    M = sg.padded_size(N, pad_factor(model.theta)) if nonlinear else N
+    M = sg.padded_size(N, padding(model.theta)) if nonlinear else N
     size = 8 * M ** n
     if size > MAX_GRID_BYTES:
         raise ConfigError(

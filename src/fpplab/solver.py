@@ -30,7 +30,8 @@ PHI_SERIES_CUTOFF = 1e-4
 
 
 class SolverBlowupError(RuntimeError):
-    """Raised when the state stops being finite; carries the offending time."""
+    """Raised when the state, or its squared modulus, stops being finite;
+    carries the offending time."""
 
     def __init__(self, t: float):
         super().__init__(f"non-finite state detected at t={t:g}")
@@ -126,9 +127,10 @@ def energy_balance_residual(ledger: EnergyLedger) -> float:
     return raw / ledger.e0
 
 
-def pad_factor(theta: int) -> float:
-    """Padding that makes the degree-(theta+1) power alias-free: (theta+2)/2."""
-    return (theta + 2) / 2.0
+def padding(theta: int) -> int:
+    """The padding P = theta+2 of grid.padded_size, M = P*N/2 points per
+    axis, which makes the degree-(theta+1) power alias-free."""
+    return theta + 2
 
 
 class _Live(NamedTuple):
@@ -167,10 +169,10 @@ class _Stepper:
         # the exact step integral of the dissipation when b = decay * a.
         self.diss_step = (norm * mag ** (2.0 * params.alpha) * dt * phi1(2.0 * z)
                           / (0.5 * (1.0 + self.decay * self.decay)))
-        self.pad_factor = pad_factor(params.theta)
+        self.padding = padding(params.theta)
         # volume (L/M)^n of one padded node, which turns the kernel's raw sum
         # of u^(theta+2) into an integral
-        M = sg.padded_size(N, self.pad_factor)
+        M = sg.padded_size(N, self.padding)
         self.node_volume = (grid.box_length / M) ** grid.n
 
     def _nonlinear(self, half: np.ndarray, need_forcing: bool = True) -> tuple:
@@ -180,7 +182,7 @@ class _Stepper:
         lattice-sized arrays live between steps."""
         if not self.nonlinear:
             return None, 0.0
-        power, raw = sg.padded_power(half, self.params.theta + 1, self.pad_factor,
+        power, raw = sg.padded_power(half, self.params.theta + 1, self.padding,
                                      spectrum=need_forcing)
         source = raw * self.node_volume
         if power is None:
@@ -190,10 +192,14 @@ class _Stepper:
             return self.forcing_multiplier * power, source
 
     def enter(self, field: sg.SpectralField) -> _Live:
-        """Bring the initial field into the loop at t = 0 with a new ledger."""
+        """Bring the initial field into the loop at t = 0 with a new ledger;
+        a field whose |half|^2 overflows has blown up at t = 0."""
         half = field.coefficients
+        with np.errstate(over="ignore"):
+            sq = half.real ** 2 + half.imag ** 2
+        if not np.all(np.isfinite(sq)):
+            raise SolverBlowupError(0.0)
         forcing, p = self._nonlinear(half)
-        sq = half.real ** 2 + half.imag ** 2
         e = float(np.vdot(self.energy_weight, sq))
         return _Live(0.0, half, sq, EnergyLedger(e0=e, e=e, p=p), forcing)
 
@@ -206,19 +212,22 @@ class _Stepper:
         """One step of length dt.  With _last set the new state's forcing,
         which no further step would read, is not formed."""
         u = live.half
-        if not self.nonlinear:
-            new = self.decay * u
-        else:
-            f_n = live.forcing
-            new = self.decay * u + self.dt_phi1 * f_n
-            if self.scheme == "etd2":
-                f_a, _ = self._nonlinear(new)
-                new += self.dt_phi2 * (f_a - f_n)
         t_new = live.t + self.dt
-        if not np.all(np.isfinite(new)):
+        # a state that overflows is non-finite, and so is its |new|^2 when the
+        # state is finite but its square overflows: one check catches both
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not self.nonlinear:
+                new = self.decay * u
+            else:
+                f_n = live.forcing
+                new = self.decay * u + self.dt_phi1 * f_n
+                if self.scheme == "etd2":
+                    f_a, _ = self._nonlinear(new)
+                    new += self.dt_phi2 * (f_a - f_n)
+            sq = new.real ** 2 + new.imag ** 2
+        if not np.all(np.isfinite(sq)):
             raise SolverBlowupError(t_new)
         forcing, p_new = self._nonlinear(new, need_forcing=not _last)
-        sq = new.real ** 2 + new.imag ** 2
         diss = 0.5 * float(np.vdot(self.diss_step, live.sq + sq))
         led = live.ledger
         ledger = replace(
@@ -247,7 +256,9 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
     times land exactly, dt and the scheme play no part, and step_count
     counts the jumps.  A nonlinear run takes fixed steps of dt and snaps its
     sample times to the step lattice (floor of t/dt), so a fixed config
-    reproduces bit-identical output.
+    reproduces bit-identical output.  When its steps are done it drops the
+    padded kernel's buffers and twiddles, so that the recording and output
+    after it reuse their memory.
     """
     stepper = _Stepper(u0.grid, params, config.dt, config.scheme,
                        config.enable_nonlinearity)
@@ -287,5 +298,6 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
     if has_tail:
         tail = _Stepper(u0.grid, params, remainder, config.scheme, True)
         live = tail.advance(live, _last=True)
+    sg.release_padded_buffers()
     return SolveResult(trajectory=tuple(trajectory), final_state=stepper.leave(live),
                        step_count=n_steps)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -471,6 +472,29 @@ class TestRunCommand:
         assert main(["run", _write(tmp_path, doc), "--quiet"]) == 3
         # l=0 succeeds before l=2 fails; a failed run leaves no directory
         assert not out.exists()
+
+    @pytest.mark.parametrize("amplitude, t", [(2.0, "1"), (1e160, "0")])
+    def test_gradual_blowup_exits_3_without_a_warning(self, tmp_path, capsys,
+                                                       amplitude, t):
+        # at amplitude 2 the smoke-sized smalldata state is finite at t = 1
+        # (max |u_k| ~ 3e193) but its squared modulus overflows: that step is
+        # the blow-up; at 1e160 the initial state's already does.  No
+        # overflow warning may escape on the way.
+        doc = {
+            "scenario": "nonlinear-smalldata",
+            "model": {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 5},
+            "grid": {"n": 1, "points_per_dim": 64, "box_length": 64.0},
+            "data": {"kind": "gaussian", "width": 1.0, "amplitude": amplitude},
+            "run": {"scheme": "etd2", "dt": 0.5, "t_end": 8.0},
+            "fit": {"window": [1.0, 8.0], "l_list": [0.0], "tolerance": 10.0},
+            "output_dir": str(tmp_path / "out"),
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", _write(tmp_path, doc), "--quiet"]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert f"non-finite state detected at t={t}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_determinism_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 from fpplab import grid as sg
 from fpplab.model import ModelParams, sigma
-from fpplab.solver import pad_factor
+from fpplab.solver import padding
 from conftest import random_real_field
 
 
@@ -232,10 +232,10 @@ class TestSplit:
             assert sg.sobolev_seminorm(high, l) <= full * (1 + 1e-12)
 
 
-def lattice_power(f, power, pad):
+def lattice_power(f, power, P):
     """Spectral image of f^power by the step loop's route, the padded-power
     kernel."""
-    return sg.SpectralField(f.grid, sg.padded_power(f.coefficients, power, pad)[0])
+    return sg.SpectralField(f.grid, sg.padded_power(f.coefficients, power, P)[0])
 
 
 def _circular_free_convolution(a, b, N):
@@ -261,21 +261,20 @@ class TestPaddedPower:
         x = sg.physical_nodes(g)
         a = 0.7
         f = sg.to_spectral(g, a * np.cos(2.0 * x))
-        sq = lattice_power(f, 2, pad_factor(1))
+        sq = lattice_power(f, 2, padding(1))
         c = sq.coefficients / g.points_per_dim  # Fourier-series coefficients
         assert c[0] == pytest.approx(a * a / 2.0, rel=1e-13)
         assert c[4] == pytest.approx(a * a / 4.0, rel=1e-13)
         others = np.delete(np.abs(c), [0, 4])
         assert np.max(others) <= 1e-14
 
-    @given(n=st.sampled_from((1, 2, 3)), seed=st.integers(0, 1000),
-           pad=st.floats(1.0, 3.5, exclude_min=True))
+    @given(n=st.sampled_from((1, 2, 3)), seed=st.integers(0, 1000), P=st.integers(3, 8))
     @settings(max_examples=30, deadline=None)
-    def test_first_power_returns_every_mode(self, n, seed, pad):
+    def test_first_power_returns_every_mode(self, n, seed, P):
         # white spectrum: the Nyquist coefficients are as large as any other
         g = sg.GridSpec(n, {1: 32, 2: 16, 3: 8}[n], 5.0)
         f = random_real_field(g, seed=seed, decay=0.0)
-        out = lattice_power(f, 1, pad)
+        out = lattice_power(f, 1, P)
         ref = np.max(np.abs(f.coefficients))
         assert np.max(np.abs(out.coefficients - f.coefficients)) <= 1e-14 * ref
 
@@ -283,7 +282,7 @@ class TestPaddedPower:
         g = sg.GridSpec(1, 32, 4.0)
         c = 0.3
         f = sg.to_spectral(g, np.full(g.shape, c))
-        out = lattice_power(f, 3, pad_factor(2))
+        out = lattice_power(f, 3, padding(2))
         phys = sg.to_physical(out)
         assert np.allclose(phys.real, c**3, rtol=1e-13)
         assert np.max(np.abs(out.coefficients[1:])) <= 1e-12 * abs(out.coefficients[0])
@@ -299,7 +298,7 @@ class TestPaddedPower:
             if idx:
                 series[-idx] = np.conj(val)
         f = sg.SpectralField(g, series[: N // 2 + 1] * N)
-        out = lattice_power(f, 3, pad_factor(2))
+        out = lattice_power(f, 3, padding(2))
         conv = series.copy()
         for _ in range(2):
             conv = _circular_free_convolution(conv, series, N)
@@ -344,32 +343,51 @@ class TestPrunedPaddedTransforms:
     """padded_power against dense zero-padded full-lattice transforms built
     with plain numpy.fft."""
 
-    @pytest.mark.parametrize("n", (1, 2, 3))
-    @pytest.mark.parametrize("N", (6, 8, 10))
-    @pytest.mark.parametrize("pad", (1.5, 2.0, 3.5))
-    def test_match_dense_padding(self, n, N, pad):
+    # every 1-D case, odd N/2 (N = 6, 10) and odd M = P*N/2 included, and
+    # the blocked n >= 2 route at the paddings of theta = 1, 2, 5
+    @pytest.mark.parametrize(
+        "n,N,P", [(1, N, P) for N in (4, 6, 8, 10, 12) for P in range(3, 9)]
+        + [(n, N, P) for n in (2, 3) for N in (6, 8, 10) for P in (3, 4, 7)])
+    def test_match_dense_padding(self, n, N, P):
         rng = np.random.default_rng(100 * n + N)
-        M = sg.padded_size(N, pad)
+        M = sg.padded_size(N, P)
         u = rng.standard_normal((N,) * n)
         up = dense_padded_samples(u, M)
-        # the first power, and u^(theta+1) for the theta this pad serves
-        for power in (1, round(2 * pad) - 1):
+        # the first power, and u^(theta+1) for the theta this padding serves
+        for power in (1, P - 1):
             raised = up ** power
             folded = _along_axes(_fold(N, M), np.fft.fftn(raised)) * (N / M) ** n
             ref = folded[..., : N // 2 + 1]
-            out, total = sg.padded_power(np.fft.rfftn(u), power, pad)
+            out, total = sg.padded_power(np.fft.rfftn(u), power, P)
             assert out.shape == ref.shape
             assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
             terms = raised * up
             assert abs(total - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
 
-    @pytest.mark.parametrize("pad", (1.0, 0.5))
-    def test_pad_factor_must_exceed_one(self, pad):
+    def test_production_row_matches_one_long_transform(self):
+        # smalldata-1d's N = 4096, theta = 5: M = 14,336, against one
+        # zero-padded irfft/rfft of length M
+        N, P = 4096, 7
+        M = sg.padded_size(N, P)
+        half = np.fft.rfft(np.random.default_rng(4096).standard_normal(N))
+        padded = half * (M / N)
+        padded[-1] *= 0.5
+        up = np.fft.irfft(padded, n=M)
+        raised = up ** (P - 1)
+        ref = np.fft.rfft(raised)[: N // 2 + 1] * (N / M)
+        ref[-1] += np.conj(ref[-1])
+        out, total = sg.padded_power(half, P - 1, P)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+        terms = raised * up
+        assert abs(total - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
+
+    @pytest.mark.parametrize("P", (2, 1, 0, 3.5))
+    def test_padding_must_be_an_integer_over_two(self, P):
         # the pad must hold the split Nyquist modes, so M == N is refused
-        with pytest.raises(ValueError, match="pad_factor must exceed 1"):
-            sg.padded_size(8, pad)
-        with pytest.raises(ValueError, match="pad_factor must exceed 1"):
-            sg.padded_power(np.ones(5, dtype=complex), 2, pad)
+        with pytest.raises(ValueError, match="padding P must be an integer >= 3"):
+            sg.padded_size(8, P)
+        with pytest.raises(ValueError, match="padding P must be an integer >= 3"):
+            sg.padded_power(np.ones(5, dtype=complex), 2, P)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", (1, 2, 3))
@@ -378,7 +396,7 @@ class TestPrunedPaddedTransforms:
         # which the sum, the folds and the scaling must pass on without a warning
         u = np.ones((8,) * n)
         u.flat[5] = 1e60
-        out, total = sg.padded_power(np.fft.rfftn(u), 6, 3.5)
+        out, total = sg.padded_power(np.fft.rfftn(u), 6, 7)
         assert not np.all(np.isfinite(out))
         assert not np.isfinite(total)
 
@@ -387,9 +405,9 @@ class TestPrunedPaddedTransforms:
         # N = 8 pads to 28 slabs; blocks of 3 slabs leave one slab over
         half = np.fft.rfftn(np.random.default_rng(n).standard_normal((8,) * n))
         monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 28 ** n)
-        whole, whole_sum = sg.padded_power(half, 5, 3.5)
+        whole, whole_sum = sg.padded_power(half, 5, 7)
         monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 3 * 28 ** (n - 1))
-        blocked, blocked_sum = sg.padded_power(half, 5, 3.5)
+        blocked, blocked_sum = sg.padded_power(half, 5, 7)
         assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
         # u^6 >= 0, so the sum has no cancellation
         assert blocked_sum == pytest.approx(whole_sum, rel=1e-14)
@@ -397,11 +415,11 @@ class TestPrunedPaddedTransforms:
     def test_one_call_holds_less_than_one_padded_cube(self):
         # n = 3, N = 32, theta = 5 pads to 112^3 points: 10.7 MB as float64
         theta, N = 5, 32
-        M = sg.padded_size(N, pad_factor(theta))
+        M = sg.padded_size(N, padding(theta))
         half = np.fft.rfftn(np.random.default_rng(0).standard_normal((N,) * 3))
         tracemalloc.start()
         try:
-            sg.padded_power(half, theta + 1, pad_factor(theta))
+            sg.padded_power(half, theta + 1, padding(theta))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -420,7 +438,7 @@ def fresh_process_powers(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fresh")
     code = ("import sys, numpy as np; from fpplab import grid as sg; n = int(sys.argv[1]); "
             "h = np.fft.rfftn(np.random.default_rng(1).standard_normal((8,) * n)); "
-            "p, s = sg.padded_power(h, 6, 3.5); np.savez(sys.argv[2], p=p, s=s)")
+            "p, s = sg.padded_power(h, 6, 7); np.savez(sys.argv[2], p=p, s=s)")
     env = dict(os.environ, PYTHONPATH=str(src))
     powers = {}
     for n in (1, 2, 3):
@@ -437,24 +455,24 @@ class TestPaddedWorkspace:
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_result_is_not_overwritten_by_the_next_call(self, n):
-        first, _ = sg.padded_power(_random_half(n, 8, 1), 6, 3.5)
+        first, _ = sg.padded_power(_random_half(n, 8, 1), 6, 7)
         kept = first.copy()
-        sg.padded_power(_random_half(n, 8, 2), 6, 3.5)
+        sg.padded_power(_random_half(n, 8, 2), 6, 7)
         assert np.array_equal(first, kept)
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_other_grid_in_between_changes_nothing(self, n):
         half = _random_half(n, 8, 1)
-        first, first_sum = sg.padded_power(half, 6, 3.5)
-        sg.padded_power(_random_half(n, 16, 2), 6, 3.5)
-        again, again_sum = sg.padded_power(half, 6, 3.5)
+        first, first_sum = sg.padded_power(half, 6, 7)
+        sg.padded_power(_random_half(n, 16, 2), 6, 7)
+        again, again_sum = sg.padded_power(half, 6, 7)
         assert np.array_equal(again, first) and again_sum == first_sum
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_non_finite_call_leaves_no_trace(self, n, fresh_process_powers):
         u = np.ones((8,) * n)
         u.flat[3] = np.inf
-        sg.padded_power(np.fft.rfftn(u), 6, 3.5)
-        power, total = sg.padded_power(_random_half(n, 8, 1), 6, 3.5)
+        sg.padded_power(np.fft.rfftn(u), 6, 7)
+        power, total = sg.padded_power(_random_half(n, 8, 1), 6, 7)
         want, want_sum = fresh_process_powers[n]
         assert np.array_equal(power, want) and total == want_sum

@@ -13,7 +13,7 @@ from fpplab.model import ModelParams, b_inverse
 from fpplab.oracle import gaussian_profile
 from fpplab.propagator import propagate
 from fpplab.solver import (SolverConfig, SolverBlowupError, _Stepper,
-                           energy_balance_residual, pad_factor, phi1, phi2, solve)
+                           energy_balance_residual, padding, phi1, phi2, solve)
 from conftest import random_real_field
 from test_grid import dense_padded_samples, lattice_power
 
@@ -55,7 +55,7 @@ class TestNonlinearTerm:
         x = sg.physical_nodes(g)
         a = 0.9
         f = sg.to_spectral(g, a * np.cos(2.0 * x))
-        out = lattice_power(f, p.theta + 1, pad_factor(p.theta))
+        out = lattice_power(f, p.theta + 1, padding(p.theta))
         c = out.coefficients / g.points_per_dim
         assert c[0].real == pytest.approx(a * a / 2.0, rel=1e-13)
         assert c[4].real == pytest.approx(a * a / 4.0, rel=1e-13)
@@ -68,7 +68,7 @@ class TestNonlinearTerm:
         f = random_real_field(g, seed=1, decay=0.0)
         forcing, _ = _Stepper(g, p, 0.1, "etd2", True)._nonlinear(f.coefficients)
         mag = sg.wavenumber_magnitude(g)
-        power = lattice_power(f, p.theta + 1, pad_factor(p.theta))
+        power = lattice_power(f, p.theta + 1, padding(p.theta))
         assert np.array_equal(forcing, b_inverse(mag, p) * power.coefficients)
 
 
@@ -120,7 +120,7 @@ class TestLoopCache:
         params = ModelParams(n=n, m=1.0, alpha=1.0, theta=4)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.8, n=n).profile)
         state = solve(u0, params, SolverConfig(dt=dt, t_end=t_end)).final_state
-        M = sg.padded_size(N, pad_factor(params.theta))
+        M = sg.padded_size(N, padding(params.theta))
         up = dense_padded_samples(sg.to_physical(state.field), M)
         fresh = float(np.sum(up ** (params.theta + 2))) * (g.box_length / M) ** n
         assert state.ledger.p == pytest.approx(fresh, rel=1e-13)
@@ -150,6 +150,15 @@ class TestLoopCache:
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.8, n=1).profile)
         solve(u0, params, SolverConfig(scheme="etd2", dt=0.05, t_end=t_end))
         assert calls == {"padded_power": 2 * steps + 1, "spectrum": 2 * steps}
+
+    def test_solve_drops_the_kernel_buffers(self):
+        # the recording and output after a solve reuse that memory
+        g = sg.GridSpec(1, 64, 12.0)
+        params = ModelParams(n=1, m=1.0, alpha=1.0, theta=4)
+        u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.8, n=1).profile)
+        solve(u0, params, SolverConfig(dt=0.05, t_end=0.1))
+        assert sg._workspace.cache_info().currsize == 0
+        assert sg._row_twiddles.cache_info().currsize == 0
 
     @pytest.mark.parametrize("theta", range(1, 9))
     def test_multiplication_chain_matches_pow(self, theta):
