@@ -243,156 +243,139 @@ def _fold_axis(a: np.ndarray, axis: int, N: int) -> np.ndarray:
 PADDED_BLOCK_POINTS = 2 ** 16
 
 
-@lru_cache(maxsize=16)
-def _nyquist_mirror(N: int, n: int) -> tuple:
-    """Index of the last axis's -N/2 column in the +N/2 column: the same
-    column at -k, lattice index j -> -j mod N on each leading axis."""
-    minus = (-np.arange(N)) % N
-    minus.setflags(write=False)
-    return np.ix_(*[minus] * (n - 1))
+class PaddedPower:
+    """Alias-free u^power of fields on `grid`, one kernel per grid and power.
 
-
-@lru_cache(maxsize=24)
-def _workspace(shape: tuple, dtype: type = float, slot: int = 0) -> np.ndarray:
-    """A padded-size array of `shape` and `dtype` that ``padded_power``
-    reuses from call to call instead of allocating it anew; `slot` tells
-    apart the arrays of one shape and type that a call holds at once.  Every
-    call writes such an array before it reads it and returns none of it."""
-    return np.empty(shape, dtype)
-
-
-@lru_cache(maxsize=8)
-def _row_twiddles(N: int, P: int) -> tuple:
-    """The twiddles of the 1-D route of ``padded_power``, M = P*N/2: the
-    (P, N/4+1) table 0.5 exp(2 pi i j s / M), s the row and j the column,
-    whose 0.5 is the inverse's scale, and the P row phases
-    exp(-2 pi i s / P) = exp(-2 pi i (N/2) s / M).  Read-only."""
-    M, J = P * N // 2, N // 4 + 1
-    # math's cos and sin: numpy's vectorised ones, which a 1-D run loads for
-    # nothing else, would map about 0.1 MB more code.  s*j < M/2, so no angle
-    # needs reduction.
-    turns = (2.0 * math.pi * (s * j) / M for s in range(P) for j in range(J))
-    table = np.fromiter((0.5 * complex(math.cos(a), math.sin(a)) for a in turns),
-                        complex, P * J).reshape(P, J)
-    phase = tuple(complex(math.cos(a), -math.sin(a))
-                  for a in (2.0 * math.pi * s / P for s in range(P)))
-    table.setflags(write=False)
-    return table, phase
-
-
-def release_padded_buffers():
-    """Drop the buffers and twiddle tables that ``padded_power`` keeps from
-    call to call; the next call makes them anew."""
-    _workspace.cache_clear()
-    _row_twiddles.cache_clear()
-
-
-def _padded_power_1d(half: np.ndarray, power: int, P: int, spectrum: bool) -> tuple:
-    """``padded_power`` of a 1-D half spectrum by P transforms of length N/2.
-
-    Padded node m = s + P q is row s, column q of a (P, N/2) array.  With
-    w = exp(2 pi i / M), lattice modes k and k - N/2 both land in column
-    k mod N/2 of row s, so row s is the length-N/2 inverse rfft of
-    G_s[j] = 0.5 w^(js) (H[j] + exp(-2 pi i s/P) conj(H[N/2-j])), j <= N/4.
-    The inverse keeps only the real part of G_s[0], which splits the
-    Nyquist coefficient evenly between +N/2 and -N/2.  On the way back,
-    V_s = rfft(row s of the power) gives F_k = sum_s w^(-ks) V_s[k mod N/2]:
-    with Z = conj(V) * table, F_k = conj(sum_s Z[s, k]) for k <= N/4 and
-    F_(N/2-j) = sum_s exp(-2 pi i s/P) Z[s, j], a reversed slice.
-    """
-    N = 2 * (half.shape[-1] - 1)
-    h, J = N // 2, N // 4 + 1
-    table, phase = _row_twiddles(N, P)
-    rows, v = _workspace((P, J), complex, 0), _workspace((P, J), complex, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # row by row, with the phase a scalar: numpy would buffer a broadcast
-        # complex operand in a temporary the size of the table
-        mirror = np.conj(half[h:h - J:-1])
-        for row, p in zip(rows, phase):
-            np.multiply(mirror, p, out=row)
-            row += half[:J]
-        rows *= table
-        # two buffers serve the whole call: the samples fill the front of v,
-        # their power the front of rows once the inverse has read it, and the
-        # power's rfft all of v once the sum has read the samples
-        u = np.fft.irfft(rows, n=h, axis=-1, out=np.ndarray((P, h), buffer=v))
-        u_power = pointwise_power(u, power, out=np.ndarray((P, h), buffer=rows))
-        total = float(np.vdot(u_power, u))
-        if not spectrum:
-            return None, total
-        np.fft.rfft(u_power, axis=-1, out=v)
-        np.conjugate(v, out=v)
-        v *= table
-        out = np.empty(h + 1, dtype=complex)
-        np.conjugate(v.sum(axis=0), out=out[:J])
-        for row, p in zip(v[1:], phase[1:]):  # row 0's phase is 1
-            row *= p
-        out[J:] = v.sum(axis=0)[h - J::-1]
-        # +N/2 and -N/2 fold into the lattice's Nyquist coefficient
-        out[h] += np.conj(out[h])
-        out *= 4.0 / P  # N/M = 2/P, over the table's 0.5
-        return out, total
-
-
-def padded_power(half: np.ndarray, power: int, P: int, spectrum: bool = True) -> tuple:
-    """Alias-free u^power of the field whose half spectrum is `half`.
-
-    Returns (the lattice half spectrum of u^power, a new array, or None
-    when `spectrum` is false; the raw sum of u^(power+1) over the padded
-    nodes).  The power is taken on a zero-padded grid of M = P*N/2 points
-    per axis (``padded_size``), which is exact on the lattice for degree d
-    when P >= d+1.  Non-finite values pass through without a warning.
+    A call on a half spectrum returns (the lattice half spectrum of
+    u^power, a new array, or None when `spectrum` is false; the integral
+    of u^(power+1) over the box, the sum over the padded nodes times their
+    volume (L/M)^n).  The power is taken on a zero-padded grid of
+    M = P*N/2 points per axis (``padded_size``), which is exact on the
+    lattice for degree d when P >= d+1.  Non-finite values pass through
+    without a warning.
 
     In 1-D the padded row is P interleaved sub-lattices of N/2 points,
-    one batch of P short transforms each way (``_padded_power_1d``); no
-    transform has length M.  For n >= 2, axis 0 is padded and inverse
-    transformed first.  Then blocks of axis-0 slabs, about
-    PADDED_BLOCK_POINTS padded points each, go through the other axes, the
-    power, the sum and back, each axis cut to the lattice once it is done;
-    axis 0 is folded last.  No transform touches the pad's zero blocks.
-    ``irfft`` pads the last axis itself, so only half the Nyquist column is
-    kept; the -N/2 share comes back from its conjugate mirror.
+    one batch of P short transforms each way (``_power_1d``); no transform
+    has length M.  For n >= 2, axis 0 is padded and inverse transformed
+    first.  Then blocks of axis-0 slabs, about PADDED_BLOCK_POINTS padded
+    points each, go through the other axes, the power, the sum and back,
+    each axis cut to the lattice once it is done; axis 0 is folded last.
+    No transform touches the pad's zero blocks.  Both routes keep half of
+    the lattice's Nyquist coefficient at +N/2 on the last axis (``irfft``
+    pads that axis itself) and fold the -N/2 share back from its conjugate.
 
-    Samples, power and rfft go to the buffers of ``_workspace``, so the
-    kernel is not reentrant.
+    The kernel builds its twiddles and its two buffers once and writes the
+    samples, their power and its forward transform into the buffers on
+    every call, so it serves one caller at a time; they go with it.
     """
-    n = half.ndim
-    N = 2 * (half.shape[-1] - 1)
-    M = padded_size(N, P)
-    if n == 1:
-        return _padded_power_1d(half, power, int(P), spectrum)
-    total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = half * (M / N) ** n
-        a[..., -1] *= 0.5
-        a = _pad_axis(a, 0, M)
-        np.fft.ifft(a, axis=0, out=a)
-        rows = min(a.shape[0], max(1, PADDED_BLOCK_POINTS // M ** (n - 1)))
-        shape = (rows,) + (M,) * (n - 1)
-        samples, raised = _workspace(shape, float, 0), _workspace(shape, float, 1)
-        raised_half = _workspace(shape[:-1] + (M // 2 + 1,), complex)
-        for start in range(0, a.shape[0], rows):
-            block = a[start:start + rows]
-            for axis in range(1, n - 1):
-                block = _pad_axis(block, axis, M)
-                np.fft.ifft(block, axis=axis, out=block)
-            k = len(block)
-            u = np.fft.irfft(block, n=M, axis=-1, out=samples[:k])
-            u_power = pointwise_power(u, power, out=raised[:k])
-            total += np.vdot(u_power, u)
-            if spectrum:
-                w = np.fft.rfft(u_power, axis=-1, out=raised_half[:k])[..., : N // 2 + 1]
-                for axis in reversed(range(1, n - 1)):
-                    w = _fold_axis(np.fft.fft(w, axis=axis), axis, N)
-                # this block's slabs of `a` are read: they take its result
-                a[start:start + rows] = w
-        if not spectrum:
-            return None, float(total)
-        np.fft.fft(a, axis=0, out=a)
-        w = _fold_axis(a, 0, N)
-        nyquist = w[..., N // 2]
-        w[..., N // 2] = nyquist + np.conj(nyquist[_nyquist_mirror(N, n)])
-        return w * (N / M) ** n, float(total)
+
+    def __init__(self, grid: GridSpec, power: int, P: int):
+        N, n = grid.points_per_dim, grid.n
+        self.M = M = padded_size(N, P)
+        self.grid, self.power, self.P = grid, power, int(P)
+        # turns the padded nodes' sum of u^(power+1) into an integral
+        self.node_volume = (grid.box_length / M) ** n
+        if n == 1:
+            # the (P, N/4+1) table 0.5 exp(2 pi i j s / M), s the row and j the
+            # column, 0.5 being the inverse's scale, and the row phases
+            # exp(-2 pi i s / P).  math's cos and sin: numpy's, which a 1-D run
+            # loads for nothing else, map about 0.1 MB more code; s*j < M/2,
+            # so no angle needs reduction.
+            J = N // 4 + 1
+            turns = (2.0 * math.pi * (s * j) / M for s in range(self.P) for j in range(J))
+            self.table = np.fromiter((0.5 * complex(math.cos(a), math.sin(a)) for a in turns),
+                                     complex, self.P * J).reshape(self.P, J)
+            self.phase = tuple(complex(math.cos(a), -math.sin(a))
+                               for a in (2.0 * math.pi * s / self.P for s in range(self.P)))
+            self._rows, self._spectra = np.empty((2, self.P, J), complex)
+        else:
+            rows = min(M, max(1, PADDED_BLOCK_POINTS // M ** (n - 1)))
+            self._raised = np.empty((rows,) + (M,) * (n - 1))
+            self._spectra = np.empty((rows,) + (M,) * (n - 2) + (M // 2 + 1,), complex)
+
+    def _power_1d(self, half: np.ndarray, spectrum: bool) -> tuple:
+        """The 1-D route, by P transforms of length N/2.
+
+        Padded node m = s + P q is row s, column q of a (P, N/2) array.  With
+        w = exp(2 pi i / M), lattice modes k and k - N/2 both land in column
+        k mod N/2 of row s, so row s is the length-N/2 inverse rfft of
+        G_s[j] = 0.5 w^(js) (H[j] + exp(-2 pi i s/P) conj(H[N/2-j])), j <= N/4.
+        The inverse keeps only the real part of G_s[0], which splits the
+        Nyquist coefficient evenly between +N/2 and -N/2.  On the way back,
+        V_s = rfft(row s of the power) gives F_k = sum_s w^(-ks) V_s[k mod N/2]:
+        with Z = conj(V) * table, F_k = conj(sum_s Z[s, k]) for k <= N/4 and
+        F_(N/2-j) = sum_s exp(-2 pi i s/P) Z[s, j], a reversed slice.
+        """
+        P, table, phase, rows, v = self.P, self.table, self.phase, self._rows, self._spectra
+        h = self.grid.points_per_dim // 2
+        J = h // 2 + 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            # row by row, with the phase a scalar: numpy would buffer a broadcast
+            # complex operand in a temporary the size of the table
+            mirror = np.conj(half[h:h - J:-1])
+            for row, p in zip(rows, phase):
+                np.multiply(mirror, p, out=row)
+                row += half[:J]
+            rows *= table
+            # the samples fill the front of v, their power the front of rows
+            # once the inverse has read it, and the power's rfft all of v once
+            # the sum has read the samples
+            u = np.fft.irfft(rows, n=h, axis=-1, out=np.ndarray((P, h), buffer=v))
+            u_power = pointwise_power(u, self.power, out=np.ndarray((P, h), buffer=rows))
+            total = float(np.vdot(u_power, u)) * self.node_volume
+            if not spectrum:
+                return None, total
+            np.fft.rfft(u_power, axis=-1, out=v)
+            np.conjugate(v, out=v)
+            v *= table
+            out = np.empty(h + 1, dtype=complex)
+            np.conjugate(v.sum(axis=0), out=out[:J])
+            for row, p in zip(v[1:], phase[1:]):  # row 0's phase is 1
+                row *= p
+            out[J:] = v.sum(axis=0)[h - J::-1]
+            # +N/2 and -N/2 fold into the lattice's Nyquist coefficient
+            out[h] += np.conj(out[h])
+            out *= 4.0 / P  # N/M = 2/P, over the table's 0.5
+            return out, total
+
+    def __call__(self, half: np.ndarray, spectrum: bool = True) -> tuple:
+        n, N, M = self.grid.n, self.grid.points_per_dim, self.M
+        if n == 1:
+            return self._power_1d(half, spectrum)
+        total = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = half * (M / N) ** n
+            a[..., -1] *= 0.5
+            a = _pad_axis(a, 0, M)
+            np.fft.ifft(a, axis=0, out=a)
+            rows = len(self._raised)
+            for start in range(0, M, rows):
+                block = a[start:start + rows]
+                for axis in range(1, n - 1):
+                    block = _pad_axis(block, axis, M)
+                    np.fft.ifft(block, axis=axis, out=block)
+                k = len(block)
+                # the samples fill the front of the rfft's buffer, which the
+                # rfft overwrites once the sum has read them
+                u = np.fft.irfft(block, n=M, axis=-1,
+                                 out=np.ndarray((k,) + (M,) * (n - 1), buffer=self._spectra))
+                u_power = pointwise_power(u, self.power, out=self._raised[:k])
+                total += np.vdot(u_power, u)
+                if spectrum:
+                    w = np.fft.rfft(u_power, axis=-1, out=self._spectra[:k])[..., : N // 2 + 1]
+                    # +N/2 and -N/2 fold into the lattice's Nyquist column: on
+                    # the leading axes' padded nodes the -N/2 column is the
+                    # conjugate of the +N/2 one
+                    w[..., N // 2] += np.conj(w[..., N // 2])
+                    for axis in reversed(range(1, n - 1)):
+                        w = _fold_axis(np.fft.fft(w, axis=axis), axis, N)
+                    # this block's slabs of `a` are read: they take its result
+                    a[start:start + rows] = w
+            total = float(total) * self.node_volume
+            if not spectrum:
+                return None, total
+            np.fft.fft(a, axis=0, out=a)
+            return _fold_axis(a, 0, N) * (N / M) ** n, total
 
 
 def _chain_power(x: np.ndarray, power: int, out: np.ndarray) -> np.ndarray:
@@ -418,7 +401,7 @@ def pointwise_power(u: np.ndarray, power: int, out: np.ndarray = None) -> np.nda
     """u^power of physical samples for an integer power >= 1, written into
     `out` (an array of u's shape that does not overlap u) when it is given.
 
-    ``padded_power`` applies it to padded samples, for alias-free products.
+    ``PaddedPower`` applies it to padded samples, for alias-free products.
     """
     if int(power) != power or power < 1:
         raise ValueError(f"power must be an integer >= 1, got {power}")

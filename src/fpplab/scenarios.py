@@ -58,7 +58,7 @@ DEVIATION_NOISE = 1e-12
 
 # Largest grid, counted as float64 samples, that a solve may transform: the
 # padded grid of a nonlinear step, the lattice of a linear jump.  A step works
-# through the padded grid in blocks (grid.padded_power), but its time and its
+# through the padded grid in blocks (grid.PaddedPower), but its time and its
 # axis-0 stage grow with it; n=3, N=128, theta=5 pads to 448^3 (686 MiB).
 MAX_GRID_BYTES = 256 * 2 ** 20
 # Work budget of a nonlinear run, in steps times padded points: about ten

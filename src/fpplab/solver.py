@@ -150,12 +150,11 @@ class _Stepper:
     """Precomputed half-spectrum multiplier tables for a fixed (grid, params, dt)."""
 
     def __init__(self, grid: sg.GridSpec, params: ModelParams, dt: float,
-                 scheme: str, nonlinear: bool):
+                 scheme: str, kernel: sg.PaddedPower = None):
         self.grid = grid
-        self.params = params
         self.dt = dt
         self.scheme = scheme
-        self.nonlinear = nonlinear
+        self.kernel = kernel  # the padded power u^(theta+1); None for a linear run
         N = grid.points_per_dim
         mag = sg.wavenumber_magnitude(grid)
         z = -sigma(mag, params) * dt
@@ -169,22 +168,14 @@ class _Stepper:
         # the exact step integral of the dissipation when b = decay * a.
         self.diss_step = (norm * mag ** (2.0 * params.alpha) * dt * phi1(2.0 * z)
                           / (0.5 * (1.0 + self.decay * self.decay)))
-        self.padding = padding(params.theta)
-        # volume (L/M)^n of one padded node, which turns the kernel's raw sum
-        # of u^(theta+2) into an integral
-        M = sg.padded_size(N, self.padding)
-        self.node_volume = (grid.box_length / M) ** grid.n
 
     def _nonlinear(self, half: np.ndarray, need_forcing: bool = True) -> tuple:
         """Forcing and int u^(theta+2) dx of a state from one padded-power
         kernel call, or (None, 0.0) for a linear run; the forcing is None
-        when not needed.  The kernel's padded blocks die inside it, so only
-        lattice-sized arrays live between steps."""
-        if not self.nonlinear:
+        when not needed."""
+        if self.kernel is None:
             return None, 0.0
-        power, raw = sg.padded_power(half, self.params.theta + 1, self.padding,
-                                     spectrum=need_forcing)
-        source = raw * self.node_volume
+        power, source = self.kernel(half, spectrum=need_forcing)
         if power is None:
             return None, source
         # a non-finite power gives a non-finite forcing, which advance() checks
@@ -216,7 +207,7 @@ class _Stepper:
         # a state that overflows is non-finite, and so is its |new|^2 when the
         # state is finite but its square overflows: one check catches both
         with np.errstate(over="ignore", invalid="ignore"):
-            if not self.nonlinear:
+            if self.kernel is None:
                 new = self.decay * u
             else:
                 f_n = live.forcing
@@ -256,12 +247,12 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
     times land exactly, dt and the scheme play no part, and step_count
     counts the jumps.  A nonlinear run takes fixed steps of dt and snaps its
     sample times to the step lattice (floor of t/dt), so a fixed config
-    reproduces bit-identical output.  When its steps are done it drops the
-    padded kernel's buffers and twiddles, so that the recording and output
-    after it reuse their memory.
+    reproduces bit-identical output.  Its steps share one padded-power
+    kernel, whose buffers and twiddles go when it returns.
     """
-    stepper = _Stepper(u0.grid, params, config.dt, config.scheme,
-                       config.enable_nonlinearity)
+    kernel = (sg.PaddedPower(u0.grid, params.theta + 1, padding(params.theta))
+              if config.enable_nonlinearity else None)
+    stepper = _Stepper(u0.grid, params, config.dt, config.scheme, kernel)
     live = stepper.enter(u0)
     trajectory = []
 
@@ -276,7 +267,7 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
         jumps = 0
         for stop in sorted(samples | {config.t_end}):
             if stop > live.t:
-                jump = _Stepper(u0.grid, params, stop - live.t, config.scheme, False)
+                jump = _Stepper(u0.grid, params, stop - live.t, config.scheme)
                 live = jump.advance(live)._replace(t=stop)
                 jumps += 1
             if stop in samples:
@@ -296,8 +287,7 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
         if i in want:
             emit(live)
     if has_tail:
-        tail = _Stepper(u0.grid, params, remainder, config.scheme, True)
+        tail = _Stepper(u0.grid, params, remainder, config.scheme, kernel)
         live = tail.advance(live, _last=True)
-    sg.release_padded_buffers()
     return SolveResult(trajectory=tuple(trajectory), final_state=stepper.leave(live),
                        step_count=n_steps)

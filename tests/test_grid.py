@@ -1,9 +1,5 @@
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,7 +231,13 @@ class TestSplit:
 def lattice_power(f, power, P):
     """Spectral image of f^power by the step loop's route, the padded-power
     kernel."""
-    return sg.SpectralField(f.grid, sg.padded_power(f.coefficients, power, P)[0])
+    return sg.SpectralField(f.grid, sg.PaddedPower(f.grid, power, P)(f.coefficients)[0])
+
+
+def unit_kernel(n, N, power, P):
+    """The padded-power kernel on a box of length M = P*N/2, where a padded
+    node has volume 1: the integral it returns is the padded nodes' sum."""
+    return sg.PaddedPower(sg.GridSpec(n, N, sg.padded_size(N, P)), power, P)
 
 
 def _circular_free_convolution(a, b, N):
@@ -340,8 +342,8 @@ def dense_padded_samples(u, M):
 
 
 class TestPrunedPaddedTransforms:
-    """padded_power against dense zero-padded full-lattice transforms built
-    with plain numpy.fft."""
+    """The padded-power kernel against dense zero-padded full-lattice
+    transforms built with plain numpy.fft."""
 
     # every 1-D case, odd N/2 (N = 6, 10) and odd M = P*N/2 included, and
     # the blocked n >= 2 route at the paddings of theta = 1, 2, 5
@@ -358,7 +360,7 @@ class TestPrunedPaddedTransforms:
             raised = up ** power
             folded = _along_axes(_fold(N, M), np.fft.fftn(raised)) * (N / M) ** n
             ref = folded[..., : N // 2 + 1]
-            out, total = sg.padded_power(np.fft.rfftn(u), power, P)
+            out, total = unit_kernel(n, N, power, P)(np.fft.rfftn(u))
             assert out.shape == ref.shape
             assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
             terms = raised * up
@@ -376,7 +378,7 @@ class TestPrunedPaddedTransforms:
         raised = up ** (P - 1)
         ref = np.fft.rfft(raised)[: N // 2 + 1] * (N / M)
         ref[-1] += np.conj(ref[-1])
-        out, total = sg.padded_power(half, P - 1, P)
+        out, total = unit_kernel(1, N, P - 1, P)(half)
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
         terms = raised * up
         assert abs(total - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
@@ -387,7 +389,7 @@ class TestPrunedPaddedTransforms:
         with pytest.raises(ValueError, match="padding P must be an integer >= 3"):
             sg.padded_size(8, P)
         with pytest.raises(ValueError, match="padding P must be an integer >= 3"):
-            sg.padded_power(np.ones(5, dtype=complex), 2, P)
+            sg.PaddedPower(sg.GridSpec(1, 8, 8.0), 2, P)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", (1, 2, 3))
@@ -396,7 +398,7 @@ class TestPrunedPaddedTransforms:
         # which the sum, the folds and the scaling must pass on without a warning
         u = np.ones((8,) * n)
         u.flat[5] = 1e60
-        out, total = sg.padded_power(np.fft.rfftn(u), 6, 7)
+        out, total = unit_kernel(n, 8, 6, 7)(np.fft.rfftn(u))
         assert not np.all(np.isfinite(out))
         assert not np.isfinite(total)
 
@@ -405,21 +407,22 @@ class TestPrunedPaddedTransforms:
         # N = 8 pads to 28 slabs; blocks of 3 slabs leave one slab over
         half = np.fft.rfftn(np.random.default_rng(n).standard_normal((8,) * n))
         monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 28 ** n)
-        whole, whole_sum = sg.padded_power(half, 5, 7)
+        whole, whole_sum = unit_kernel(n, 8, 5, 7)(half)
         monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 3 * 28 ** (n - 1))
-        blocked, blocked_sum = sg.padded_power(half, 5, 7)
+        blocked, blocked_sum = unit_kernel(n, 8, 5, 7)(half)
         assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
         # u^6 >= 0, so the sum has no cancellation
         assert blocked_sum == pytest.approx(whole_sum, rel=1e-14)
 
     def test_one_call_holds_less_than_one_padded_cube(self):
-        # n = 3, N = 32, theta = 5 pads to 112^3 points: 10.7 MB as float64
+        # n = 3, N = 32, theta = 5 pads to 112^3 points: 10.7 MB as float64;
+        # the kernel's buffers count, so it is made inside the trace
         theta, N = 5, 32
         M = sg.padded_size(N, padding(theta))
         half = np.fft.rfftn(np.random.default_rng(0).standard_normal((N,) * 3))
         tracemalloc.start()
         try:
-            sg.padded_power(half, theta + 1, padding(theta))
+            unit_kernel(3, N, theta + 1, padding(theta))(half)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -430,49 +433,33 @@ def _random_half(n, N, seed):
     return np.fft.rfftn(np.random.default_rng(seed).standard_normal((N,) * n))
 
 
-@pytest.fixture(scope="module")
-def fresh_process_powers(tmp_path_factory):
-    """padded_power of _random_half(n, 8, 1) for n = 1, 2, 3, each computed
-    first thing in a process of its own, where no buffer was used before."""
-    src = Path(sg.__file__).resolve().parents[1]
-    tmp = tmp_path_factory.mktemp("fresh")
-    code = ("import sys, numpy as np; from fpplab import grid as sg; n = int(sys.argv[1]); "
-            "h = np.fft.rfftn(np.random.default_rng(1).standard_normal((8,) * n)); "
-            "p, s = sg.padded_power(h, 6, 7); np.savez(sys.argv[2], p=p, s=s)")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    powers = {}
-    for n in (1, 2, 3):
-        path = tmp / f"n{n}.npz"
-        subprocess.run([sys.executable, "-c", code, str(n), str(path)], env=env, check=True)
-        with np.load(path) as data:
-            powers[n] = data["p"], float(data["s"])
-    return powers
-
-
 class TestPaddedWorkspace:
-    """padded_power reuses its padded buffers from call to call; no result
-    may depend on what an earlier call left in them."""
+    """A kernel reuses its buffers from call to call; no result may depend
+    on what an earlier call, or another kernel, left behind."""
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_result_is_not_overwritten_by_the_next_call(self, n):
-        first, _ = sg.padded_power(_random_half(n, 8, 1), 6, 7)
+        kernel = unit_kernel(n, 8, 6, 7)
+        first, _ = kernel(_random_half(n, 8, 1))
         kept = first.copy()
-        sg.padded_power(_random_half(n, 8, 2), 6, 7)
+        kernel(_random_half(n, 8, 2))
         assert np.array_equal(first, kept)
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_other_grid_in_between_changes_nothing(self, n):
         half = _random_half(n, 8, 1)
-        first, first_sum = sg.padded_power(half, 6, 7)
-        sg.padded_power(_random_half(n, 16, 2), 6, 7)
-        again, again_sum = sg.padded_power(half, 6, 7)
+        kernel, other = unit_kernel(n, 8, 6, 7), unit_kernel(n, 16, 6, 7)
+        first, first_sum = kernel(half)
+        other(_random_half(n, 16, 2))
+        again, again_sum = kernel(half)
         assert np.array_equal(again, first) and again_sum == first_sum
 
     @pytest.mark.parametrize("n", (1, 2, 3))
-    def test_non_finite_call_leaves_no_trace(self, n, fresh_process_powers):
+    def test_non_finite_call_leaves_no_trace(self, n):
         u = np.ones((8,) * n)
         u.flat[3] = np.inf
-        sg.padded_power(np.fft.rfftn(u), 6, 7)
-        power, total = sg.padded_power(_random_half(n, 8, 1), 6, 7)
-        want, want_sum = fresh_process_powers[n]
+        kernel = unit_kernel(n, 8, 6, 7)
+        kernel(np.fft.rfftn(u))
+        power, total = kernel(_random_half(n, 8, 1))
+        want, want_sum = unit_kernel(n, 8, 6, 7)(_random_half(n, 8, 1))
         assert np.array_equal(power, want) and total == want_sum

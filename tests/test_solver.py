@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from fpplab.oracle import gaussian_profile
 from fpplab.propagator import propagate
 from fpplab.solver import (SolverConfig, SolverBlowupError, _Stepper,
                            energy_balance_residual, padding, phi1, phi2, solve)
+from fpplab.scenarios import _ORDER_BANDS
 from conftest import random_real_field
 from test_grid import dense_padded_samples, lattice_power
 
@@ -66,7 +68,8 @@ class TestNonlinearTerm:
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=3)
         g = sg.GridSpec(1, 64, 10.0)
         f = random_real_field(g, seed=1, decay=0.0)
-        forcing, _ = _Stepper(g, p, 0.1, "etd2", True)._nonlinear(f.coefficients)
+        kernel = sg.PaddedPower(g, p.theta + 1, padding(p.theta))
+        forcing, _ = _Stepper(g, p, 0.1, "etd2", kernel)._nonlinear(f.coefficients)
         mag = sg.wavenumber_magnitude(g)
         power = lattice_power(f, p.theta + 1, padding(p.theta))
         assert np.array_equal(forcing, b_inverse(mag, p) * power.coefficients)
@@ -138,27 +141,35 @@ class TestLoopCache:
     def test_final_state_forms_no_forcing(self, monkeypatch, t_end, steps):
         # the last state needs its padded power for the ledger's p, but not
         # its spectrum: no step reads its forcing
-        calls = {"padded_power": 0, "spectrum": 0}
+        calls = {"kernel": 0, "spectrum": 0}
 
-        def counted(*args, _f=sg.padded_power, **kwargs):
-            calls["padded_power"] += 1
+        def counted(*args, _f=sg.PaddedPower.__call__, **kwargs):
+            calls["kernel"] += 1
             calls["spectrum"] += kwargs.get("spectrum", True)
             return _f(*args, **kwargs)
-        monkeypatch.setattr(sg, "padded_power", counted)
+        monkeypatch.setattr(sg.PaddedPower, "__call__", counted)
         g = sg.GridSpec(1, 64, 12.0)
         params = ModelParams(n=1, m=1.0, alpha=1.0, theta=4)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.8, n=1).profile)
         solve(u0, params, SolverConfig(scheme="etd2", dt=0.05, t_end=t_end))
-        assert calls == {"padded_power": 2 * steps + 1, "spectrum": 2 * steps}
+        assert calls == {"kernel": 2 * steps + 1, "spectrum": 2 * steps}
 
-    def test_solve_drops_the_kernel_buffers(self):
-        # the recording and output after a solve reuse that memory
+    def test_solve_drops_the_kernel_buffers(self, monkeypatch):
+        # one kernel serves the main steps and the remainder step, and its
+        # buffers and twiddles go when solve returns: the recording and
+        # output after it reuse that memory
+        made = []
+
+        class Tracked(sg.PaddedPower):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+        monkeypatch.setattr(sg, "PaddedPower", Tracked)
         g = sg.GridSpec(1, 64, 12.0)
         params = ModelParams(n=1, m=1.0, alpha=1.0, theta=4)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.8, n=1).profile)
-        solve(u0, params, SolverConfig(dt=0.05, t_end=0.1))
-        assert sg._workspace.cache_info().currsize == 0
-        assert sg._row_twiddles.cache_info().currsize == 0
+        solve(u0, params, SolverConfig(dt=0.05, t_end=0.1 + 0.05 / 3))
+        assert len(made) == 1 and made[0]() is None
 
     @pytest.mark.parametrize("theta", range(1, 9))
     def test_multiplication_chain_matches_pow(self, theta):
@@ -216,6 +227,53 @@ class TestConvergence:
         e1 = sg.lattice_norm(finals[0] - finals[1])
         e2 = sg.lattice_norm(finals[1] - finals[2])
         assert 0.7 <= np.log2(e1 / e2) <= 1.3
+
+
+class TestConstantSolution:
+    """An exact nonlinear reference.  A constant u = c lives in the zero
+    mode, where sigma(0) = 0 and Binv(0) = 1, and its power stays constant
+    through the padded kernel, so the equation is u' = u^(theta+1):
+    u(t) = c (1 - theta c^theta t)^(-1/theta), which blows up at
+    t* = 1 / (theta c^theta), 6.4 for c = 0.5 and theta = 5."""
+
+    C, THETA = 0.5, 5
+
+    def _start(self, n, N):
+        g = sg.GridSpec(n, N, 2.0 * np.pi)
+        params = ModelParams(n=n, m=1.0, alpha=1.0, theta=self.THETA)
+        return sg.to_spectral(g, np.full(g.shape, self.C)), params
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scheme", ("etd2", "etd1"))
+    @pytest.mark.parametrize("n,N", [(1, 16), (2, 4), (3, 4)])
+    def test_order_against_the_exact_solution(self, n, N, scheme):
+        u0, params = self._start(n, N)
+        t_end = 5.0
+        exact = self.C * (1.0 - self.THETA * self.C ** self.THETA * t_end) ** (-1.0 / self.THETA)
+        errors, residuals = [], []
+        for dt in (0.1, 0.05, 0.025):
+            state = solve(u0, params, SolverConfig(scheme=scheme, dt=dt, t_end=t_end)).final_state
+            half = state.field.coefficients
+            errors.append(half.flat[0].real / N ** n / exact - 1.0)
+            residuals.append(energy_balance_residual(state.ledger))
+            # no other mode is ever fed
+            assert np.max(np.abs(half.flat[1:])) <= 1e-16 * abs(half.flat[0])
+        # the orders of convergence-study's verdict (C6): the error and the
+        # ledger's residual both fall at the scheme's order
+        lo, hi = _ORDER_BANDS[scheme]
+        for series in (errors, residuals):
+            assert all(lo <= np.log2(a / b) <= hi for a, b in zip(series, series[1:]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dt", (0.01, 0.05))
+    def test_blowup_time(self, dt):
+        # the discrete solution trails the exact one, and a state is caught
+        # only once it overflows: 3 dt after t* at both steps
+        u0, params = self._start(1, 16)
+        t_star = 1.0 / (self.THETA * self.C ** self.THETA)
+        with pytest.raises(SolverBlowupError) as err:
+            solve(u0, params, SolverConfig(dt=dt, t_end=10.0))
+        assert t_star <= err.value.t <= t_star + 4 * dt
 
 
 class TestEnergyBalance:
