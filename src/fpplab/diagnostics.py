@@ -112,35 +112,41 @@ def fit_decay(series: NormSeries, window, horizon: float = None) -> DecayFit:
                     window=(t0, t1), horizon_warning=warn)
 
 
-def record(trajectory, l_list, params: ModelParams = None, s: float = None) -> list:
-    """Norm series for every (l, component) over a solver trajectory.
+class record:
+    """Norm series for every (l, component), measured one sample at a time.
 
-    trajectory is a sequence of (t, SpectralField).  For each l the full
-    field and its low/high split at model.CUTOFF_RADIUS are measured in
-    ||Lam^l . ||_L2.  When a loss-regime params/s pair is supplied, the
-    mixed-weight high-band series needed by the time-weighted functionals
-    are recorded too.
+    Pass an instance to ``solver.solve`` as ``on_sample``.  Each sample's
+    field is split once at model.CUTOFF_RADIUS, and the full field and its
+    low/high parts are measured in ||Lam^l . ||_L2 for each l.  When a
+    loss-regime params/s pair is supplied, the mixed-weight high-band norms
+    needed by the time-weighted functionals are measured too.  Only the
+    numbers are kept; ``series()`` returns them as NormSeries.
     """
-    times = np.array([t for t, _ in trajectory], dtype=float)
-    fields = [f for _, f in trajectory]
-    lows, highs = zip(*(sg.split_low_high(f) for f in fields))
-    out = []
-    for l in l_list:
-        for comp, fs in (("full", fields), ("low", lows), ("high", highs)):
-            vals = np.array([sg.sobolev_seminorm(f, l) for f in fs])
-            out.append(NormSeries(times, vals, l=float(l), component=comp))
-    if params is not None and params.alpha < 1.0 and s is not None:
-        ab = params.alpha_bar()
-        j_top = math.floor(s / (2.0 * ab))
-        mag = sg.wavenumber_magnitude(fields[0].grid)
-        for j in range(j_top):
-            l_j = j * ab
-            s_j = s - 2.0 * j * ab
-            w = mag ** l_j * (1.0 + mag * mag) ** (0.5 * s_j)
-            vals = np.array([sg.spectral_weighted_norm(f, w) for f in highs])
-            out.append(NormSeries(times, vals, l=float(l_j),
-                                  norm=f"H[{s_j:g}]", component="high"))
-    return out
+
+    def __init__(self, l_list, params: ModelParams = None, s: float = None):
+        self.l_list = list(l_list)
+        self.bands = []  # (l_j, s_j) of the high-band family H[s_j]
+        if params is not None and params.alpha < 1.0 and s is not None:
+            ab = params.alpha_bar()
+            self.bands = [(j * ab, s - 2.0 * j * ab) for j in range(math.floor(s / (2.0 * ab)))]
+        self.times, self.rows = [], []  # per sample: its time, its norms
+
+    def __call__(self, state):
+        field = state.field
+        low, high = sg.split_low_high(field)
+        mag = sg.wavenumber_magnitude(field.grid)
+        norms = [sg.sobolev_seminorm(part, l) for l in self.l_list for part in (field, low, high)]
+        norms += [sg.spectral_weighted_norm(high, mag ** l_j * (1.0 + mag * mag) ** (0.5 * s_j))
+                  for l_j, s_j in self.bands]
+        self.times.append(state.t)
+        self.rows.append(norms)
+
+    def series(self) -> list:
+        times = np.array(self.times, dtype=float)
+        kinds = [(float(l), "L2", comp) for l in self.l_list for comp in ("full", "low", "high")]
+        kinds += [(float(l_j), f"H[{s_j:g}]", "high") for l_j, s_j in self.bands]
+        return [NormSeries(times, np.array(values), l=l, norm=norm, component=comp)
+                for (l, norm, comp), values in zip(kinds, zip(*self.rows))]
 
 
 @dataclass(frozen=True)
@@ -220,7 +226,7 @@ def weighted_functionals(series, params: ModelParams, s: float,
             if not match:
                 raise ValueError(
                     f"missing high-band series l={j * ab:g}, norm={tag} "
-                    "(record the trajectory with params and s)"
+                    "(record the samples with params and s)"
                 )
             ns = match[0]
             w = (1.0 + times) ** (j * ab - 0.5 * ab) * ns.values ** 2

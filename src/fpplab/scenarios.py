@@ -478,13 +478,16 @@ def _run_linear_decay(cfg, summary, report):
         t_hi = min(t1, horizon, run.t_end)
         sample_times = tuple(np.geomspace(max(t0, run.dt), t_hi, 12))
     run = replace(run, sample_times=sample_times)
-    result = solve(u0, cfg.model, run)
-    summary.step_count = result.step_count
-    inside = [(t, f) for t, f in result.trajectory if 0 < t <= horizon]
+    inside = []  # (t, ||u(t)||_L2) inside the horizon
+
+    def keep(state):
+        if 0 < state.t <= horizon:
+            inside.append((state.t, sg.lp_norm(state.field, 2)))
+
+    summary.step_count = solve(u0, cfg.model, run, on_sample=keep).step_count
     worst = 0.0
     if inside:
-        times = np.array([t for t, _ in inside])
-        values = np.array([sg.lp_norm(f, 2) for _, f in inside])
+        times, values = (np.array(column) for column in zip(*inside))
         want = radial_weighted_l2(cfg.profile, 0.0, times, cfg.model)
         worst = float(np.max(np.abs(values - want) / want))
         summary.series("series_solver_l0_full.csv", times, values)
@@ -560,8 +563,9 @@ def _run_nonlinear_smalldata(cfg, summary, report):
     run = cfg.run
     if not run.sample_times:
         run = replace(run, sample_times=_default_sample_times(window, run.t_end, run.dt))
-    result = solve(u0, cfg.model, run)
-    series = record(result.trajectory, cfg.fit.l_list, params=cfg.model, s=cfg.s)
+    recorder = record(cfg.fit.l_list, params=cfg.model, s=cfg.s)
+    result = solve(u0, cfg.model, run, on_sample=recorder)
+    series = recorder.series()
     e0 = sg.sobolev_norm(u0, cfg.s) + sg.lp_norm(u0, 1)
     wf = weighted_functionals(series, cfg.model, cfg.s, e0=e0)
     for l, tol in zip(cfg.fit.l_list, cfg.fit.tolerance):

@@ -30,8 +30,8 @@ PHI_SERIES_CUTOFF = 1e-4
 
 
 class SolverBlowupError(RuntimeError):
-    """Raised when the state, or its squared modulus, stops being finite;
-    carries the offending time."""
+    """Raised when a state's energy sum stops being finite; carries the
+    offending time."""
 
     def __init__(self, t: float):
         super().__init__(f"non-finite state detected at t={t:g}")
@@ -176,22 +176,23 @@ class _Stepper:
         if self.kernel is None:
             return None, 0.0
         power, source = self.kernel(half, spectrum=need_forcing)
-        if power is None:
-            return None, source
-        # a non-finite power gives a non-finite forcing, which advance() checks
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self.forcing_multiplier * power, source
+        if power is not None:
+            # the kernel's output is fresh: it becomes the forcing in place; a
+            # non-finite power gives a non-finite forcing, which advance() checks
+            with np.errstate(over="ignore", invalid="ignore"):
+                power *= self.forcing_multiplier
+        return power, source
 
     def enter(self, field: sg.SpectralField) -> _Live:
         """Bring the initial field into the loop at t = 0 with a new ledger;
-        a field whose |half|^2 overflows has blown up at t = 0."""
+        a field whose energy sum is not finite has blown up at t = 0."""
         half = field.coefficients
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             sq = half.real ** 2 + half.imag ** 2
-        if not np.all(np.isfinite(sq)):
+        e = float(np.vdot(self.energy_weight, sq))
+        if not math.isfinite(e):
             raise SolverBlowupError(0.0)
         forcing, p = self._nonlinear(half)
-        e = float(np.vdot(self.energy_weight, sq))
         return _Live(0.0, half, sq, EnergyLedger(e0=e, e=e, p=p), forcing)
 
     def leave(self, live: _Live) -> StepState:
@@ -204,8 +205,6 @@ class _Stepper:
         which no further step would read, is not formed."""
         u = live.half
         t_new = live.t + self.dt
-        # a state that overflows is non-finite, and so is its |new|^2 when the
-        # state is finite but its square overflows: one check catches both
         with np.errstate(over="ignore", invalid="ignore"):
             if self.kernel is None:
                 new = self.decay * u
@@ -213,17 +212,26 @@ class _Stepper:
                 f_n = live.forcing
                 new = self.decay * u + self.dt_phi1 * f_n
                 if self.scheme == "etd2":
+                    # the correction dt phi2 (f_a - f_n), formed in f_a, which
+                    # is then dropped: the new state's kernel call below is the
+                    # step's peak of memory
                     f_a, _ = self._nonlinear(new)
-                    new += self.dt_phi2 * (f_a - f_n)
+                    f_a -= f_n
+                    f_a *= self.dt_phi2
+                    new += f_a
+                    del f_a
             sq = new.real ** 2 + new.imag ** 2
-        if not np.all(np.isfinite(sq)):
+        # every energy weight is positive and finite: one check of the sum
+        # catches a non-finite state, an overflowing |new|^2 and sum alike
+        e = float(np.vdot(self.energy_weight, sq))
+        if not math.isfinite(e):
             raise SolverBlowupError(t_new)
         forcing, p_new = self._nonlinear(new, need_forcing=not _last)
         diss = 0.5 * float(np.vdot(self.diss_step, live.sq + sq))
         led = live.ledger
         ledger = replace(
             led,
-            e=float(np.vdot(self.energy_weight, sq)),
+            e=e,
             diss_integral=led.diss_integral + diss,
             source_integral=led.source_integral + 0.5 * self.dt * (led.p + p_new),
             p=p_new,
@@ -233,14 +241,15 @@ class _Stepper:
 
 @dataclass(frozen=True)
 class SolveResult:
-    trajectory: tuple          # ((t, SpectralField), ...) at sample times
     final_state: StepState
     step_count: int
 
 
 def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
           on_sample=None) -> SolveResult:
-    """Integrate from u0 to t_end, snapshotting at the configured sample times.
+    """Integrate from u0 to t_end, calling on_sample(StepState) at the
+    configured sample times.  Nothing keeps a sample after its call returns:
+    a caller that wants fields, or norms of them, keeps them itself.
 
     A linear run (nonlinearity disabled) jumps from one sample time to the
     next, and then to t_end, with the exact semigroup multiplier: sample
@@ -254,13 +263,10 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
               if config.enable_nonlinearity else None)
     stepper = _Stepper(u0.grid, params, config.dt, config.scheme, kernel)
     live = stepper.enter(u0)
-    trajectory = []
 
     def emit(current):
-        st = stepper.leave(current)
-        trajectory.append((st.t, st.field))
         if on_sample is not None:
-            on_sample(st)
+            on_sample(stepper.leave(current))
 
     if not config.enable_nonlinearity:
         samples = {min(t, config.t_end) for t in config.sample_times}
@@ -272,8 +278,7 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
                 jumps += 1
             if stop in samples:
                 emit(live)
-        return SolveResult(trajectory=tuple(trajectory), final_state=stepper.leave(live),
-                           step_count=jumps)
+        return SolveResult(final_state=stepper.leave(live), step_count=jumps)
 
     n_steps = int(math.floor(config.t_end / config.dt + 1e-9))
     remainder = config.t_end - n_steps * config.dt
@@ -289,5 +294,4 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
     if has_tail:
         tail = _Stepper(u0.grid, params, remainder, config.scheme, kernel)
         live = tail.advance(live, _last=True)
-    return SolveResult(trajectory=tuple(trajectory), final_state=stepper.leave(live),
-                       step_count=n_steps)
+    return SolveResult(final_state=stepper.leave(live), step_count=n_steps)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,10 +76,48 @@ class TestRecord:
     def test_zero_trajectory_gives_zero_series(self, gain_params):
         g = sg.GridSpec(1, 32, 10.0)
         zero = sg.SpectralField(g, np.zeros(g.half_shape, dtype=complex))
-        series = record([(0.0, zero), (1.0, zero)], [0.0, 1.0])
+        recorder = record([0.0, 1.0])
+        solve(zero, gain_params, SolverConfig(dt=0.5, t_end=1.0, enable_nonlinearity=False,
+                                              sample_times=(0.0, 1.0)), on_sample=recorder)
+        series = recorder.series()
         assert len(series) == 6  # 2 orders x 3 components
         for ns in series:
             assert np.all(ns.values == 0.0)
+
+    @pytest.mark.parametrize("regime", ["gain", "loss"])
+    def test_recorder_matches_eager_norms(self, gain_params, loss_params, regime):
+        # the recorder measures each sample as it comes; the same calls on
+        # kept samples must give the same numbers bit for bit, the loss
+        # regime's H[s_j] high-band family included
+        params, s = (gain_params, None) if regime == "gain" else (loss_params, 2.0)
+        g = sg.GridSpec(1, 256, 200.0)
+        u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.1, n=1).profile)
+        ls = [0.0, 0.5, 1.0]
+        recorder = record(ls, params=params, s=s)
+        samples = []
+
+        def both(state):
+            samples.append(state)
+            recorder(state)
+        solve(u0, params, SolverConfig(dt=0.05, t_end=1.0, sample_times=(0.0, 0.3, 0.6, 1.0)),
+              on_sample=both)
+        fields = [st.field for st in samples]
+        lows, highs = zip(*(sg.split_low_high(f) for f in fields))
+        want = [(float(l), "L2", comp, [sg.sobolev_seminorm(f, l) for f in fs])
+                for l in ls for comp, fs in (("full", fields), ("low", lows), ("high", highs))]
+        if s is not None:
+            ab = params.alpha_bar()
+            mag = sg.wavenumber_magnitude(g)
+            for j in range(math.floor(s / (2.0 * ab))):
+                w = mag ** (j * ab) * (1.0 + mag * mag) ** (0.5 * (s - 2.0 * j * ab))
+                want.append((j * ab, f"H[{s - 2.0 * j * ab:g}]", "high",
+                             [sg.spectral_weighted_norm(h, w) for h in highs]))
+        assert len(want) == 9 + (2 if s is not None else 0)
+        series = recorder.series()
+        assert [(ns.l, ns.norm, ns.component) for ns in series] == [w[:3] for w in want]
+        for ns, (*_, values) in zip(series, want):
+            assert np.array_equal(ns.times, [st.t for st in samples])
+            assert np.array_equal(ns.values, values)
 
     def test_split_pythagoras_identity(self, gain_params):
         g = sg.GridSpec(1, 128, 40.0)
@@ -99,8 +139,9 @@ class TestRecord:
         ts = tuple(np.geomspace(1.0, min(horizon, 200.0), 8))
         cfg = SolverConfig(dt=0.5, t_end=ts[-1], enable_nonlinearity=False,
                            sample_times=ts)
-        res = solve(u0, gain_params, cfg)
-        series = record(res.trajectory, [0.0])
+        recorder = record([0.0])
+        solve(u0, gain_params, cfg, on_sample=recorder)
+        series = recorder.series()
         full = [ns for ns in series if ns.component == "full"][0]
         for t, v in zip(full.times, full.values):
             want = radial_weighted_l2(prof, 0.0, t, gain_params)
@@ -116,8 +157,9 @@ class TestRecord:
         ts = tuple(np.geomspace(10.0, min(horizon, 5e3), 12))
         cfg = SolverConfig(dt=2.5, t_end=ts[-1], enable_nonlinearity=False,
                            sample_times=ts)
-        res = solve(u0, gain_params, cfg)
-        series = record(res.trajectory, [0.0, 1.0])
+        recorder = record([0.0, 1.0])
+        solve(u0, gain_params, cfg, on_sample=recorder)
+        series = recorder.series()
         for ns in series:
             if ns.component != "low":
                 continue
@@ -160,9 +202,11 @@ class TestWeightedFunctionals:
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.01, n=1).profile)
         s = 4.0
         ts = tuple(np.geomspace(0.5, 20.0, 10))
-        res = solve(u0, loss_params, SolverConfig(dt=0.05, t_end=20.0, sample_times=ts))
         ls = [round(0.25 * k, 2) for k in range(17)]  # 0 .. 4 step 0.25
-        series = record(res.trajectory, ls, params=loss_params, s=s)
+        recorder = record(ls, params=loss_params, s=s)
+        solve(u0, loss_params, SolverConfig(dt=0.05, t_end=20.0, sample_times=ts),
+              on_sample=recorder)
+        series = recorder.series()
         wf = weighted_functionals(series, loss_params, s, e0=1.0)
         assert wf.e is not None and wf.l is not None
         assert np.all(np.diff(wf.e) >= -1e-12 * wf.e[-1])

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -111,6 +113,27 @@ class TestStep:
         with pytest.raises(SolverBlowupError) as err:
             solve(f, p, cfg)
         assert err.value.t > 0.0
+
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "overflowing-sum"])
+    def test_nonfinite_energy_raises_at_the_new_time(self, gain_params, bad):
+        # one check of the energy sum catches a NaN mode, an inf mode and a
+        # finite state whose |half|^2 is finite but whose weighted sum is not
+        g = sg.GridSpec(1, 32, 32.0)
+        dt = 1e-3
+        stepper = _Stepper(g, gain_params, dt, "etd2")
+        live = stepper.enter(random_real_field(g, seed=4))
+        half = live.half.copy()
+        if bad == "overflowing-sum":
+            half[:] = 1e154
+            assert np.all(np.isfinite(np.abs(stepper.decay * half) ** 2))
+        else:
+            half[3] = float(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverBlowupError) as err:
+                stepper.advance(live._replace(t=0.5, half=half))
+        assert err.value.t == 0.5 + dt
 
 
 class TestLoopCache:
@@ -329,9 +352,11 @@ class TestBoundedness:
         g = sg.GridSpec(1, 512, 400.0)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.01, n=1).profile)
         ts = tuple(np.linspace(0.0, 50.0, 26))
-        res = solve(u0, gain_params, SolverConfig(dt=0.05, t_end=50.0, sample_times=ts))
+        norms = []
+        solve(u0, gain_params, SolverConfig(dt=0.05, t_end=50.0, sample_times=ts),
+              on_sample=lambda st: norms.append(sg.sobolev_norm(st.field, 1.0)))
         start = sg.sobolev_norm(u0, 1.0)
-        sup = max(sg.sobolev_norm(f, 1.0) for _, f in res.trajectory)
+        sup = max(norms)
         assert sup <= 2.0 * start
 
     @given(seed=st.integers(0, 500))
@@ -346,14 +371,34 @@ class TestBoundedness:
                 sg.sobolev_seminorm(v, l) * (1 + 1e-13)
 
 
+class TestStreaming:
+    def test_memory_does_not_grow_with_the_sample_count(self, gain_params):
+        # solve keeps no sample once its on_sample call has returned, so ten
+        # times the samples leave the peak within two fields
+        g = sg.GridSpec(1, 4096, 400.0 * np.pi)
+        u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.01, n=1).profile)
+        peaks = []
+        for count in (50, 5):
+            cfg = SolverConfig(dt=0.1, t_end=5.0,
+                               sample_times=tuple(np.linspace(0.0, 5.0, count)))
+            tracemalloc.start()
+            try:
+                solve(u0, gain_params, cfg, on_sample=lambda state: None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[0] - peaks[1]) < 2 * u0.coefficients.nbytes
+
+
 class TestSamples:
     def test_sample_times_snapped_to_step_lattice(self, gain_params):
         g = sg.GridSpec(1, 32, 10.0)
         f = random_real_field(g, seed=6)
         cfg = SolverConfig(dt=0.1, t_end=1.0, enable_nonlinearity=False,
                            sample_times=(0.0, 0.5, 1.0))
-        res = solve(f, gain_params, cfg)
-        assert [t for t, _ in res.trajectory] == pytest.approx([0.0, 0.5, 1.0])
+        seen = []
+        solve(f, gain_params, cfg, on_sample=seen.append)
+        assert [st.t for st in seen] == pytest.approx([0.0, 0.5, 1.0])
 
     def test_nonlinear_sample_times_snapped_to_step_lattice(self, gain_params):
         # a nonlinear run keeps its fixed steps and floors each time to them
@@ -361,8 +406,9 @@ class TestSamples:
         f = random_real_field(g, seed=6)
         f = sg.SpectralField(g, 0.01 * f.coefficients)
         cfg = SolverConfig(dt=0.1, t_end=1.0, sample_times=(0.0, 0.37, 1.0))
-        res = solve(f, gain_params, cfg)
-        assert [t for t, _ in res.trajectory] == pytest.approx([0.0, 0.3, 1.0])
+        seen = []
+        res = solve(f, gain_params, cfg, on_sample=seen.append)
+        assert [st.t for st in seen] == pytest.approx([0.0, 0.3, 1.0])
         assert res.step_count == 10
 
     def test_linear_sample_times_land_exactly(self, gain_params):
@@ -373,12 +419,12 @@ class TestSamples:
         seen = []
         cfg = SolverConfig(dt=0.5, t_end=5.0, enable_nonlinearity=False, sample_times=ts)
         res = solve(f, gain_params, cfg, on_sample=seen.append)
-        assert tuple(t for t, _ in res.trajectory) == ts
-        assert [st.t for st in seen] == list(ts)
+        assert tuple(st.t for st in seen) == ts
         assert res.step_count == 4  # three samples, then t_end
-        for t, got in res.trajectory:
-            want = propagate(f, t, gain_params).coefficients
-            assert np.max(np.abs(got.coefficients - want)) <= 1e-13 * np.max(np.abs(want))
+        for st in seen:
+            want = propagate(f, st.t, gain_params).coefficients
+            got = st.field.coefficients
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
