@@ -203,7 +203,8 @@ def field_from_spectral_profile(grid: GridSpec, profile) -> SpectralField:
 
 
 def padded_size(N: int, P: int) -> int:
-    """Points per axis of the padded grid: M = P*N/2, P rows of N/2 points.
+    """Points per axis of the padded grid: M = P*N/2, which ``PaddedPower``
+    splits in 1-D into P*T/2 rows of N/T points.
 
     P must be an integer of at least 3, so that M > N and the pad holds the
     split Nyquist modes; P = d+1 makes a degree-d power alias-free.
@@ -241,6 +242,9 @@ def _fold_axis(a: np.ndarray, axis: int, N: int) -> np.ndarray:
 # Padded points the kernel below transforms at a time: 2^16 float64 samples,
 # 512 KiB, so a 3-D step never holds the whole padded grid.
 PADDED_BLOCK_POINTS = 2 ** 16
+# Samples per row of the 1-D route at most, where N allows: 1024 float64 in
+# and their spectrum out take 16 KiB, so a row's transform stays in L1.
+PADDED_ROW_POINTS = 1024
 
 
 class PaddedPower:
@@ -254,9 +258,11 @@ class PaddedPower:
     lattice for degree d when P >= d+1.  Non-finite values pass through
     without a warning.
 
-    In 1-D the padded row is P interleaved sub-lattices of N/2 points,
-    one batch of P short transforms each way (``_power_1d``); no transform
-    has length M.  For n >= 2, axis 0 is padded and inverse transformed
+    In 1-D the padded row is R = P*T/2 interleaved sub-lattices of N/T
+    points, T lattice modes to a column, one batch of R short transforms
+    each way (``_power_1d``); no transform has length M.  T is 2, doubled
+    while rows would be longer than PADDED_ROW_POINTS and T*2 divides N.
+    For n >= 2, axis 0 is padded and inverse transformed
     first.  Then blocks of axis-0 slabs, about PADDED_BLOCK_POINTS padded
     points each, go through the other axes, the power, the sum and back,
     each axis cut to the lattice once it is done; axis 0 is folded last.
@@ -276,66 +282,79 @@ class PaddedPower:
         # turns the padded nodes' sum of u^(power+1) into an integral
         self.node_volume = (grid.box_length / M) ** n
         if n == 1:
-            # the (P, N/4+1) table 0.5 exp(2 pi i j s / M), s the row and j the
-            # column, 0.5 being the inverse's scale, and the row phases
-            # exp(-2 pi i s / P).  math's cos and sin: numpy's, which a 1-D run
-            # loads for nothing else, map about 0.1 MB more code; s*j < M/2,
+            T = 2
+            while N // T > PADDED_ROW_POINTS and N % (2 * T) == 0:
+                T *= 2
+            R, C = self.P * T // 2, N // T // 2 + 1
+            self.T = T
+            # the (R, C) table exp(2 pi i c s / M) / T, s the row and c the
+            # column, 1/T being the inverse's scale, and the (R, T) matrix
+            # exp(2 pi i t s / R) over the column's modes t = 0, .., T/2 - 1,
+            # -T/2, .., -1.  math's cos and sin: numpy's, which a 1-D run
+            # loads for nothing else, map about 0.1 MB more code; s*c < M/2,
             # so no angle needs reduction.
-            J = N // 4 + 1
-            turns = (2.0 * math.pi * (s * j) / M for s in range(self.P) for j in range(J))
-            self.table = np.fromiter((0.5 * complex(math.cos(a), math.sin(a)) for a in turns),
-                                     complex, self.P * J).reshape(self.P, J)
-            self.phase = tuple(complex(math.cos(a), -math.sin(a))
-                               for a in (2.0 * math.pi * s / self.P for s in range(self.P)))
-            self._rows, self._spectra = np.empty((2, self.P, J), complex)
+            turns = (2.0 * math.pi * (s * c) / M for s in range(R) for c in range(C))
+            self.twiddle = np.fromiter((complex(math.cos(a), math.sin(a)) / T for a in turns),
+                                       complex, R * C).reshape(R, C)
+            modes = (*range(T // 2), *range(-T // 2, 0))
+            turns = (2.0 * math.pi * (t * s % R) / R for s in range(R) for t in modes)
+            self.dft = np.fromiter((complex(math.cos(a), math.sin(a)) for a in turns),
+                                   complex, R * T).reshape(R, T)
+            self._rows, self._spectra = np.empty((2, R, C), complex)
         else:
             rows = min(M, max(1, PADDED_BLOCK_POINTS // M ** (n - 1)))
             self._raised = np.empty((rows,) + (M,) * (n - 1))
             self._spectra = np.empty((rows,) + (M,) * (n - 2) + (M // 2 + 1,), complex)
 
     def _power_1d(self, half: np.ndarray, spectrum: bool) -> tuple:
-        """The 1-D route, by P transforms of length N/2.
+        """The 1-D route, by R transforms of length L = N/T.
 
-        Padded node m = s + P q is row s, column q of a (P, N/2) array.  With
-        w = exp(2 pi i / M), lattice modes k and k - N/2 both land in column
-        k mod N/2 of row s, so row s is the length-N/2 inverse rfft of
-        G_s[j] = 0.5 w^(js) (H[j] + exp(-2 pi i s/P) conj(H[N/2-j])), j <= N/4.
-        The inverse keeps only the real part of G_s[0], which splits the
-        Nyquist coefficient evenly between +N/2 and -N/2.  On the way back,
-        V_s = rfft(row s of the power) gives F_k = sum_s w^(-ks) V_s[k mod N/2]:
-        with Z = conj(V) * table, F_k = conj(sum_s Z[s, k]) for k <= N/4 and
-        F_(N/2-j) = sum_s exp(-2 pi i s/P) Z[s, j], a reversed slice.
+        Padded node m = s + R q is row s, column q of an (R, L) array.  With
+        w = exp(2 pi i / M), lattice mode k = c + L t lands in column c of
+        row s with the factor w^(cs) exp(2 pi i t s/R), so row s is the
+        length-L inverse rfft of the twiddled rows of dft @ X, where column
+        c <= L/2 of X holds the T modes c + L t, t = -T/2, .., T/2 - 1, from
+        the half spectrum: forward slices for t >= 0, conjugated reversed
+        ones for t < 0, the -N/2 mode whole.  The inverse keeps only the
+        real part of column 0, which splits the Nyquist coefficient evenly
+        between +N/2 and -N/2.  On the way back, with V = rfft of the rows of
+        the power, F_(c + L t) = sum_s w^(-cs) exp(-2 pi i t s/R) V[s, c],
+        the conjugate of row t of dft.T @ (conj(V) * twiddle): forward
+        slices of F for t >= 0, conjugated reversed ones for t < 0.
         """
-        P, table, phase, rows, v = self.P, self.table, self.phase, self._rows, self._spectra
+        T, twiddle, y, v = self.T, self.twiddle, self._rows, self._spectra
+        R, C = y.shape
         h = self.grid.points_per_dim // 2
-        J = h // 2 + 1
+        L = 2 * h // T
         with np.errstate(over="ignore", invalid="ignore"):
-            # row by row, with the phase a scalar: numpy would buffer a broadcast
-            # complex operand in a temporary the size of the table
-            mirror = np.conj(half[h:h - J:-1])
-            for row, p in zip(rows, phase):
-                np.multiply(mirror, p, out=row)
-                row += half[:J]
-            rows *= table
-            # the samples fill the front of v, their power the front of rows
-            # once the inverse has read it, and the power's rfft all of v once
-            # the sum has read the samples
-            u = np.fft.irfft(rows, n=h, axis=-1, out=np.ndarray((P, h), buffer=v))
-            u_power = pointwise_power(u, self.power, out=np.ndarray((P, h), buffer=rows))
+            # the modes fill the front of v, the rows y; then the samples fill
+            # the front of v, their power the front of y once the inverse has
+            # read it, the power's rfft all of v once the sum has read the
+            # samples, and dft.T's product the front of y
+            x = np.ndarray((T, C), complex, buffer=v)
+            for t in range(T // 2):
+                x[t] = half[L * t:L * t + C]
+                k = L * (t + 1)
+                np.conjugate(half[k:k - C:-1], out=x[T - 1 - t])
+            np.matmul(self.dft, x, out=y)
+            y *= twiddle
+            u = np.fft.irfft(y, n=L, axis=-1, out=np.ndarray((R, L), buffer=v))
+            u_power = pointwise_power(u, self.power, out=np.ndarray((R, L), buffer=y))
             total = float(np.vdot(u_power, u)) * self.node_volume
             if not spectrum:
                 return None, total
             np.fft.rfft(u_power, axis=-1, out=v)
             np.conjugate(v, out=v)
-            v *= table
+            v *= twiddle
+            b = np.matmul(self.dft.T, v, out=np.ndarray((T, C), complex, buffer=y))
             out = np.empty(h + 1, dtype=complex)
-            np.conjugate(v.sum(axis=0), out=out[:J])
-            for row, p in zip(v[1:], phase[1:]):  # row 0's phase is 1
-                row *= p
-            out[J:] = v.sum(axis=0)[h - J::-1]
+            for t in range(T // 2):
+                np.conjugate(b[t], out=out[L * t:L * t + C])
+                k = L * (t + 1)
+                out[k:k - C:-1] = b[T - 1 - t]
             # +N/2 and -N/2 fold into the lattice's Nyquist coefficient
             out[h] += np.conj(out[h])
-            out *= 4.0 / P  # N/M = 2/P, over the table's 0.5
+            out *= 2.0 * T / self.P  # N/M = 2/P, over the twiddles' 1/T
             return out, total
 
     def __call__(self, half: np.ndarray, spectrum: bool = True) -> tuple:
@@ -381,20 +400,21 @@ class PaddedPower:
 def _chain_power(x: np.ndarray, power: int, out: np.ndarray) -> np.ndarray:
     """x**power into `out` by repeated squaring: a few multiplications, where
     numpy's float ``pow`` for an integer exponent is tens of times slower.
-    The squares go to one array of this function's own, squared in place;
-    x itself is never written."""
-    base, square, started = x, None, False
-    while True:
-        if power & 1:
-            if started:
-                out *= base
-            else:
-                np.copyto(out, base)
-                started = True
+    The square for the lowest set bit of `power` is formed in `out` itself,
+    the later squares in one array of this function's own, squared in
+    place; x itself is never written."""
+    base = x
+    while not power & 1:
+        base = np.multiply(base, base, out=out)
         power >>= 1
-        if not power:
-            return out
+    if base is x:
+        np.copyto(out, x)
+    square = None
+    while power := power >> 1:
         base = square = np.multiply(base, base, out=square)
+        if power & 1:
+            out *= square
+    return out
 
 
 def pointwise_power(u: np.ndarray, power: int, out: np.ndarray = None) -> np.ndarray:

@@ -345,12 +345,8 @@ class TestPrunedPaddedTransforms:
     """The padded-power kernel against dense zero-padded full-lattice
     transforms built with plain numpy.fft."""
 
-    # every 1-D case, odd N/2 (N = 6, 10) and odd M = P*N/2 included, and
-    # the blocked n >= 2 route at the paddings of theta = 1, 2, 5
-    @pytest.mark.parametrize(
-        "n,N,P", [(1, N, P) for N in (4, 6, 8, 10, 12) for P in range(3, 9)]
-        + [(n, N, P) for n in (2, 3) for N in (6, 8, 10) for P in (3, 4, 7)])
-    def test_match_dense_padding(self, n, N, P):
+    @staticmethod
+    def _check_dense(n, N, P, T=2):
         rng = np.random.default_rng(100 * n + N)
         M = sg.padded_size(N, P)
         u = rng.standard_normal((N,) * n)
@@ -360,11 +356,31 @@ class TestPrunedPaddedTransforms:
             raised = up ** power
             folded = _along_axes(_fold(N, M), np.fft.fftn(raised)) * (N / M) ** n
             ref = folded[..., : N // 2 + 1]
-            out, total = unit_kernel(n, N, power, P)(np.fft.rfftn(u))
+            kernel = unit_kernel(n, N, power, P)
+            assert n > 1 or kernel.T == T
+            out, total = kernel(np.fft.rfftn(u))
             assert out.shape == ref.shape
             assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
             terms = raised * up
             assert abs(total - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
+
+    # every 1-D case, odd N/2 (N = 6, 10) and odd M = P*N/2 included, on
+    # rows of N/2 points (T = 2), and the blocked n >= 2 route at the
+    # paddings of theta = 1, 2, 5
+    @pytest.mark.parametrize(
+        "n,N,P", [(1, N, P) for N in (4, 6, 8, 10, 12, 16) for P in range(3, 9)]
+        + [(n, N, P) for n in (2, 3) for N in (6, 8, 10) for P in (3, 4, 7)])
+    def test_match_dense_padding(self, n, N, P):
+        self._check_dense(n, N, P)
+
+    # the same 1-D cases on rows of N/T points for every T = 4, 8 that
+    # divides N, rows of one point (N = T) and the odd N/T = 3 (N = 12, T = 4)
+    # included
+    @pytest.mark.parametrize("N,P,T", [(N, P, T) for N in (4, 8, 12, 16) for P in range(3, 9)
+                                       for T in (4, 8) if N % T == 0])
+    def test_match_dense_padding_on_short_rows(self, monkeypatch, N, P, T):
+        monkeypatch.setattr(sg, "PADDED_ROW_POINTS", N // T)
+        self._check_dense(1, N, P, T)
 
     def test_production_row_matches_one_long_transform(self):
         # smalldata-1d's N = 4096, theta = 5: M = 14,336, against one
@@ -393,14 +409,19 @@ class TestPrunedPaddedTransforms:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", (1, 2, 3))
-    def test_non_finite_samples_raise_no_warning(self, n):
+    def test_non_finite_samples_raise_no_warning(self, monkeypatch, n):
         # an overflowed power gives inf and nan samples and coefficients,
-        # which the sum, the folds and the scaling must pass on without a warning
+        # which the sum, the folds, the row products and the scaling must
+        # pass on without a warning; in 1-D on rows of 4 (T = 2) and 2 (T = 4)
         u = np.ones((8,) * n)
         u.flat[5] = 1e60
-        out, total = unit_kernel(n, 8, 6, 7)(np.fft.rfftn(u))
-        assert not np.all(np.isfinite(out))
-        assert not np.isfinite(total)
+        for T in (2, 4) if n == 1 else (2,):
+            monkeypatch.setattr(sg, "PADDED_ROW_POINTS", 8 // T)
+            kernel = unit_kernel(n, 8, 6, 7)
+            assert n > 1 or kernel.T == T
+            out, total = kernel(np.fft.rfftn(u))
+            assert not np.all(np.isfinite(out))
+            assert not np.isfinite(total)
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_partial_last_block_matches_one_block(self, monkeypatch, n):
