@@ -9,7 +9,6 @@ horizon when the series came from a periodic run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,18 +116,16 @@ class record:
 
     Pass an instance to ``solver.solve`` as ``on_sample``.  Each sample's
     field is split once at model.CUTOFF_RADIUS, and the full field and its
-    low/high parts are measured in ||Lam^l . ||_L2 for each l.  When a
-    loss-regime params/s pair is supplied, the mixed-weight high-band norms
-    needed by the time-weighted functionals are measured too.  Only the
-    numbers are kept; ``series()`` returns them as NormSeries.
+    low/high parts are measured in ||Lam^l . ||_L2 for each l.  The high
+    part is also measured in the mixed weight of each (l_j, s_j) of bands,
+    the loss regime's family (model.validate(params, s).bands) that the
+    time-weighted functionals need.  Only the numbers are kept;
+    ``series()`` returns them as NormSeries.
     """
 
-    def __init__(self, l_list, params: ModelParams = None, s: float = None):
+    def __init__(self, l_list, bands=()):
         self.l_list = list(l_list)
-        self.bands = []  # (l_j, s_j) of the high-band family H[s_j]
-        if params is not None and params.alpha < 1.0 and s is not None:
-            ab = params.alpha_bar()
-            self.bands = [(j * ab, s - 2.0 * j * ab) for j in range(math.floor(s / (2.0 * ab)))]
+        self.bands = bands  # (l_j, s_j) of the high-band family H[s_j]
         self.times, self.rows = [], []  # per sample: its time, its norms
 
     def __call__(self, state):
@@ -185,8 +182,8 @@ def weighted_functionals(series, params: ModelParams, s: float,
 
     Needs full-component ||Lam^l .||_L2 series on an l-grid covering [0, s]
     with spacing <= 0.25; in the loss regime additionally the mixed-weight
-    high-band family produced by ``record``.  All outputs are nondecreasing
-    in t by construction.
+    high-band family that ``record`` measures for validate(params, s).bands.
+    All outputs are nondecreasing in t by construction.
     """
     full = sorted(
         (ns for ns in series if ns.component == "full" and ns.norm == "L2"),
@@ -215,21 +212,17 @@ def weighted_functionals(series, params: ModelParams, s: float,
     e = l_int = None
     if params.alpha < 1.0:
         ab = params.alpha_bar()
-        j_top = math.floor(s / (2.0 * ab))
+        bands = [ns for ns in series if ns.norm != "L2"]
+        have, want = [ns.l for ns in bands], [l_j for l_j, _ in report.bands]
+        if have != want:
+            raise ValueError(
+                f"high-band series l={have} are not the family l_j={want} of "
+                f"s={s:g} (record the samples with validate(params, s).bands)"
+            )
         terms_sup = np.zeros_like(times)
         terms_int = np.zeros_like(times)
-        for j in range(j_top):
-            tag = f"H[{s - 2.0 * j * ab:g}]"
-            match = [ns for ns in series
-                     if ns.component == "high" and ns.norm == tag
-                     and abs(ns.l - j * ab) < 1e-9]
-            if not match:
-                raise ValueError(
-                    f"missing high-band series l={j * ab:g}, norm={tag} "
-                    "(record the samples with params and s)"
-                )
-            ns = match[0]
-            w = (1.0 + times) ** (j * ab - 0.5 * ab) * ns.values ** 2
+        for ns in bands:
+            w = (1.0 + times) ** (ns.l - 0.5 * ab) * ns.values ** 2
             terms_sup = terms_sup + np.maximum.accumulate(w)
             terms_int = terms_int + _running_trapezoid(times, w)
         e = np.sqrt(terms_sup)

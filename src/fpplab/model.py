@@ -130,6 +130,8 @@ class RegimeReport:
 
     n0 is the largest derivative order whose decay rate is guaranteed; it
     equals s in the gain regime and is capped below s in the loss regime.
+    bands is the loss regime's high-band family H[s_j] as (l_j, s_j) = (j abar,
+    s - 2 j abar), j < floor(s/(2 abar)); () when alpha >= 1; not in to_dict().
     """
 
     regime: str
@@ -138,6 +140,7 @@ class RegimeReport:
     s_ok: bool
     n0: float
     warnings: tuple = ()
+    bands: tuple = ()
 
     def to_dict(self) -> dict:
         return {
@@ -169,6 +172,7 @@ def validate(params: ModelParams, s: float) -> RegimeReport:
             f"theta={theta} does not exceed 4*alpha/n={4.0 * alpha / n:g}; "
             "small-data decay is not guaranteed"
         )
+    bands = ()
     if alpha >= 1.0:
         regime = GAIN
         s_ok = s > n / 2.0
@@ -179,6 +183,7 @@ def validate(params: ModelParams, s: float) -> RegimeReport:
         regime = LOSS
         ab = 1.0 - alpha
         j = math.floor(s / (2.0 * ab))
+        bands = tuple((k * ab, s - 2.0 * k * ab) for k in range(j))
         s_ok = j >= n / (2.0 * alpha) + 1.5 * ab
         if not s_ok:
             warnings.append(
@@ -197,4 +202,5 @@ def validate(params: ModelParams, s: float) -> RegimeReport:
         s_ok=s_ok,
         n0=float(n0),
         warnings=tuple(warnings),
+        bands=bands,
     )

@@ -39,7 +39,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .diagnostics import MIN_FIT_SAMPLES, DecayFit, NormSeries, fit_decay
 from .model import CUTOFF_RADIUS, ModelParams, cutoff_partition, sigma
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
@@ -71,11 +70,18 @@ class OracleConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DecayClass:
-    """Tail behaviour of a profile: gaussian(width) | power_tail(p)."""
+class RadialProfile:
+    """Radial spectral profile uhat0(r) and its tail: kind gaussian (the
+    parameter is the width) or power_tail (the parameter is the exponent p).
 
+    l1_norm_hint caches ||phi||_L1 of the corresponding physical function
+    when it is known in closed form (sign-definite profiles).
+    """
+
+    profile: object  # callable r -> uhat0(r), vectorized over ndarrays
     kind: str
     parameter: float = None
+    l1_norm_hint: float = None
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "power_tail"):
@@ -84,19 +90,6 @@ class DecayClass:
             self.parameter is not None and self.parameter > 0
         ):
             raise ValueError(f"{self.kind} needs a positive parameter")
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Radial spectral profile uhat0(r) with tail metadata.
-
-    l1_norm_hint caches ||phi||_L1 of the corresponding physical function
-    when it is known in closed form (sign-definite profiles).
-    """
-
-    profile: object  # callable r -> uhat0(r), vectorized over ndarrays
-    decay_class: DecayClass
-    l1_norm_hint: float = None
 
     def __call__(self, r):
         return self.profile(r)
@@ -113,7 +106,7 @@ def gaussian_profile(width: float = 1.0, amplitude: float = 1.0,
     def f(r):
         return amplitude * np.exp(-0.5 * w2 * np.square(r))
 
-    return RadialProfile(f, DecayClass("gaussian", width),
+    return RadialProfile(f, "gaussian", width,
                          l1_norm_hint=(2.0 * np.pi) ** (n / 2.0) * abs(amplitude))
 
 
@@ -131,7 +124,7 @@ def power_tail_profile(exponent: float, amplitude: float = 1.0,
         with np.errstate(over="ignore"):
             return amplitude * (1.0 + np.square(r)) ** (-0.5 * exponent)
 
-    return RadialProfile(f, DecayClass("power_tail", exponent),
+    return RadialProfile(f, "power_tail", exponent,
                          l1_norm_hint=(2.0 * np.pi) ** (n / 2.0) * abs(amplitude))
 
 
@@ -219,14 +212,13 @@ def _log_crossing_roots(cols: np.ndarray, log_c: np.ndarray,
 
 def _check_tail_convergence(profile: RadialProfile, l: float, t: np.ndarray,
                             params: ModelParams):
-    dc = profile.decay_class
-    if dc.kind != "power_tail":
+    if profile.kind != "power_tail":
         return
     if params.alpha > 1.0 and np.all(t > 0.0):
         return  # super-diffusive damping kills any power tail
-    if not 2.0 * dc.parameter > 2.0 * l + params.n:
+    if not 2.0 * profile.parameter > 2.0 * l + params.n:
         raise OracleConvergenceError(
-            f"tail integral diverges: power-tail exponent {dc.parameter:g} needs "
+            f"tail integral diverges: power-tail exponent {profile.parameter:g} needs "
             f"2p > 2l + n = {2.0 * l + params.n:g}"
         )
 
@@ -302,7 +294,6 @@ def _weighted_integral(profile: RadialProfile, l: float, t: np.ndarray,
     area = sphere_area(params.n)
     weigh = _WINDOWS[window]
     half_pow = l + 0.5 * (params.n - 1.0)  # r^(2l+n-1) = (r^half_pow)^2
-    dc = profile.decay_class
 
     def body(r, rows):
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -329,24 +320,24 @@ def _weighted_integral(profile: RadialProfile, l: float, t: np.ndarray,
     hi = 2.0 * R if window in ("low", "cross") else math.inf
 
     marks = [np.full(t.size, p) for p in (R, 2.0 * R, 1.0)] + [np.fmax(r_up, lo)]
-    if dc.kind == "gaussian":
-        marks.append(np.full(t.size, 1.0 / dc.parameter))
+    if profile.kind == "gaussian":
+        marks.append(np.full(t.size, 1.0 / profile.parameter))
     panel_sets = []
     exact = np.zeros(t.size)
     if math.isinf(hi):
-        top = np.fmax(r_up, max(2.0 * R, 1.0,
-                                2.0 / dc.parameter if dc.kind == "gaussian" else 0.0))
+        top = np.fmax(r_up, max(2.0 * R, 1.0, 2.0 / profile.parameter
+                                if profile.kind == "gaussian" else 0.0))
         s_top = -np.log(top)
         s_cut = s_top + math.log(_TAIL_CUT)
         s_break = np.where(r_down > top, -np.log(r_down), s_top)
         panel_sets.append((tail, np.column_stack([s_cut, s_break]),
                            np.column_stack([s_break, s_top])))
         undamped = (alpha <= 1.0) | (t == 0.0)
-        if dc.kind == "power_tail" and undamped.any():
+        if profile.kind == "power_tail" and undamped.any():
             # below s_cut the integrand is C exp(beta s) up to a relative
             # O(t u^(2 - 2 alpha)); beta > 0 was checked for these times,
             # and for the others alpha > 1 damps the tail to nothing
-            beta = 2.0 * dc.parameter - 2.0 * l - params.n
+            beta = 2.0 * profile.parameter - 2.0 * l - params.n
             at_cut = tail(s_cut[:, None, None], np.arange(t.size))[:, 0, 0]
             exact = np.where(undamped, at_cut / beta, 0.0)
     else:
@@ -391,20 +382,3 @@ def radial_weighted_l2(profile: RadialProfile, l: float, t,
         )
     return float(q_half[0]) if scalar else q_half.reshape(times.shape)
 
-
-def oracle_decay_fit(profile: RadialProfile, l: float, params: ModelParams,
-                     t_window, n_samples: int = 24) -> DecayFit:
-    """Fitted log-log decay slope of the full-window norm of the linear flow.
-
-    Samples are log-uniform in [t0, t1]; the window must span at least two
-    decades (t1/t0 >= 100) for a stable slope.
-    """
-    t0, t1 = float(t_window[0]), float(t_window[1])
-    if not (t0 > 0 and t1 / t0 >= 100.0):
-        raise ValueError("fit window must satisfy t0 > 0 and t1/t0 >= 100")
-    if n_samples < MIN_FIT_SAMPLES:
-        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples for a decay fit")
-    times = np.geomspace(t0, t1, n_samples)
-    values = radial_weighted_l2(profile, l, times, params)
-    series = NormSeries(times, values, l=float(l))
-    return fit_decay(series, (t0, t1))

@@ -32,7 +32,8 @@ import numpy as np
 
 from . import grid as sg
 from .diagnostics import (MIN_FIT_SAMPLES, R_SQUARED_POWER_LAW, NormSeries,
-                          contamination_horizon, fit_decay, weighted_functionals)
+                          _check_l_coverage, contamination_horizon, fit_decay,
+                          weighted_functionals)
 from .model import CUTOFF_RADIUS, ModelParams, decay_exponent, sigma, validate
 from .oracle import (OracleConvergenceError, RadialProfile, gaussian_profile,
                      power_tail_profile, radial_weighted_l2)
@@ -255,6 +256,11 @@ def parse_config(doc: dict) -> ScenarioConfig:
     s = _number(fit.get("s", max(l_list, default=1.0)), "fit.s")
     if s < 0:
         raise ConfigError(f"fit.s: data regularity must be nonnegative, got {s:g}")
+    if scenario == "nonlinear-smalldata":  # the weighted functionals' sup over [0, s]
+        try:
+            _check_l_coverage(np.array(sorted(l_list)), s)
+        except ValueError as exc:
+            raise ConfigError(f"fit.l_list: {exc}") from exc
     falsify = _boolean(fit.get("falsify", False), "fit.falsify")
     output_dir = doc.get("output_dir", f"runs/{scenario}")
     if not isinstance(output_dir, str):
@@ -563,7 +569,7 @@ def _run_nonlinear_smalldata(cfg, summary, report):
     run = cfg.run
     if not run.sample_times:
         run = replace(run, sample_times=_default_sample_times(window, run.t_end, run.dt))
-    recorder = record(cfg.fit.l_list, params=cfg.model, s=cfg.s)
+    recorder = record(cfg.fit.l_list, bands=report.bands)
     result = solve(u0, cfg.model, run, on_sample=recorder)
     series = recorder.series()
     e0 = sg.sobolev_norm(u0, cfg.s) + sg.lp_norm(u0, 1)

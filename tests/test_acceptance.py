@@ -15,10 +15,10 @@ from fpplab.cli import main as cli_main
 from fpplab.diagnostics import (NormSeries, contamination_horizon, fit_decay,
                                 record, weighted_functionals)
 from fpplab.model import ModelParams, sigma
-from fpplab.oracle import (gaussian_profile, oracle_decay_fit,
-                           power_tail_profile, radial_weighted_l2)
+from fpplab.oracle import gaussian_profile, radial_weighted_l2
 from fpplab.propagator import (BOUNDED, UNBOUNDED, probe_high_band,
                                probe_low_band, propagate)
+from fpplab.scenarios import run_scenario
 from fpplab.solver import (SolverConfig, energy_balance_residual, phi1, phi2,
                            solve)
 from conftest import random_real_field
@@ -29,26 +29,37 @@ def _report(cid, ok, detail):
     assert ok, f"{cid}: {detail}"
 
 
-def test_c1_linear_decay_gain_regime_oracle():
+def _oracle_slopes(out, scenario, model, data, fit):
+    """Slope per order of the oracle fits of an oracle-only scenario run,
+    on the window [1e2, 1e4]."""
+    doc = {"scenario": scenario, "model": model, "data": data,
+           "fit": {"window": [100.0, 10000.0], **fit}}
+    summary = run_scenario(doc, output_dir=out, quiet=True)
+    return {entry["l"]: entry["slope"] for entry in summary.fits}
+
+
+_GAUSSIAN = {"kind": "gaussian", "width": 1.0, "amplitude": 1.0}
+
+
+def test_c1_linear_decay_gain_regime_oracle(tmp_path):
     t0 = time.perf_counter()
-    params = ModelParams(n=1, m=1.0, alpha=1.0, theta=5)
-    prof = gaussian_profile(1.0, 1.0, n=1)
-    fit0 = oracle_decay_fit(prof, 0.0, params, (1e2, 1e4), n_samples=20)
-    fit1 = oracle_decay_fit(prof, 1.0, params, (1e2, 1e4), n_samples=20)
+    slopes = _oracle_slopes(tmp_path / "c1", "linear-decay",
+                            {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 5}, _GAUSSIAN,
+                            {"l_list": [0.0, 1.0], "n_samples": 20})
     elapsed = time.perf_counter() - t0
-    ok = (abs(fit0.slope + 0.25) <= 0.02 and abs(fit1.slope + 0.75) <= 0.03
+    ok = (abs(slopes[0.0] + 0.25) <= 0.02 and abs(slopes[1.0] + 0.75) <= 0.03
           and elapsed < 10.0)
     _report("C1", ok,
-            f"slopes {fit0.slope:.4f} (want -0.25 +-0.02), "
-            f"{fit1.slope:.4f} (want -0.75 +-0.03), {elapsed:.1f}s")
+            f"slopes {slopes[0.0]:.4f} (want -0.25 +-0.02), "
+            f"{slopes[1.0]:.4f} (want -0.75 +-0.03), {elapsed:.1f}s")
 
 
-def test_c2_linear_decay_loss_regime_low_part():
-    params = ModelParams(n=1, m=1.0, alpha=0.5, theta=3)
-    prof = gaussian_profile(1.0, 1.0, n=1)
-    fit = oracle_decay_fit(prof, 0.0, params, (1e2, 1e4), n_samples=20)
-    ok = abs(fit.slope + 0.5) <= 0.04
-    _report("C2", ok, f"slope {fit.slope:.4f} (want -0.5 +-0.04)")
+def test_c2_linear_decay_loss_regime_low_part(tmp_path):
+    slopes = _oracle_slopes(tmp_path / "c2", "linear-decay",
+                            {"n": 1, "m": 1.0, "alpha": 0.5, "theta": 3}, _GAUSSIAN,
+                            {"l_list": [0.0], "n_samples": 20})
+    ok = abs(slopes[0.0] + 0.5) <= 0.04
+    _report("C2", ok, f"slope {slopes[0.0]:.4f} (want -0.5 +-0.04)")
 
 
 def test_c3_low_band_boundedness_probe():
@@ -168,22 +179,23 @@ def test_c8_nonlinear_smalldata_decay_and_m1():
             f"m1/E0={m1[-1] / e0:.3f}, {elapsed:.0f}s (< 300s)")
 
 
-def test_c9_regularity_loss_cap():
-    params = ModelParams(n=1, m=1.0, alpha=0.5, theta=3)
+def test_c9_regularity_loss_cap(tmp_path):
     # spectral tail r^-4.6 keeps H^4 finite but nothing beyond H^4.1
-    prof = power_tail_profile(4.6, 1.0, n=1)
+    slopes = _oracle_slopes(tmp_path / "c9", "regularity-loss-probe",
+                            {"n": 1, "m": 1.0, "alpha": 0.5, "theta": 3},
+                            {"kind": "power_tail", "exponent": 4.6, "amplitude": 1.0},
+                            {"l_list": [0.0, 0.5, 1.0, 1.5, 4.0], "s": 4.0,
+                             "n_samples": 16})
     lines = []
     ok = True
     for l in (0.0, 0.5, 1.0, 1.5):
-        fit = oracle_decay_fit(prof, l, params, (1e2, 1e4), n_samples=16)
         theory = -0.5 - l
-        case_ok = abs(fit.slope - theory) <= 0.05
+        case_ok = abs(slopes[l] - theory) <= 0.05
         ok = ok and case_ok
-        lines.append(f"l={l:g}: {fit.slope:.3f} vs {theory:.2f}")
-    fit_top = oracle_decay_fit(prof, 4.0, params, (1e2, 1e4), n_samples=16)
-    gap = fit_top.slope - (-4.5)
+        lines.append(f"l={l:g}: {slopes[l]:.3f} vs {theory:.2f}")
+    gap = slopes[4.0] - (-4.5)
     ok = ok and gap >= 0.1
-    lines.append(f"l=4: {fit_top.slope:.3f} is slower than -4.5 by {gap:.2f}")
+    lines.append(f"l=4: {slopes[4.0]:.3f} is slower than -4.5 by {gap:.2f}")
     _report("C9", ok, "; ".join(lines))
 
 

@@ -218,6 +218,31 @@ class TestRunCommand:
             assert "run.dt: 3e+302 steps on 14336^1 padded points" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fit, message", [
+        ({"l_list": [0.0, 1.0]}, "l grid too coarse"),
+        ({"l_list": [0.0, 0.25, 0.5, 0.75, 1.0], "s": 2.0},
+         "insufficient l coverage for s=2"),
+    ], ids=["coarse", "short"])
+    def test_l_list_the_functionals_cannot_use_is_a_config_error(self, tmp_path, capsys,
+                                                                 fit, message):
+        # the weighted functionals take a sup over l in [0, s] on a grid of
+        # spacing <= 0.25; a run that could not form them must not solve first
+        out = tmp_path / "out"
+        doc = {
+            "scenario": "nonlinear-smalldata",
+            "model": {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 5},
+            "grid": {"n": 1, "points_per_dim": 64, "box_length": 40.0},
+            "data": {"kind": "gaussian", "width": 1.0, "amplitude": 0.01},
+            "run": {"dt": 0.1, "t_end": 1.0},
+            "fit": {"window": [0.5, 1.0], **fit},
+            "output_dir": str(out),
+        }
+        cfg = _write(tmp_path, doc)
+        for command in ("validate", "run"):
+            assert main([command, cfg, "--quiet"]) == 2
+            assert f"fit.l_list: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_linear_convergence_study_is_a_config_error(self, tmp_path, capsys):
         # a linear run jumps exactly and ignores dt, so its three solves agree
         # and the Richardson differences vanish

@@ -6,7 +6,7 @@ import pytest
 from fpplab import grid as sg
 from fpplab.diagnostics import (NormSeries, contamination_horizon, fit_decay,
                                 record, weighted_functionals)
-from fpplab.model import decay_exponent, sigma
+from fpplab.model import decay_exponent, sigma, validate
 from fpplab.oracle import gaussian_profile, radial_weighted_l2
 from fpplab.solver import SolverConfig, solve
 from conftest import random_real_field
@@ -89,11 +89,11 @@ class TestRecord:
         # the recorder measures each sample as it comes; the same calls on
         # kept samples must give the same numbers bit for bit, the loss
         # regime's H[s_j] high-band family included
-        params, s = (gain_params, None) if regime == "gain" else (loss_params, 2.0)
+        params, s = (gain_params if regime == "gain" else loss_params), 2.0
         g = sg.GridSpec(1, 256, 200.0)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.1, n=1).profile)
         ls = [0.0, 0.5, 1.0]
-        recorder = record(ls, params=params, s=s)
+        recorder = record(ls, bands=validate(params, s).bands)
         samples = []
 
         def both(state):
@@ -105,14 +105,14 @@ class TestRecord:
         lows, highs = zip(*(sg.split_low_high(f) for f in fields))
         want = [(float(l), "L2", comp, [sg.sobolev_seminorm(f, l) for f in fs])
                 for l in ls for comp, fs in (("full", fields), ("low", lows), ("high", highs))]
-        if s is not None:
+        if regime == "loss":
             ab = params.alpha_bar()
             mag = sg.wavenumber_magnitude(g)
             for j in range(math.floor(s / (2.0 * ab))):
                 w = mag ** (j * ab) * (1.0 + mag * mag) ** (0.5 * (s - 2.0 * j * ab))
                 want.append((j * ab, f"H[{s - 2.0 * j * ab:g}]", "high",
                              [sg.spectral_weighted_norm(h, w) for h in highs]))
-        assert len(want) == 9 + (2 if s is not None else 0)
+        assert len(want) == 9 + (2 if regime == "loss" else 0)
         series = recorder.series()
         assert [(ns.l, ns.norm, ns.component) for ns in series] == [w[:3] for w in want]
         for ns, (*_, values) in zip(series, want):
@@ -197,18 +197,32 @@ class TestWeightedFunctionals:
         with pytest.raises(ValueError, match="coverage|coarse"):
             weighted_functionals(series, gain_params, 1.0)
 
-    def test_loss_regime_functionals_from_solver_run(self, loss_params):
+    def _loss_run(self, loss_params, bands):
+        """Series of a short loss-regime run on an l grid covering s = 4, its
+        high band measured in the mixed weights of bands."""
         g = sg.GridSpec(1, 256, 200.0)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.01, n=1).profile)
-        s = 4.0
         ts = tuple(np.geomspace(0.5, 20.0, 10))
         ls = [round(0.25 * k, 2) for k in range(17)]  # 0 .. 4 step 0.25
-        recorder = record(ls, params=loss_params, s=s)
+        recorder = record(ls, bands=bands)
         solve(u0, loss_params, SolverConfig(dt=0.05, t_end=20.0, sample_times=ts),
               on_sample=recorder)
-        series = recorder.series()
-        wf = weighted_functionals(series, loss_params, s, e0=1.0)
+        return recorder.series()
+
+    def test_loss_regime_functionals_from_solver_run(self, loss_params):
+        series = self._loss_run(loss_params, validate(loss_params, 4.0).bands)
+        wf = weighted_functionals(series, loss_params, 4.0, e0=1.0)
         assert wf.e is not None and wf.l is not None
         assert np.all(np.diff(wf.e) >= -1e-12 * wf.e[-1])
         assert np.all(np.diff(wf.l) >= -1e-12 * wf.l[-1])
         assert np.all(np.diff(wf.m1) >= -1e-12 * wf.m1[-1])
+
+    @pytest.mark.parametrize("bands_s", [None, 3.0], ids=["no-bands", "other-s"])
+    def test_loss_regime_needs_the_band_family_of_its_s(self, loss_params, bands_s):
+        # s = 4 at alpha = 0.5 needs H[4], H[3], H[2], H[1] at l_j = 0 .. 1.5;
+        # a run recorded without bands, or with the three of s = 3, cannot
+        # give E and L
+        bands = () if bands_s is None else validate(loss_params, bands_s).bands
+        series = self._loss_run(loss_params, bands)
+        with pytest.raises(ValueError, match="not the family"):
+            weighted_functionals(series, loss_params, 4.0)

@@ -56,6 +56,15 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(ModelParams(1, 1.0, 1.0, 1), s=-1.0)
 
+    def test_bands_are_the_loss_regime_family(self):
+        # (j abar, s - 2 j abar) for j < floor(s / (2 abar)) = 4; none at alpha = 1;
+        # the report's dict, which summary.json and validate print, leaves them out
+        rep = validate(ModelParams(1, 1.0, 0.5, 3), 4.0)
+        assert rep.bands == ((0.0, 4.0), (0.5, 3.0), (1.0, 2.0), (1.5, 1.0))
+        assert validate(ModelParams(1, 1.0, 1.0, 3), 4.0).bands == ()
+        assert list(rep.to_dict()) == ["regime", "theta_ok", "s", "s_ok", "n0",
+                                       "warnings"]
+
     @given(alpha=st.floats(0.1, 3.0), s=st.floats(0.0, 10.0),
            n=st.integers(1, 3))
     @settings(max_examples=60, deadline=None)

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 import fpplab.oracle as oracle
 from fpplab.model import ModelParams, sigma
-from fpplab.oracle import (DecayClass, OracleConvergenceError, RadialProfile,
-                           gaussian_profile, oracle_decay_fit,
-                           power_tail_profile, radial_weighted_l2, sphere_area)
+from fpplab.oracle import (OracleConvergenceError, RadialProfile,
+                           gaussian_profile, power_tail_profile,
+                           radial_weighted_l2, sphere_area)
+from fpplab.scenarios import run_scenario
 
 
 def test_sphere_areas():
@@ -21,10 +22,11 @@ def test_sphere_areas():
 
 
 def test_decay_class_validation():
-    with pytest.raises(ValueError):
-        DecayClass("weird")
-    with pytest.raises(ValueError):
-        DecayClass("power_tail")
+    with pytest.raises(ValueError, match="unknown decay class"):
+        RadialProfile(np.exp, "weird")
+    for parameter in (None, 0.0):
+        with pytest.raises(ValueError, match="positive parameter"):
+            RadialProfile(np.exp, "power_tail", parameter)
 
 
 class TestRadialWeightedL2:
@@ -38,7 +40,7 @@ class TestRadialWeightedL2:
         base = gaussian_profile(1.0, 1.0, n=1)
         spiked = RadialProfile(
             lambda r: base.profile(r) + np.where(np.asarray(r) > 1.0, 50.0, 0.0),
-            DecayClass("gaussian", 1.0),
+            "gaussian", 1.0,
         )
         a = radial_weighted_l2(base, 0.5, 2.0, gain_params, window="low")
         b = radial_weighted_l2(spiked, 0.5, 2.0, gain_params, window="low")
@@ -75,7 +77,7 @@ class TestRadialWeightedL2:
             r = np.asarray(r, dtype=float)
             return sum(c * np.exp(-0.5 * (w * r) ** 2) for c, w in zip(coeff, width))
 
-        prof = RadialProfile(prof_fn, DecayClass("gaussian", float(width.min())))
+        prof = RadialProfile(prof_fn, "gaussian", float(width.min()))
         kw = dict(params=gain_params, tol=1e-10)
         full = radial_weighted_l2(prof, 0.5, 1.0, window="full", **kw)
         low = radial_weighted_l2(prof, 0.5, 1.0, window="low", **kw)
@@ -86,7 +88,7 @@ class TestRadialWeightedL2:
 
     def test_scaling_is_exact_for_power_of_two(self, gain_params):
         base = gaussian_profile(1.0, 1.0, n=1)
-        doubled = RadialProfile(lambda r: 2.0 * base.profile(r), base.decay_class)
+        doubled = RadialProfile(lambda r: 2.0 * base.profile(r), base.kind, base.parameter)
         a = radial_weighted_l2(base, 1.0, 2.0, gain_params)
         b = radial_weighted_l2(doubled, 1.0, 2.0, gain_params)
         assert b == 2.0 * a
@@ -96,7 +98,7 @@ class TestRadialWeightedL2:
     def test_scaling_linearity(self, a):
         params = ModelParams(n=1, m=1.0, alpha=1.0, theta=5)
         base = gaussian_profile(1.0, 1.0, n=1)
-        scaled = RadialProfile(lambda r: a * base.profile(r), base.decay_class)
+        scaled = RadialProfile(lambda r: a * base.profile(r), base.kind, base.parameter)
         got = radial_weighted_l2(scaled, 0.0, 1.0, params)
         ref = radial_weighted_l2(base, 0.0, 1.0, params)
         assert got == pytest.approx(abs(a) * ref, rel=1e-13)
@@ -218,7 +220,7 @@ class TestTimeBatching:
 
         monkeypatch.setattr(oracle, "sigma", counted)
         prof = gaussian_profile(1.0, 1.0, n=1)
-        oracle_decay_fit(prof, 1.0, gain_params, (1e2, 1e4), n_samples=24)
+        radial_weighted_l2(prof, 1.0, np.geomspace(1e2, 1e4, 24), gain_params)
         assert 0 < len(calls) <= 64
 
 
@@ -310,20 +312,25 @@ class TestCrossingRoots:
             radial_weighted_l2(prof, 0.0, 100.0, gain_params)
 
 
+def _oracle_slopes(out, params, l_list):
+    """Slope per order of the oracle-only linear-decay scenario's fits: the
+    gaussian(1) profile, 16 samples on [1e2, 1e4]."""
+    doc = {
+        "scenario": "linear-decay",
+        "model": {"n": params.n, "m": params.m, "alpha": params.alpha,
+                  "theta": params.theta},
+        "data": {"kind": "gaussian", "width": 1.0, "amplitude": 1.0},
+        "fit": {"window": [100.0, 10000.0], "l_list": l_list, "n_samples": 16},
+    }
+    return [fit["slope"] for fit in run_scenario(doc, output_dir=out, quiet=True).fits]
+
+
 class TestOracleDecayFit:
-    def test_gain_rates(self, gain_params):
-        prof = gaussian_profile(1.0, 1.0, n=1)
-        fit0 = oracle_decay_fit(prof, 0.0, gain_params, (1e2, 1e4), n_samples=16)
-        assert fit0.slope == pytest.approx(-0.25, abs=0.02)
-        fit1 = oracle_decay_fit(prof, 1.0, gain_params, (1e2, 1e4), n_samples=16)
-        assert fit1.slope == pytest.approx(-0.75, abs=0.03)
+    def test_gain_rates(self, gain_params, tmp_path):
+        slope0, slope1 = _oracle_slopes(tmp_path / "gain", gain_params, [0.0, 1.0])
+        assert slope0 == pytest.approx(-0.25, abs=0.02)
+        assert slope1 == pytest.approx(-0.75, abs=0.03)
 
-    def test_loss_low_frequency_rate(self, loss_params):
-        prof = gaussian_profile(1.0, 1.0, n=1)
-        fit = oracle_decay_fit(prof, 0.0, loss_params, (1e2, 1e4), n_samples=16)
-        assert fit.slope == pytest.approx(-0.5, abs=0.04)
-
-    def test_window_must_span_two_decades(self, gain_params):
-        prof = gaussian_profile(1.0, 1.0, n=1)
-        with pytest.raises(ValueError):
-            oracle_decay_fit(prof, 0.0, gain_params, (1.0, 50.0))
+    def test_loss_low_frequency_rate(self, loss_params, tmp_path):
+        (slope,) = _oracle_slopes(tmp_path / "loss", loss_params, [0.0])
+        assert slope == pytest.approx(-0.5, abs=0.04)

@@ -115,8 +115,8 @@ class TestLowBandProbe:
         assert rep.verdict == UNBOUNDED
 
     def test_requires_l1_hint(self, gain_params):
-        from fpplab.oracle import DecayClass, RadialProfile
-        prof = RadialProfile(lambda r: np.exp(-np.square(r)), DecayClass("gaussian", 1.0))
+        from fpplab.oracle import RadialProfile
+        prof = RadialProfile(lambda r: np.exp(-np.square(r)), "gaussian", 1.0)
         with pytest.raises(ValueError):
             probe_low_band(prof, 0.0, [1.0, 10.0], gain_params)
 
