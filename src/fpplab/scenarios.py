@@ -171,7 +171,7 @@ class ScenarioConfig:
     grid: sg.GridSpec  # None, as is run, where the scenario solves nothing
     data: dict         # data.kind and its typed values
     profile: RadialProfile  # None for single_mode data
-    run: SolverConfig
+    run: SolverConfig  # in nonlinear-smalldata, with its default sample times
     fit: FitSettings
     s: float  # data regularity: fit.s, else max(fit.l_list), else 1.0
     output_dir: str
@@ -265,6 +265,15 @@ def parse_config(doc: dict) -> ScenarioConfig:
     output_dir = doc.get("output_dir", f"runs/{scenario}")
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
+    if scenario == "nonlinear-smalldata":  # the samples fit_decay will find
+        if not run.sample_times:
+            run = replace(run, sample_times=_default_sample_times(window, run.t_end, run.dt))
+        horizon = contamination_horizon(grid, model)
+        found = sum(window[0] <= t <= min(window[1], horizon) for t in run.sample_times)
+        if found < MIN_FIT_SAMPLES:
+            raise ConfigError(f"fit.window: [{window[0]:g}, {window[1]:g}] holds {found} of "
+                              f"the run's sample times before the contamination horizon "
+                              f"{horizon:g}; the decay fit needs at least {MIN_FIT_SAMPLES}")
 
     return ScenarioConfig(
         scenario=scenario,
@@ -555,10 +564,11 @@ def _run_lemma_verification(cfg, summary, report):
 
 
 def _default_sample_times(window, t_end, dt):
-    lo = max(window[0] / 4.0, dt)
-    ts = np.geomspace(lo, t_end, 48)
-    ts = np.unique(np.concatenate([ts, [window[0], window[1], t_end / 2.0, t_end]]))
-    return tuple(float(t) for t in ts if t <= t_end)
+    """48 geometric times up to t_end, and t0, t1, t_end/2 and t_end; the
+    SolverConfig they go into sorts them and drops repeats."""
+    ts = np.geomspace(max(window[0] / 4.0, dt), t_end, 48)
+    return tuple(float(t) for t in (*ts, window[0], window[1], t_end / 2.0, t_end)
+                 if t <= t_end)
 
 
 def _run_nonlinear_smalldata(cfg, summary, report):
@@ -566,11 +576,8 @@ def _run_nonlinear_smalldata(cfg, summary, report):
     window = cfg.fit.window
     horizon = contamination_horizon(cfg.grid, cfg.model)
     u0 = build_field(cfg)
-    run = cfg.run
-    if not run.sample_times:
-        run = replace(run, sample_times=_default_sample_times(window, run.t_end, run.dt))
     recorder = record(cfg.fit.l_list, bands=report.bands)
-    result = solve(u0, cfg.model, run, on_sample=recorder)
+    result = solve(u0, cfg.model, cfg.run, on_sample=recorder)
     series = recorder.series()
     e0 = sg.sobolev_norm(u0, cfg.s) + sg.lp_norm(u0, 1)
     wf = weighted_functionals(series, cfg.model, cfg.s, e0=e0)
@@ -591,7 +598,7 @@ def _run_nonlinear_smalldata(cfg, summary, report):
     m1 = wf.m1
     nondec = bool(np.all(np.diff(m1) >= -1e-12 * max(m1[-1], 1e-300)))
     summary.verdict("m1-nondecreasing", nondec, "running weighted sup must not decrease")
-    i_half = int(np.searchsorted(wf.times, run.t_end / 2.0))
+    i_half = int(np.searchsorted(wf.times, cfg.run.t_end / 2.0))
     i_half = min(i_half, len(m1) - 1)
     stable = bool(m1[-1] <= (1.0 + M1_GROWTH_TOL) * m1[i_half]) if m1[i_half] > 0 else False
     summary.verdict("m1-stability", stable,

@@ -8,8 +8,10 @@ smoothed nonlinearity through the Duhamel integral:
 with G the exact semigroup and Binv = (I - m Lap)^(-1).  ETD1/ETD2
 discretize the integral with the phi functions, so the linear sub-flow is
 exact per step and the decay measurements are never polluted by linear
-solver error.  The nonlinear power is evaluated pointwise on a zero-padded
-grid and truncated to the lattice, which removes aliasing entirely.
+solver error, and a step clipped to land on a sample time or t_end, like a
+linear run's exact jump, builds its phi tables for its own length.  The
+nonlinear power is evaluated pointwise on a zero-padded grid and truncated
+to the lattice, which removes aliasing entirely.
 A state is its real-to-complex half spectrum, like every ``SpectralField``,
 and inside the step loop also its forcing: one padded-power kernel call per
 state gives both that forcing and the energy ledger's source term.
@@ -86,7 +88,9 @@ class SolverConfig:
         for t in self.sample_times:
             if not 0.0 <= t <= self.t_end + 1e-12:
                 raise ValueError(f"sample time {t} outside [0, t_end]")
-        object.__setattr__(self, "sample_times", tuple(float(t) for t in self.sample_times))
+        # increasing and distinct, each at most t_end: the times a run lands on
+        object.__setattr__(self, "sample_times", tuple(
+            sorted({min(float(t), self.t_end) for t in self.sample_times})))
 
 
 @dataclass(frozen=True)
@@ -251,47 +255,35 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
     configured sample times.  Nothing keeps a sample after its call returns:
     a caller that wants fields, or norms of them, keeps them itself.
 
-    A linear run (nonlinearity disabled) jumps from one sample time to the
-    next, and then to t_end, with the exact semigroup multiplier: sample
-    times land exactly, dt and the scheme play no part, and step_count
-    counts the jumps.  A nonlinear run takes fixed steps of dt and snaps its
-    sample times to the step lattice (floor of t/dt), so a fixed config
-    reproduces bit-identical output.  Its steps share one padded-power
-    kernel, whose buffers and twiddles go when it returns.
+    Every run lands exactly on each sample time and on t_end.  A linear run
+    (nonlinearity disabled) crosses each gap between them in one step of the
+    exact semigroup, so dt and the scheme play no part.  A nonlinear run
+    takes steps of dt and clips the one that would pass a sample time to
+    end on it; a gap within 1e-9 max(dt, 1) of a whole number of steps
+    takes those steps unclipped, so samples on the dt lattice give the
+    fixed-step numbers.  step_count counts the steps, clipped ones
+    included.  The nonlinear steps share one padded-power kernel, whose
+    buffers and twiddles go when solve returns.
     """
     kernel = (sg.PaddedPower(u0.grid, params.theta + 1, padding(params.theta))
               if config.enable_nonlinearity else None)
     stepper = _Stepper(u0.grid, params, config.dt, config.scheme, kernel)
     live = stepper.enter(u0)
-
-    def emit(current):
-        if on_sample is not None:
-            on_sample(stepper.leave(current))
-
-    if not config.enable_nonlinearity:
-        samples = {min(t, config.t_end) for t in config.sample_times}
-        jumps = 0
-        for stop in sorted(samples | {config.t_end}):
-            if stop > live.t:
-                jump = _Stepper(u0.grid, params, stop - live.t, config.scheme)
-                live = jump.advance(live)._replace(t=stop)
-                jumps += 1
-            if stop in samples:
-                emit(live)
-        return SolveResult(final_state=stepper.leave(live), step_count=jumps)
-
-    n_steps = int(math.floor(config.t_end / config.dt + 1e-9))
-    remainder = config.t_end - n_steps * config.dt
-    has_tail = remainder > 1e-9 * max(config.dt, 1.0)
-    want = {min(int(math.floor(t / config.dt + 1e-9)), n_steps)
-            for t in config.sample_times}
-    if 0 in want:
-        emit(live)
-    for i in range(1, n_steps + 1):
-        live = stepper.advance(live, _last=i == n_steps and not has_tail)
-        if i in want:
-            emit(live)
-    if has_tail:
-        tail = _Stepper(u0.grid, params, remainder, config.scheme, kernel)
-        live = tail.advance(live, _last=True)
-    return SolveResult(final_state=stepper.leave(live), step_count=n_steps)
+    samples = set(config.sample_times)
+    tol = 1e-9 * max(config.dt, 1.0) if kernel is not None else 0.0
+    steps = 0
+    for stop in sorted(samples | {config.t_end}):
+        gap = stop - live.t
+        full = int((gap + tol) // config.dt) if kernel is not None else 0
+        clip = gap - full * config.dt
+        last = stop == config.t_end
+        for i in range(full):
+            live = stepper.advance(live, _last=last and i == full - 1 and clip <= tol)
+        if clip > tol:
+            clipped = _Stepper(u0.grid, params, clip, config.scheme, kernel)
+            live = clipped.advance(live, _last=last)
+        steps += full + (clip > tol)
+        live = live._replace(t=stop)
+        if stop in samples and on_sample is not None:
+            on_sample(stepper.leave(live))
+    return SolveResult(final_state=stepper.leave(live), step_count=steps)

@@ -32,6 +32,18 @@ def _linear_config(out_dir, l_list=(0.0,), tolerance=0.05):
     }
 
 
+def _smalldata_config(out_dir):
+    return {
+        "scenario": "nonlinear-smalldata",
+        "model": {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 5},
+        "grid": {"n": 1, "points_per_dim": 64, "box_length": 64.0},
+        "data": {"kind": "gaussian", "width": 1.0, "amplitude": 0.01},
+        "run": {"scheme": "etd2", "dt": 0.5, "t_end": 10.0},
+        "fit": {"window": [1.0, 8.0], "l_list": [0.0], "tolerance": 10.0},
+        "output_dir": str(out_dir),
+    }
+
+
 # Former fit keys, each with the value that is now pinned in the code.
 _PINNED_FIT_SETTINGS = {
     "cutoff_radius": 0.5, "oracle_tol": 1e-8, "r_squared_min": 0.995,
@@ -326,14 +338,22 @@ class TestRunCommand:
         assert "data.kind" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [
-        ("tolerance", [0.02]),              # one value for the two orders of l_list
-        ("tolerance", [0.02, 0.02, 0.02]),  # a third value would go unused
-        ("n_samples", 7),                   # the decay fit needs 8
-    ], ids=["short-tolerance-list", "long-tolerance-list", "too-few-samples"])
-    def test_unusable_fit_value_is_a_config_error(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("scenario, key, value", [
+        # one value for the two orders of l_list
+        ("linear-decay", "tolerance", [0.02]),
+        # a third value would go unused
+        ("linear-decay", "tolerance", [0.02, 0.02, 0.02]),
+        # the decay fit needs 8
+        ("linear-decay", "n_samples", 7),
+        # past t_end = 10: the run samples no time in the window
+        ("nonlinear-smalldata", "window", [50.0, 100.0]),
+    ], ids=["short-tolerance-list", "long-tolerance-list", "too-few-samples",
+            "window-past-t_end"])
+    def test_unusable_fit_value_is_a_config_error(self, tmp_path, capsys,
+                                                  scenario, key, value):
         out = tmp_path / "out"
-        doc = _linear_config(out, l_list=(0.0, 1.0))
+        doc = (_linear_config(out, l_list=(0.0, 1.0)) if scenario == "linear-decay"
+               else _smalldata_config(out))
         doc["fit"][key] = value
         assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
         assert f"fit.{key}" in capsys.readouterr().err
@@ -498,13 +518,14 @@ class TestRunCommand:
         # l=0 succeeds before l=2 fails; a failed run leaves no directory
         assert not out.exists()
 
-    @pytest.mark.parametrize("amplitude, t", [(2.0, "1"), (1e160, "0")])
+    @pytest.mark.parametrize("amplitude, t", [(2.0, "0.530383"), (1e160, "0")])
     def test_gradual_blowup_exits_3_without_a_warning(self, tmp_path, capsys,
                                                        amplitude, t):
-        # at amplitude 2 the smoke-sized smalldata state is finite at t = 1
-        # (max |u_k| ~ 3e193) but its squared modulus overflows: that step is
-        # the blow-up; at 1e160 the initial state's already does.  No
-        # overflow warning may escape on the way.
+        # at amplitude 2 the smoke-sized smalldata state is finite at the
+        # first default sample past t = 0.5, t = 0.530383 (max |u_k| ~ 1e185),
+        # but its squared modulus overflows: that clipped step is the
+        # blow-up; at 1e160 the initial state's already does.  No overflow
+        # warning may escape on the way.
         doc = {
             "scenario": "nonlinear-smalldata",
             "model": {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 5},

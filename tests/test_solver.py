@@ -391,25 +391,48 @@ class TestStreaming:
 
 
 class TestSamples:
-    def test_sample_times_snapped_to_step_lattice(self, gain_params):
+    def test_linear_lattice_sample_times_land_exactly(self, gain_params):
         g = sg.GridSpec(1, 32, 10.0)
         f = random_real_field(g, seed=6)
         cfg = SolverConfig(dt=0.1, t_end=1.0, enable_nonlinearity=False,
                            sample_times=(0.0, 0.5, 1.0))
         seen = []
         solve(f, gain_params, cfg, on_sample=seen.append)
-        assert [st.t for st in seen] == pytest.approx([0.0, 0.5, 1.0])
+        assert [st.t for st in seen] == [0.0, 0.5, 1.0]
 
-    def test_nonlinear_sample_times_snapped_to_step_lattice(self, gain_params):
-        # a nonlinear run keeps its fixed steps and floors each time to them
+    def test_nonlinear_sample_times_land_exactly(self, gain_params):
+        # a nonlinear run clips the step that would pass a sample time:
+        # 3 steps and one of 0.07 to 0.37, then 6 and one of 0.03 to 1
         g = sg.GridSpec(1, 32, 10.0)
         f = random_real_field(g, seed=6)
         f = sg.SpectralField(g, 0.01 * f.coefficients)
         cfg = SolverConfig(dt=0.1, t_end=1.0, sample_times=(0.0, 0.37, 1.0))
         seen = []
         res = solve(f, gain_params, cfg, on_sample=seen.append)
-        assert [st.t for st in seen] == pytest.approx([0.0, 0.3, 1.0])
-        assert res.step_count == 10
+        assert [st.t for st in seen] == [0.0, 0.37, 1.0]
+        assert res.step_count == 11
+        ended = solve(f, gain_params, SolverConfig(dt=0.1, t_end=0.37)).final_state
+        assert np.array_equal(seen[1].field.coefficients, ended.field.coefficients)
+        assert seen[1].ledger == ended.ledger
+
+    @pytest.mark.parametrize("off", [1e-12, -1e-12], ids=["after", "before"])
+    def test_sample_within_tolerance_of_the_lattice_takes_no_extra_step(
+            self, gain_params, off):
+        # a gap within 1e-9 max(dt, 1) of whole steps takes those steps
+        # unclipped: the run is the fixed-step run with no samples
+        g = sg.GridSpec(1, 32, 10.0)
+        f = random_real_field(g, seed=6)
+        f = sg.SpectralField(g, 0.01 * f.coefficients)
+        ts = (0.0, 0.3, 0.5 + off, 1.0)
+        seen = []
+        res = solve(f, gain_params, SolverConfig(dt=0.1, t_end=1.0, sample_times=ts),
+                    on_sample=seen.append)
+        plain = solve(f, gain_params, SolverConfig(dt=0.1, t_end=1.0))
+        assert tuple(st.t for st in seen) == ts
+        assert res.step_count == plain.step_count == 10
+        assert np.array_equal(res.final_state.field.coefficients,
+                              plain.final_state.field.coefficients)
+        assert res.final_state.ledger == plain.final_state.ledger
 
     def test_linear_sample_times_land_exactly(self, gain_params):
         # a linear run jumps from sample to sample with the exact semigroup
