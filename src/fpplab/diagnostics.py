@@ -4,7 +4,8 @@ Decay rates are always measured as ordinary least-squares slopes of
 log(value) against log(1 + t).  A fit is only trusted as a power law when
 its r^2 clears ``R_SQUARED_POWER_LAW`` (exponential decay on a two-decade
 window reliably falls below it), and only inside the box-contamination
-horizon when the series came from a periodic run.
+horizon when the series came from a periodic run; a config whose fit
+window ends past the horizon is refused before the run.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class DecayFit:
     intercept: float
     r_squared: float
     window: tuple
-    horizon_warning: bool = False
 
 
 def ols_line(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -85,19 +85,13 @@ def contamination_horizon(grid: sg.GridSpec, params: ModelParams) -> float:
     return HORIZON_CONSTANT / sigma(k1, params)
 
 
-def fit_decay(series: NormSeries, window, horizon: float = None) -> DecayFit:
+def fit_decay(series: NormSeries, window) -> DecayFit:
     """OLS fit of log(value) against log(1 + t) over the window.
 
-    Samples beyond the contamination horizon are dropped and the fit is
-    flagged.  Zero values inside the window are an error (no power law to
-    measure).
+    Zero values inside the window are an error (no power law to measure).
     """
     t0, t1 = float(window[0]), float(window[1])
     mask = (series.times >= t0) & (series.times <= t1)
-    warn = False
-    if horizon is not None and t1 > horizon:
-        warn = True
-        mask &= series.times <= horizon
     t = series.times[mask]
     v = series.values[mask]
     if t.size < MIN_FIT_SAMPLES:
@@ -107,8 +101,7 @@ def fit_decay(series: NormSeries, window, horizon: float = None) -> DecayFit:
     if np.any(v <= 0):
         raise ValueError("series has nonpositive values inside the fit window")
     slope, intercept, r2 = ols_line(np.log1p(t), np.log(v))
-    return DecayFit(slope=slope, intercept=intercept, r_squared=r2,
-                    window=(t0, t1), horizon_warning=warn)
+    return DecayFit(slope=slope, intercept=intercept, r_squared=r2, window=(t0, t1))
 
 
 class record:

@@ -37,7 +37,7 @@ from .diagnostics import (MIN_FIT_SAMPLES, R_SQUARED_POWER_LAW, NormSeries,
 from .model import CUTOFF_RADIUS, ModelParams, decay_exponent, sigma, validate
 from .oracle import (OracleConvergenceError, RadialProfile, gaussian_profile,
                      power_tail_profile, radial_weighted_l2)
-from .propagator import BOUNDED, UNBOUNDED, probe_high_band, probe_low_band
+from .propagator import probe_high_band, probe_low_band
 from .solver import SolverConfig, energy_balance_residual, padding, solve
 
 EXIT_OK = 0
@@ -48,13 +48,15 @@ EXIT_NUMERICAL_ERROR = 3
 _ORDER_BANDS = {"etd1": (0.7, 1.3), "etd2": (1.7, 2.3)}
 # Verdict thresholds; pinned here, not configurable.
 SOLVER_MATCH_TOL = 1e-4  # linear-decay: solver vs oracle, max relative deviation
+TAIL_SLOPE_TOL = 0.05    # lemma-verification: weighted-ratio tail slope of a band bound
+R_SQUARED_EXPONENTIAL = 0.95  # lemma-verification (alpha >= 1): high-band exponential fit
 RATE_MARGIN = 0.9        # lemma-verification: high-band rate >= RATE_MARGIN * sigma(2R)
 M1_GROWTH_TOL = 0.05     # nonlinear-smalldata: m1 growth over the run's second half
 LOSS_GAP_MIN = 0.1       # regularity-loss-probe: top order decays slower by at least this
 LEMMA_BETA = 1.0         # lemma-verification (alpha < 1): derivatives spent on the high band
-# linear-decay prints a smaller solver-vs-oracle deviation as "below 1e-12": it
-# is rounding noise of the exact linear solve, whose digits would move with
-# any ulp of the oracle or the FFT
+# linear-decay records a smaller solver-vs-oracle deviation as 1e-12: it is
+# rounding noise of the exact linear solve, whose digits would move with any
+# ulp of the oracle or the FFT
 DEVIATION_NOISE = 1e-12
 
 # Largest grid, counted as float64 samples, that a solve may transform: the
@@ -265,15 +267,22 @@ def parse_config(doc: dict) -> ScenarioConfig:
     output_dir = doc.get("output_dir", f"runs/{scenario}")
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
+    horizon = contamination_horizon(grid, model) if grid is not None else None
+    if scenario == "linear-decay" and run is not None and run.sample_times and not any(
+            0 < t <= horizon for t in run.sample_times):
+        raise ConfigError(f"run.sample_times: none lies in (0, {horizon:g}], inside the "
+                          f"contamination horizon, where the solver meets the oracle")
     if scenario == "nonlinear-smalldata":  # the samples fit_decay will find
+        if window[1] > horizon:
+            raise ConfigError(f"fit.window: [{window[0]:g}, {window[1]:g}] ends past the "
+                              f"contamination horizon {horizon:g}")
         if not run.sample_times:
             run = replace(run, sample_times=_default_sample_times(window, run.t_end, run.dt))
-        horizon = contamination_horizon(grid, model)
-        found = sum(window[0] <= t <= min(window[1], horizon) for t in run.sample_times)
+        found = sum(window[0] <= t <= window[1] for t in run.sample_times)
         if found < MIN_FIT_SAMPLES:
             raise ConfigError(f"fit.window: [{window[0]:g}, {window[1]:g}] holds {found} of "
-                              f"the run's sample times before the contamination horizon "
-                              f"{horizon:g}; the decay fit needs at least {MIN_FIT_SAMPLES}")
+                              f"the run's sample times; the decay fit needs at least "
+                              f"{MIN_FIT_SAMPLES}")
 
     return ScenarioConfig(
         scenario=scenario,
@@ -430,8 +439,12 @@ class RunSummary:
     def all_pass(self) -> bool:
         return all(v["pass"] for v in self.verdicts)
 
-    def verdict(self, name: str, ok, detail: str):
-        self.verdicts.append({"name": name, "pass": bool(ok), "detail": detail})
+    def check(self, name: str, value, lo=None, hi=None):
+        """Record verdict `name`: it passes iff lo <= value <= hi, for the
+        bounds given.  A NaN value fails."""
+        value = float(value)
+        ok = not math.isnan(value) and (lo is None or lo <= value) and (hi is None or value <= hi)
+        self.verdicts.append({"name": name, "pass": ok, "value": value, "lo": lo, "hi": hi})
 
     def series(self, csv: str, times, values):
         self.series_files[csv] = (times, values)
@@ -443,10 +456,8 @@ class RunSummary:
         return out
 
 
-def _fit_entry(cfg, l, series, fit, tol, source, csv):
-    theory = decay_exponent(l, cfg.model)
-    ok = (abs(fit.slope - theory) <= tol and fit.r_squared >= R_SQUARED_POWER_LAW
-          and not fit.horizon_warning)
+def _fit_entry(cfg, l, series, source, csv):
+    fit = fit_decay(series, cfg.fit.window)
     return {
         "l": float(l),
         "component": series.component,
@@ -455,112 +466,92 @@ def _fit_entry(cfg, l, series, fit, tol, source, csv):
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
         "window": list(fit.window),
-        "horizon_warning": fit.horizon_warning,
-        "theory": float(theory),
-        "tolerance": tol,
-        "pass": bool(ok),
+        "theory": float(decay_exponent(l, cfg.model)),
         "series_csv": csv,
     }
+
+
+def _check_decay(summary, entry, tol):
+    """The verdicts on one fit: its slope within tol of theory, and its r^2
+    that of a power law."""
+    order = f"(l={entry['l']:g})"
+    summary.check(f"decay{order}", entry["slope"] - entry["theory"], -tol, tol)
+    summary.check(f"power-law{order}", entry["r_squared"], lo=R_SQUARED_POWER_LAW)
 
 
 def _oracle_fits(cfg, summary):
     """Fit the oracle's ||Lam^l u(t)||_L2 for every l of fit.l_list over the
     fit window, adding one series and one fits entry per order."""
     times = np.geomspace(*cfg.fit.window, cfg.fit.n_samples)
-    for l, tol in zip(cfg.fit.l_list, cfg.fit.tolerance):
+    for l in cfg.fit.l_list:
         series = NormSeries(times, radial_weighted_l2(cfg.profile, l, times, cfg.model),
                             l=l)
         csv = f"series_l{l:g}_full.csv"
         summary.series(csv, series.times, series.values)
-        fit = fit_decay(series, cfg.fit.window)
-        summary.fits.append(_fit_entry(cfg, l, series, fit, tol, "oracle", csv))
+        summary.fits.append(_fit_entry(cfg, l, series, "oracle", csv))
 
 
 def _run_linear_decay(cfg, summary, report):
     _oracle_fits(cfg, summary)
-    for entry in summary.fits:
-        summary.verdict(f"decay(l={entry['l']:g})", entry["pass"],
-                        f"slope {entry['slope']:.4f} vs theory {entry['theory']:.4f} "
-                        f"(tol {entry['tolerance']:g}, r2 {entry['r_squared']:.6f})")
+    for entry, tol in zip(summary.fits, cfg.fit.tolerance):
+        _check_decay(summary, entry, tol)
     if cfg.grid is None:
         return
     t0, t1 = cfg.fit.window
     horizon = contamination_horizon(cfg.grid, cfg.model)
-    u0 = build_field(cfg)
     run = cfg.run
-    sample_times = run.sample_times
-    if not sample_times:
+    if not run.sample_times:  # they end inside the horizon
         t_hi = min(t1, horizon, run.t_end)
-        sample_times = tuple(np.geomspace(max(t0, run.dt), t_hi, 12))
-    run = replace(run, sample_times=sample_times)
-    inside = []  # (t, ||u(t)||_L2) inside the horizon
+        run = replace(run, sample_times=tuple(np.geomspace(max(t0, run.dt), t_hi, 12)))
+    inside = []  # (t, ||u(t)||_L2) inside the horizon: parse_config made sure of one
 
     def keep(state):
         if 0 < state.t <= horizon:
             inside.append((state.t, sg.lp_norm(state.field, 2)))
 
-    summary.step_count = solve(u0, cfg.model, run, on_sample=keep).step_count
-    worst = 0.0
-    if inside:
-        times, values = (np.array(column) for column in zip(*inside))
-        want = radial_weighted_l2(cfg.profile, 0.0, times, cfg.model)
-        worst = float(np.max(np.abs(values - want) / want))
-        summary.series("series_solver_l0_full.csv", times, values)
-    deviation = f"below {DEVIATION_NOISE:g}" if worst < DEVIATION_NOISE else f"{worst:.3e}"
-    summary.verdict("solver-vs-oracle", worst <= SOLVER_MATCH_TOL,
-                    f"max relative deviation {deviation} vs tolerance "
-                    f"{SOLVER_MATCH_TOL:g} inside horizon {horizon:g}")
+    summary.step_count = solve(build_field(cfg), cfg.model, run, on_sample=keep).step_count
+    times, values = (np.array(column) for column in zip(*inside))
+    want = radial_weighted_l2(cfg.profile, 0.0, times, cfg.model)
+    summary.series("series_solver_l0_full.csv", times, values)
+    worst = float(np.max(np.abs(values - want) / want))
+    summary.check("solver-vs-oracle", max(worst, DEVIATION_NOISE), hi=SOLVER_MATCH_TOL)
 
 
 def _run_regularity_loss(cfg, summary, report):
     _oracle_fits(cfg, summary)
     l_top = max(cfg.fit.l_list)
-    for entry in summary.fits:
-        l, slope, theory = entry["l"], entry["slope"], entry["theory"]
-        if l <= report.n0 + 1e-9:
-            summary.verdict(f"decay(l={l:g})", entry["pass"],
-                            f"slope {slope:.4f} vs theory {theory:.4f} "
-                            f"(order within the tracked range n0={report.n0:g})")
-        elif l == l_top:
-            gap = slope - theory
-            entry["pass"] = bool(gap >= LOSS_GAP_MIN)
-            summary.verdict(f"loss-gap(l={l:g})", entry["pass"],
-                            f"slope {slope:.4f} is slower than the formal rate "
-                            f"{theory:.4f} by {gap:.3f} (needs >= {LOSS_GAP_MIN:g})")
-        else:
-            entry["pass"] = True
+    for entry, tol in zip(summary.fits, cfg.fit.tolerance):
+        if entry["l"] <= report.n0 + 1e-9:
+            _check_decay(summary, entry, tol)
+        elif entry["l"] == l_top:
+            summary.check(f"loss-gap(l={l_top:g})", entry["slope"] - entry["theory"],
+                          lo=LOSS_GAP_MIN)
 
 
 def _run_lemma_verification(cfg, summary, report):
     profile = cfg.profile
+    gain = cfg.model.alpha >= 1.0
     ts_low = np.geomspace(*cfg.fit.window, 9)
     ts_high = np.linspace(1.0, 8.0, 8)  # gain-regime high band: 1, 2, ..., 8
     for l in cfg.fit.l_list:
         rep = probe_low_band(profile, l, ts_low, cfg.model)
         summary.series(f"probe_low_l{l:g}.csv", rep.times, rep.ratios)
         summary.probes.append({"name": f"low-band(l={l:g})", **rep.to_dict()})
-        summary.verdict(f"low-band(l={l:g})", rep.verdict == BOUNDED,
-                        f"tail slope {rep.tail_slope:+.4f} (bounded iff within "
-                        f"+-0.05), sup ratio {rep.sup_ratio:.4g}")
-        if cfg.fit.falsify:
+        summary.check(f"low-band(l={l:g})", rep.tail_slope, -TAIL_SLOPE_TOL, TAIL_SLOPE_TOL)
+        if cfg.fit.falsify:  # over-weighted by 0.1: its tail must tilt away from zero
             bad = probe_low_band(profile, l, ts_low, cfg.model, rate_offset=0.1)
-            summary.verdict(f"falsification(l={l:g})", bad.verdict == UNBOUNDED,
-                            f"over-weighted probe tail slope {bad.tail_slope:+.4f} "
-                            "must be flagged unbounded")
-        if cfg.model.alpha >= 1.0:
-            rep_h = probe_high_band(profile, l, ts_high, cfg.model)
-            ref = RATE_MARGIN * sigma(2.0 * CUTOFF_RADIUS, cfg.model)
-            ok = rep_h.verdict == BOUNDED and rep_h.fitted_rate >= ref
-            detail = (f"fitted exponential rate {rep_h.fitted_rate:.4f} vs reference "
-                      f"{ref:.4f} = {RATE_MARGIN:g} * sigma(2R)")
-        else:
-            rep_h = probe_high_band(profile, l, ts_low, cfg.model, beta=LEMMA_BETA)
-            ok = rep_h.verdict == BOUNDED
-            detail = (f"weighted ratio tail slope {rep_h.tail_slope:+.4g}; "
-                      f"beta {LEMMA_BETA:g} derivatives spent")
+            summary.check(f"falsification(l={l:g})", abs(bad.tail_slope), lo=TAIL_SLOPE_TOL)
+        rep_h = (probe_high_band(profile, l, ts_high, cfg.model) if gain else
+                 probe_high_band(profile, l, ts_low, cfg.model, beta=LEMMA_BETA))
         summary.series(f"probe_high_l{l:g}.csv", rep_h.times, rep_h.ratios)
         summary.probes.append({"name": f"high-band(l={l:g})", **rep_h.to_dict()})
-        summary.verdict(f"high-band(l={l:g})", ok, detail)
+        if gain:
+            summary.check(f"high-band(l={l:g})", rep_h.fitted_rate,
+                          lo=RATE_MARGIN * sigma(2.0 * CUTOFF_RADIUS, cfg.model))
+            summary.check(f"high-band-fit(l={l:g})", rep_h.fit_r_squared,
+                          lo=R_SQUARED_EXPONENTIAL)
+        else:  # beta derivatives spent: the weighted ratio must not grow
+            summary.check(f"high-band(l={l:g})", rep_h.tail_slope, hi=TAIL_SLOPE_TOL)
 
 
 def _default_sample_times(window, t_end, dt):
@@ -573,7 +564,6 @@ def _default_sample_times(window, t_end, dt):
 
 def _run_nonlinear_smalldata(cfg, summary, report):
     from .diagnostics import record  # local: perfbench hooks fpplab.diagnostics.record
-    window = cfg.fit.window
     horizon = contamination_horizon(cfg.grid, cfg.model)
     u0 = build_field(cfg)
     recorder = record(cfg.fit.l_list, bands=report.bands)
@@ -589,26 +579,19 @@ def _run_nonlinear_smalldata(cfg, summary, report):
             summary.series(csv, ns.times, ns.values)
             if ns.component != "full":
                 continue
-            fit = fit_decay(ns, window, horizon=horizon)
-            entry = _fit_entry(cfg, l, ns, fit, tol, "solver", csv)
+            entry = _fit_entry(cfg, l, ns, "solver", csv)
             summary.fits.append(entry)
-            summary.verdict(f"decay(l={l:g})", entry["pass"],
-                            f"slope {fit.slope:.4f} vs theory {entry['theory']:.4f} "
-                            f"(tol {entry['tolerance']:g})")
+            _check_decay(summary, entry, tol)
     m1 = wf.m1
-    nondec = bool(np.all(np.diff(m1) >= -1e-12 * max(m1[-1], 1e-300)))
-    summary.verdict("m1-nondecreasing", nondec, "running weighted sup must not decrease")
-    i_half = int(np.searchsorted(wf.times, cfg.run.t_end / 2.0))
-    i_half = min(i_half, len(m1) - 1)
-    stable = bool(m1[-1] <= (1.0 + M1_GROWTH_TOL) * m1[i_half]) if m1[i_half] > 0 else False
-    summary.verdict("m1-stability", stable,
-                    f"m1 grew by factor {m1[-1] / max(m1[i_half], 1e-300):.4f} over the "
-                    f"second half of the run (allowed {1.0 + M1_GROWTH_TOL:g})")
+    i_half = min(int(np.searchsorted(wf.times, cfg.run.t_end / 2.0)), len(m1) - 1)
+    m1_half, m1_end = float(m1[i_half]), float(m1[-1])  # floats: inf/inf is NaN, no warning
+    summary.check("m1-stability", m1_end / m1_half if m1_half > 0 else math.inf,
+                  hi=1.0 + M1_GROWTH_TOL)
     summary.functionals = {
         "e0": e0,
-        "m1_final": float(m1[-1]),
+        "m1_final": m1_end,
         "m2_final": float(wf.m2[-1]),
-        "m1_over_e0": float(m1[-1] / e0),
+        "m1_over_e0": m1_end / e0,
         "e_final": float(wf.e[-1]) if wf.e is not None else None,
         "l_final": float(wf.l[-1]) if wf.l is not None else None,
         "energy_residual": energy_balance_residual(result.final_state.ledger),
@@ -627,17 +610,13 @@ def _run_convergence_study(cfg, summary, report):
         r = solve(u0, cfg.model, replace(run, dt=run.dt / 2 ** k, sample_times=()))
         finals.append(r.final_state.field.coefficients)
         summary.step_count += r.step_count
-    scale = sg.lattice_norm(finals[2])
     e1 = sg.lattice_norm(finals[0] - finals[1])
     e2 = sg.lattice_norm(finals[1] - finals[2])
     if e2 == 0.0 or e1 == 0.0:
         raise OracleConvergenceError("Richardson differences vanished; "
                                      "run is below roundoff, enlarge dt or t_end")
     order = math.log2(e1 / e2)
-    band = _ORDER_BANDS[run.scheme]
-    summary.verdict("observed-order", band[0] <= order <= band[1],
-                    f"order {order:.3f} from errors {e1:.3e}/{e2:.3e} "
-                    f"(relative {e1 / scale:.3e}/{e2 / scale:.3e}), band {list(band)}")
+    summary.check("observed-order", order, *_ORDER_BANDS[run.scheme])
     summary.functionals = {"observed_order": order, "coarse_error": e1, "fine_error": e2,
                            "dt_triplet": [run.dt, run.dt / 2, run.dt / 4]}
 
@@ -693,8 +672,10 @@ def run_scenario(doc, output_dir=None, quiet: bool = False) -> RunSummary:
     emit_plots(result, out / "plot_series.py")
     if not quiet:
         for v in summary.verdicts:
-            status = "PASS" if v["pass"] else "FAIL"
-            print(f"[{status}] {cfg.scenario}: {v['name']} - {v['detail']}")
+            needs = " and ".join(f"{sense} {bound:g}" for sense, bound in
+                                 ((">=", v["lo"]), ("<=", v["hi"])) if bound is not None)
+            print(f"[{'PASS' if v['pass'] else 'FAIL'}] {cfg.scenario}: {v['name']} = "
+                  f"{v['value']:.6g}, needs {needs}")
         for w in report.warnings:
             print(f"[warn] {w}")
     return summary

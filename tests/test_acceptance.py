@@ -16,8 +16,7 @@ from fpplab.diagnostics import (NormSeries, contamination_horizon, fit_decay,
                                 record, weighted_functionals)
 from fpplab.model import ModelParams, sigma
 from fpplab.oracle import gaussian_profile, radial_weighted_l2
-from fpplab.propagator import (BOUNDED, UNBOUNDED, probe_high_band,
-                               probe_low_band, propagate)
+from fpplab.propagator import probe_high_band, probe_low_band, propagate
 from fpplab.scenarios import run_scenario
 from fpplab.solver import (SolverConfig, energy_balance_residual, phi1, phi2,
                            solve)
@@ -72,11 +71,10 @@ def test_c3_low_band_boundedness_probe():
         prof = gaussian_profile(1.0, 1.0, n=n)
         rep = probe_low_band(prof, l, ts, params)
         falsified = probe_low_band(prof, l, ts, params, rate_offset=0.1)
-        case_ok = (rep.verdict == BOUNDED and abs(rep.tail_slope) <= 0.05
-                   and falsified.verdict == UNBOUNDED)
+        case_ok = abs(rep.tail_slope) <= 0.05 and abs(falsified.tail_slope) > 0.05
         ok = ok and case_ok
         lines.append(f"(l={l:g},a={alpha:g},n={n}): tail {rep.tail_slope:+.4f}, "
-                     f"control {falsified.verdict}")
+                     f"control tail {falsified.tail_slope:+.4f}")
     _report("C3", ok, "; ".join(lines))
 
 
@@ -89,11 +87,12 @@ def test_c4_high_band_dichotomy():
     prof_l = gaussian_profile(1.0, 1.0, n=1)
     rep_loss = probe_high_band(prof_l, 0.0, np.geomspace(1.0, 1e4, 13), loss,
                                beta=1.0)
-    ok = (rep_gain.fitted_rate >= ref and rep_gain.verdict == BOUNDED
-          and rep_loss.verdict == BOUNDED)
+    ok = (rep_gain.fitted_rate >= ref and rep_gain.fit_r_squared >= 0.95
+          and rep_loss.tail_slope <= 0.05)
     _report("C4", ok,
-            f"gain rate {rep_gain.fitted_rate:.4f} >= {ref:.4f}; "
-            f"loss weighted ratio {rep_loss.verdict}")
+            f"gain rate {rep_gain.fitted_rate:.4f} >= {ref:.4f} (r2 "
+            f"{rep_gain.fit_r_squared:.4f} >= 0.95); loss weighted ratio tail "
+            f"{rep_loss.tail_slope:+.4f} <= 0.05")
 
 
 def test_c5_solver_matches_oracle_inside_horizon():
@@ -153,7 +152,6 @@ def test_c8_nonlinear_smalldata_decay_and_m1():
     grid = sg.GridSpec(1, 4096, 400.0 * np.pi)
     prof = gaussian_profile(1.0, 0.01, n=1)
     u0 = sg.field_from_spectral_profile(grid, prof.profile)
-    horizon = contamination_horizon(grid, params)
     t_end = 1000.0
     ts = np.unique(np.concatenate([np.geomspace(1.0, t_end, 40),
                                    [500.0, t_end]]))
@@ -163,7 +161,7 @@ def test_c8_nonlinear_smalldata_decay_and_m1():
     solve(u0, params, cfg, on_sample=recorder)
     series = recorder.series()
     full0 = next(ns for ns in series if ns.component == "full" and ns.l == 0.0)
-    fit = fit_decay(full0, (10.0, 500.0), horizon=horizon)
+    fit = fit_decay(full0, (10.0, 500.0))  # the horizon is 4000
     e0 = sg.sobolev_norm(u0, 1.0) + sg.lp_norm(u0, 1)
     wf = weighted_functionals(series, params, 1.0, e0=e0)
     m1 = wf.m1

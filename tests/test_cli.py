@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from fpplab.cli import main
-from fpplab.scenarios import (_FIT_KEYS, _SCENARIOS, ConfigError, emit_plots,
-                              parse_config, run_scenario)
+from fpplab.scenarios import (_FIT_KEYS, _SCENARIOS, DEVIATION_NOISE, ConfigError,
+                              RunSummary, emit_plots, parse_config, run_scenario)
 
 
 def _write(tmp_path, doc, name="config.json"):
@@ -424,10 +424,13 @@ class TestRunCommand:
             "model": {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 5},
             "grid": {"n": 1, "points_per_dim": 64, "box_length": 64.0},
             "data": {"kind": "gaussian", "width": 1.0, "amplitude": 0.01},
-            "run": {"scheme": "etd2", "dt": 0.5, "t_end": 8.0, "sample_times": [1.0]},
+            # 8 sample times in the window: the base parses, so only `path` is refused
+            "run": {"scheme": "etd2", "dt": 0.5, "t_end": 8.0,
+                    "sample_times": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]},
             "fit": {"window": [1.0, 8.0], "l_list": [0.0], "tolerance": 10.0},
             "output_dir": str(out),
         }
+        parse_config(doc)
         *outer, last = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", path)]
         target = doc
         for key in outer:
@@ -492,9 +495,41 @@ class TestRunCommand:
         out = tmp_path / "out"
         doc = _linear_config(out, l_list=(0.0, 1.0), tolerance=[1e-5, 1e-5])
         assert main(["run", _write(tmp_path, doc), "--quiet"]) == 1
-        fits = json.loads((out / "summary.json").read_text())["fits"]
-        assert [f["tolerance"] for f in fits] == [1e-5, 1e-5]
-        assert not any(f["pass"] for f in fits)
+        verdicts = json.loads((out / "summary.json").read_text())["verdicts"]
+        decay = [v for v in verdicts if v["name"].startswith("decay(")]
+        assert [(v["lo"], v["hi"]) for v in decay] == [(-1e-5, 1e-5)] * 2
+        assert not any(v["pass"] for v in decay)
+
+    @pytest.mark.parametrize("t1, code", [(10.4, 0), (10.6, 2)])
+    def test_fit_window_past_the_horizon_is_a_config_error(self, tmp_path, capsys, t1, code):
+        # the box's contamination horizon is 10.475: a solver fit past it
+        # measures the periodic box, not the whole space
+        out = tmp_path / "out"
+        doc = _smalldata_config(out)
+        doc["run"]["t_end"] = 12.0
+        doc["fit"]["window"] = [1.0, t1]
+        cfg = _write(tmp_path, doc)
+        assert main(["validate", cfg, "--quiet"]) == code
+        if code:
+            assert "fit.window: [1, 10.6] ends past the contamination horizon 10.4753" \
+                in capsys.readouterr().err
+            assert main(["run", cfg, "--quiet"]) == 2
+            assert not out.exists()
+
+    def test_linear_sample_times_past_the_horizon_are_a_config_error(self, tmp_path, capsys):
+        # solver-vs-oracle compares the samples inside the horizon; with none
+        # there it would compare nothing and pass
+        out = tmp_path / "out"
+        doc = _scenario_config("linear-decay", out)
+        doc["grid"]["box_length"] = 16.0  # contamination horizon 0.748
+        doc["run"].update(t_end=30.0, sample_times=[3.0])
+        cfg = _write(tmp_path, doc)
+        for command in ("run", "validate"):
+            assert main([command, cfg, "--quiet"]) == 2
+            assert "run.sample_times: none lies in (0, 0.748456]" in capsys.readouterr().err
+        assert not out.exists()
+        doc["run"]["sample_times"] = [0.5, 3.0]
+        assert main(["validate", _write(tmp_path, doc), "--quiet"]) == 0
 
     def test_output_dir_flag_wins(self, tmp_path):
         out_a = tmp_path / "a"
@@ -665,20 +700,24 @@ class TestScenarios:
         summary = run_scenario(doc, quiet=True)
         assert summary.all_pass
 
-    @pytest.mark.parametrize("N, L, detail", [
+    @pytest.mark.parametrize("N, L, deviation", [
         # an exact linear solve on a resolved box: rounding noise, ~3e-16
-        (1024, 200.0, "max relative deviation below 1e-12 vs"),
+        (1024, 200.0, DEVIATION_NOISE),
         # a box too small for the data: a real deviation keeps its digits
-        (64, 40.0, "max relative deviation 7.647e-10 vs"),
+        (64, 40.0, 7.647e-10),
     ])
-    def test_solver_vs_oracle_detail_hides_rounding_noise(self, tmp_path, N, L, detail):
+    def test_solver_vs_oracle_value_hides_rounding_noise(self, tmp_path, N, L, deviation):
         doc = _linear_config(tmp_path / "out")
         doc["grid"] = {"n": 1, "points_per_dim": N, "box_length": L}
         doc["run"] = {"scheme": "etd2", "dt": 2.0, "t_end": 10000.0,
                       "enable_nonlinearity": False}
         summary = run_scenario(doc, quiet=True)
         [verdict] = [v for v in summary.verdicts if v["name"] == "solver-vs-oracle"]
-        assert verdict["pass"] and verdict["detail"].startswith(detail)
+        assert verdict["pass"]
+        if deviation == DEVIATION_NOISE:  # floored, so no ulp of the noise is recorded
+            assert verdict["value"] == DEVIATION_NOISE
+        else:
+            assert f"{verdict['value']:.4g}" == f"{deviation:.4g}"
 
     def test_single_mode_rejected_for_oracle_scenario(self, tmp_path):
         doc = _linear_config(tmp_path / "out")
@@ -715,6 +754,27 @@ class TestScenarios:
         assert summary.all_pass
         assert summary.functionals["m1_over_e0"] < 1.0
         assert (tmp_path / "out" / "functional_m1.csv").exists()
+
+
+class TestCheck:
+    @pytest.mark.parametrize("value, lo, hi, ok", [
+        (0.5, 0.0, None, True), (-0.5, 0.0, None, False),                      # lo only
+        (0.5, None, 1.0, True), (1.5, None, 1.0, False),                       # hi only
+        (0.5, 0.0, 1.0, True), (-0.5, 0.0, 1.0, False), (1.5, 0.0, 1.0, False),  # a band
+        (0.0, 0.0, 1.0, True), (1.0, 0.0, 1.0, True),                          # equality
+        (math.nan, 0.0, None, False), (math.nan, None, 1.0, False),
+        (math.nan, 0.0, 1.0, False),
+        (-math.inf, None, 1.0, True), (math.inf, 0.0, None, True),
+        (math.inf, None, 1.0, False), (-math.inf, 0.0, 1.0, False),
+    ])
+    def test_passes_iff_value_lies_within_the_bounds_given(self, value, lo, hi, ok):
+        summary = RunSummary("linear-decay", {}, {})
+        summary.check("v", value, lo, hi)
+        [verdict] = summary.verdicts
+        assert sorted(verdict) == ["hi", "lo", "name", "pass", "value"]
+        assert verdict["pass"] is ok and summary.all_pass is ok
+        assert (verdict["lo"], verdict["hi"]) == (lo, hi)
+        assert verdict["value"] == value or math.isnan(value)
 
 
 class TestEmitPlots:

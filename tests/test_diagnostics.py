@@ -48,15 +48,6 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             fit_decay(_series(t, np.zeros_like(t)), (1.0, 100.0))
 
-    def test_horizon_flag_and_restriction(self):
-        t = np.geomspace(1.0, 1e4, 40)
-        vals = (1.0 + t) ** -0.5
-        fit = fit_decay(_series(t, vals), (1.0, 1e4), horizon=500.0)
-        assert fit.horizon_warning
-        inside = fit_decay(_series(t, vals), (1.0, 500.0), horizon=1e6)
-        assert not inside.horizon_warning
-        assert fit.slope == pytest.approx(inside.slope, abs=1e-3)
-
     def test_series_validation(self):
         with pytest.raises(ValueError):
             _series([1.0, 1.0, 2.0], [1.0, 1.0, 1.0])
@@ -163,7 +154,7 @@ class TestRecord:
         for ns in series:
             if ns.component != "low":
                 continue
-            fit = fit_decay(ns, (ts[0], ts[-1]), horizon=horizon)
+            fit = fit_decay(ns, (ts[0], ts[-1]))
             assert fit.slope <= decay_exponent(ns.l, gain_params) + 0.05
 
 

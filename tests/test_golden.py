@@ -100,6 +100,20 @@ def test_every_record_has_a_config():
         f"{w}-{c}.json" for w, c in CONFIGS + SLOW_CONFIGS)
 
 
+def test_every_recorded_verdict_follows_the_rule():
+    # pass iff lo <= value <= hi for the bounds given, a NaN value failing:
+    # the rule of RunSummary.check, applied to each record's own numbers
+    for path in sorted(GOLDEN.glob("*.json")):
+        summary = json.loads(path.read_text())["summary"]
+        for v in summary["verdicts"]:
+            lo, hi, value = v["lo"], v["hi"], v["value"]
+            assert lo is not None or hi is not None, (path.name, v["name"])
+            rule = not math.isnan(value) and (lo is None or lo <= value) and (
+                hi is None or value <= hi)
+            assert v["pass"] is rule, (path.name, v["name"])
+        assert summary["all_pass"] is all(v["pass"] for v in summary["verdicts"]), path.name
+
+
 def check_slow():
     """Compare every SLOW_CONFIGS run with its record; exit 1 if any moved."""
     failed = False
