@@ -245,6 +245,15 @@ PADDED_BLOCK_POINTS = 2 ** 16
 # Samples per row of the 1-D route at most, where N allows: 1024 float64 in
 # and their spectrum out take 16 KiB, so a row's transform stays in L1.
 PADDED_ROW_POINTS = 1024
+# Lattice points per axis up to which the n >= 2 route takes its last axis
+# through two dense real matrix products instead of irfft/rfft: only N/2+1
+# of a padded row's M/2+1 modes are fed, and at these lengths the products
+# beat the FFT pair on a block of ~2^16 points (FFT time over product time
+# on one core: 2.2-2.7 at N = 32, 1.5-2.4 at 64, 0.9-1.3 at 96, 0.6-1.0 at
+# 128, 0.3-0.6 at 256 and 384).  Whole solves cross at the same place for
+# n = 2 and 3: the products win or tie up to N = 96 and lose from 128 on,
+# by 2.6 times at n = 2, N = 384 (BENCH_dense_lastaxis_3d.json).
+PADDED_DENSE_POINTS = 64
 
 
 class PaddedPower:
@@ -266,13 +275,22 @@ class PaddedPower:
     first.  Then blocks of axis-0 slabs, about PADDED_BLOCK_POINTS padded
     points each, go through the other axes, the power, the sum and back,
     each axis cut to the lattice once it is done; axis 0 is folded last.
-    No transform touches the pad's zero blocks.  Both routes keep half of
-    the lattice's Nyquist coefficient at +N/2 on the last axis (``irfft``
-    pads that axis itself) and fold the -N/2 share back from its conjugate.
+    No transform touches the pad's zero blocks.  The last axis feeds only
+    H = N/2+1 of a padded row's M/2+1 modes, so up to N =
+    PADDED_DENSE_POINTS it goes each way as one real matrix product per
+    block, which beats the FFT pair at those lengths: ``inv`` (2H, M) takes
+    the block's Re and Im interleaved to the samples, ``fwd`` (M, 2H) the
+    power back.  Longer last axes keep ``irfft`` and ``rfft``: the products
+    cost N*M per row against the FFT's M log M.  Every route
+    keeps half of the lattice's Nyquist coefficient at +N/2 on the last
+    axis and folds the -N/2 share back from its conjugate: ``irfft`` pads
+    that axis itself, and ``inv`` counts the N/2 mode once and ``fwd``
+    returns twice its real part.
 
-    The kernel builds its twiddles and its two buffers once and writes the
-    samples, their power and its forward transform into the buffers on
-    every call, so it serves one caller at a time; they go with it.
+    The kernel builds its twiddles or matrices and its two buffers once and
+    writes the samples, their power and its forward transform into the
+    buffers on every call, so it serves one caller at a time; they go with
+    it.
     """
 
     def __init__(self, grid: GridSpec, power: int, P: int):
@@ -304,7 +322,30 @@ class PaddedPower:
         else:
             rows = min(M, max(1, PADDED_BLOCK_POINTS // M ** (n - 1)))
             self._raised = np.empty((rows,) + (M,) * (n - 1))
-            self._spectra = np.empty((rows,) + (M,) * (n - 2) + (M // 2 + 1,), complex)
+            self.inv = self.fwd = None
+            if N > PADDED_DENSE_POINTS:
+                self._samples = np.empty((rows,) + (M,) * (n - 2) + (M // 2 + 1,), complex)
+            else:
+                self._samples = np.empty_like(self._raised)
+                H = N // 2 + 1
+                # the angles 2 pi k m / M of the last axis's lattice modes k
+                # at the padded nodes m, from the exact integer k*m mod M
+                turns = 2.0 * np.pi / M * (np.outer(np.arange(H), np.arange(M)) % M)
+                cos, sin = np.cos(turns), np.sin(turns)
+                # rows 2k and 2k+1 take Re and Im of mode k: irfft's sum over
+                # the full axis with its 1/M, each mode counted as often as
+                # the lattice holds it (column_weights), so the N/2 mode
+                # counts once, half of it at +N/2 and half at -N/2; the row
+                # for Im of mode 0, which irfft ignores, is sin 0 = 0
+                weight = (column_weights(N) / M)[:, None]
+                self.inv = np.stack((weight * cos, -weight * sin), axis=1).reshape(2 * H, M)
+                # rfft's columns, Re and Im interleaved, except that the N/2
+                # pair is that column plus its conjugate, (2 cos, 0), which
+                # folds -N/2 into the lattice's Nyquist mode
+                fwd = np.stack((cos, -sin), axis=1)
+                fwd[-1, 0] *= 2.0
+                fwd[-1, 1] = 0.0
+                self.fwd = fwd.reshape(2 * H, M).T
 
     def _power_1d(self, half: np.ndarray, spectrum: bool) -> tuple:
         """The 1-D route, by R transforms of length L = N/T.
@@ -361,10 +402,12 @@ class PaddedPower:
         n, N, M = self.grid.n, self.grid.points_per_dim, self.M
         if n == 1:
             return self._power_1d(half, spectrum)
+        H, dense = N // 2 + 1, self.inv is not None
         total = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             a = half * (M / N) ** n
-            a[..., -1] *= 0.5
+            if not dense:
+                a[..., -1] *= 0.5
             a = _pad_axis(a, 0, M)
             np.fft.ifft(a, axis=0, out=a)
             rows = len(self._raised)
@@ -374,18 +417,28 @@ class PaddedPower:
                     block = _pad_axis(block, axis, M)
                     np.fft.ifft(block, axis=axis, out=block)
                 k = len(block)
-                # the samples fill the front of the rfft's buffer, which the
-                # rfft overwrites once the sum has read them
-                u = np.fft.irfft(block, n=M, axis=-1,
-                                 out=np.ndarray((k,) + (M,) * (n - 1), buffer=self._spectra))
+                # the samples fill the front of their buffer, which the
+                # forward transform overwrites once the sum has read them
+                u = np.ndarray((k,) + (M,) * (n - 1), buffer=self._samples)
+                if dense:
+                    np.matmul(block.view(float).reshape(-1, 2 * H), self.inv,
+                              out=u.reshape(-1, M))
+                else:
+                    np.fft.irfft(block, n=M, axis=-1, out=u)
                 u_power = pointwise_power(u, self.power, out=self._raised[:k])
                 total += np.vdot(u_power, u)
                 if spectrum:
-                    w = np.fft.rfft(u_power, axis=-1, out=self._spectra[:k])[..., : N // 2 + 1]
-                    # +N/2 and -N/2 fold into the lattice's Nyquist column: on
-                    # the leading axes' padded nodes the -N/2 column is the
-                    # conjugate of the +N/2 one
-                    w[..., N // 2] += np.conj(w[..., N // 2])
+                    if dense:
+                        w = np.ndarray((k,) + (M,) * (n - 2) + (H,), complex,
+                                       buffer=self._samples)
+                        np.matmul(u_power.reshape(-1, M), self.fwd,
+                                  out=w.view(float).reshape(-1, 2 * H))
+                    else:
+                        w = np.fft.rfft(u_power, axis=-1, out=self._samples[:k])[..., :H]
+                        # +N/2 and -N/2 fold into the lattice's Nyquist column:
+                        # on the leading axes' padded nodes the -N/2 column is
+                        # the conjugate of the +N/2 one
+                        w[..., N // 2] += np.conj(w[..., N // 2])
                     for axis in reversed(range(1, n - 1)):
                         w = _fold_axis(np.fft.fft(w, axis=axis), axis, N)
                     # this block's slabs of `a` are read: they take its result

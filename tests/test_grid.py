@@ -333,6 +333,13 @@ def _fold(N, M):
     return F
 
 
+def last_axis_bounds(n):
+    """PADDED_DENSE_POINTS values that take an n >= 2 kernel on any grid of
+    these tests (N <= 64) down both last-axis paths: dense matrix products,
+    then irfft/rfft.  1-D has the one row route."""
+    return (sg.PADDED_DENSE_POINTS,) if n == 1 else (sg.PADDED_DENSE_POINTS, 0)
+
+
 def dense_padded_samples(u, M):
     """Samples on the M-point padded grid of the lattice samples u, by a
     dense zero-padded full-lattice transform with plain numpy.fft."""
@@ -346,7 +353,7 @@ class TestPrunedPaddedTransforms:
     transforms built with plain numpy.fft."""
 
     @staticmethod
-    def _check_dense(n, N, P, T=2):
+    def _check_dense(n, N, P, T=2, dense=True):
         rng = np.random.default_rng(100 * n + N)
         M = sg.padded_size(N, P)
         u = rng.standard_normal((N,) * n)
@@ -357,7 +364,7 @@ class TestPrunedPaddedTransforms:
             folded = _along_axes(_fold(N, M), np.fft.fftn(raised)) * (N / M) ** n
             ref = folded[..., : N // 2 + 1]
             kernel = unit_kernel(n, N, power, P)
-            assert n > 1 or kernel.T == T
+            assert kernel.T == T if n == 1 else (kernel.inv is not None) == dense
             out, total = kernel(np.fft.rfftn(u))
             assert out.shape == ref.shape
             assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -366,12 +373,26 @@ class TestPrunedPaddedTransforms:
 
     # every 1-D case, odd N/2 (N = 6, 10) and odd M = P*N/2 included, on
     # rows of N/2 points (T = 2), and the blocked n >= 2 route at the
-    # paddings of theta = 1, 2, 5
+    # paddings of theta = 1, 2, 5, its last axis on dense matrix products
     @pytest.mark.parametrize(
         "n,N,P", [(1, N, P) for N in (4, 6, 8, 10, 12, 16) for P in range(3, 9)]
         + [(n, N, P) for n in (2, 3) for N in (6, 8, 10) for P in (3, 4, 7)])
     def test_match_dense_padding(self, n, N, P):
         self._check_dense(n, N, P)
+
+    # the same n >= 2 cases with the last axis on irfft/rfft
+    @pytest.mark.parametrize("n,N,P", [(n, N, P) for n in (2, 3) for N in (6, 8, 10)
+                                       for P in (3, 4, 7)])
+    def test_match_dense_padding_on_the_fft_last_axis(self, monkeypatch, n, N, P):
+        monkeypatch.setattr(sg, "PADDED_DENSE_POINTS", N - 2)
+        self._check_dense(n, N, P, dense=False)
+
+    # convergence-3d's kernel (n = 3, N = 32, theta = 5), and n = 2 on both
+    # sides of PADDED_DENSE_POINTS = 64: N = 96 keeps irfft/rfft
+    @pytest.mark.parametrize("n,N,P,dense", [(3, 32, 7, True), (2, 64, 7, True),
+                                             (2, 96, 7, False)])
+    def test_match_dense_padding_at_production_sizes(self, n, N, P, dense):
+        self._check_dense(n, N, P, dense=dense)
 
     # the same 1-D cases on rows of N/T points for every T = 4, 8 that
     # divides N, rows of one point (N = T) and the odd N/T = 3 (N = 12, T = 4)
@@ -411,29 +432,35 @@ class TestPrunedPaddedTransforms:
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_non_finite_samples_raise_no_warning(self, monkeypatch, n):
         # an overflowed power gives inf and nan samples and coefficients,
-        # which the sum, the folds, the row products and the scaling must
-        # pass on without a warning; in 1-D on rows of 4 (T = 2) and 2 (T = 4)
+        # which the sum, the folds, the row and matrix products and the
+        # scaling must pass on without a warning; in 1-D on rows of 4
+        # (T = 2) and 2 (T = 4), for n >= 2 on both last-axis paths
         u = np.ones((8,) * n)
         u.flat[5] = 1e60
         for T in (2, 4) if n == 1 else (2,):
             monkeypatch.setattr(sg, "PADDED_ROW_POINTS", 8 // T)
-            kernel = unit_kernel(n, 8, 6, 7)
-            assert n > 1 or kernel.T == T
-            out, total = kernel(np.fft.rfftn(u))
-            assert not np.all(np.isfinite(out))
-            assert not np.isfinite(total)
+            for bound in last_axis_bounds(n):
+                monkeypatch.setattr(sg, "PADDED_DENSE_POINTS", bound)
+                kernel = unit_kernel(n, 8, 6, 7)
+                assert n > 1 or kernel.T == T
+                out, total = kernel(np.fft.rfftn(u))
+                assert not np.all(np.isfinite(out))
+                assert not np.isfinite(total)
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_partial_last_block_matches_one_block(self, monkeypatch, n):
-        # N = 8 pads to 28 slabs; blocks of 3 slabs leave one slab over
+        # N = 8 pads to 28 slabs; blocks of 3 slabs leave one slab over, on
+        # both last-axis paths
         half = np.fft.rfftn(np.random.default_rng(n).standard_normal((8,) * n))
-        monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 28 ** n)
-        whole, whole_sum = unit_kernel(n, 8, 5, 7)(half)
-        monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 3 * 28 ** (n - 1))
-        blocked, blocked_sum = unit_kernel(n, 8, 5, 7)(half)
-        assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
-        # u^6 >= 0, so the sum has no cancellation
-        assert blocked_sum == pytest.approx(whole_sum, rel=1e-14)
+        for bound in last_axis_bounds(n):
+            monkeypatch.setattr(sg, "PADDED_DENSE_POINTS", bound)
+            monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 28 ** n)
+            whole, whole_sum = unit_kernel(n, 8, 5, 7)(half)
+            monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 3 * 28 ** (n - 1))
+            blocked, blocked_sum = unit_kernel(n, 8, 5, 7)(half)
+            assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
+            # u^6 >= 0, so the sum has no cancellation
+            assert blocked_sum == pytest.approx(whole_sum, rel=1e-14)
 
     def test_one_call_holds_less_than_one_padded_cube(self):
         # n = 3, N = 32, theta = 5 pads to 112^3 points: 10.7 MB as float64;
@@ -456,31 +483,38 @@ def _random_half(n, N, seed):
 
 class TestPaddedWorkspace:
     """A kernel reuses its buffers from call to call; no result may depend
-    on what an earlier call, or another kernel, left behind."""
+    on what an earlier call, or another kernel, left behind.  For n >= 2
+    each test runs on both last-axis paths."""
 
     @pytest.mark.parametrize("n", (1, 2, 3))
-    def test_result_is_not_overwritten_by_the_next_call(self, n):
-        kernel = unit_kernel(n, 8, 6, 7)
-        first, _ = kernel(_random_half(n, 8, 1))
-        kept = first.copy()
-        kernel(_random_half(n, 8, 2))
-        assert np.array_equal(first, kept)
+    def test_result_is_not_overwritten_by_the_next_call(self, monkeypatch, n):
+        for bound in last_axis_bounds(n):
+            monkeypatch.setattr(sg, "PADDED_DENSE_POINTS", bound)
+            kernel = unit_kernel(n, 8, 6, 7)
+            first, _ = kernel(_random_half(n, 8, 1))
+            kept = first.copy()
+            kernel(_random_half(n, 8, 2))
+            assert np.array_equal(first, kept)
 
     @pytest.mark.parametrize("n", (1, 2, 3))
-    def test_other_grid_in_between_changes_nothing(self, n):
+    def test_other_grid_in_between_changes_nothing(self, monkeypatch, n):
         half = _random_half(n, 8, 1)
-        kernel, other = unit_kernel(n, 8, 6, 7), unit_kernel(n, 16, 6, 7)
-        first, first_sum = kernel(half)
-        other(_random_half(n, 16, 2))
-        again, again_sum = kernel(half)
-        assert np.array_equal(again, first) and again_sum == first_sum
+        for bound in last_axis_bounds(n):
+            monkeypatch.setattr(sg, "PADDED_DENSE_POINTS", bound)
+            kernel, other = unit_kernel(n, 8, 6, 7), unit_kernel(n, 16, 6, 7)
+            first, first_sum = kernel(half)
+            other(_random_half(n, 16, 2))
+            again, again_sum = kernel(half)
+            assert np.array_equal(again, first) and again_sum == first_sum
 
     @pytest.mark.parametrize("n", (1, 2, 3))
-    def test_non_finite_call_leaves_no_trace(self, n):
+    def test_non_finite_call_leaves_no_trace(self, monkeypatch, n):
         u = np.ones((8,) * n)
         u.flat[3] = np.inf
-        kernel = unit_kernel(n, 8, 6, 7)
-        kernel(np.fft.rfftn(u))
-        power, total = kernel(_random_half(n, 8, 1))
-        want, want_sum = unit_kernel(n, 8, 6, 7)(_random_half(n, 8, 1))
-        assert np.array_equal(power, want) and total == want_sum
+        for bound in last_axis_bounds(n):
+            monkeypatch.setattr(sg, "PADDED_DENSE_POINTS", bound)
+            kernel = unit_kernel(n, 8, 6, 7)
+            kernel(np.fft.rfftn(u))
+            power, total = kernel(_random_half(n, 8, 1))
+            want, want_sum = unit_kernel(n, 8, 6, 7)(_random_half(n, 8, 1))
+            assert np.array_equal(power, want) and total == want_sum
