@@ -318,6 +318,10 @@ class PaddedPower:
             turns = (2.0 * math.pi * (t * s % R) / R for s in range(R) for t in modes)
             self.dft = np.fromiter((complex(math.cos(a), math.sin(a)) for a in turns),
                                    complex, R * T).reshape(R, T)
+            # the way back's: conj(twiddle) times 2T/P, which is N/M = 2/P over
+            # the twiddles' 1/T, and the (T, R) conjugate transpose of dft
+            self.twiddle_back = np.conj(self.twiddle) * (2.0 * T / self.P)
+            self.dft_back = np.conj(self.dft).T
             self._rows, self._spectra = np.empty((2, R, C), complex)
         else:
             rows = min(M, max(1, PADDED_BLOCK_POINTS // M ** (n - 1)))
@@ -359,11 +363,12 @@ class PaddedPower:
         ones for t < 0, the -N/2 mode whole.  The inverse keeps only the
         real part of column 0, which splits the Nyquist coefficient evenly
         between +N/2 and -N/2.  On the way back, with V = rfft of the rows of
-        the power, F_(c + L t) = sum_s w^(-cs) exp(-2 pi i t s/R) V[s, c],
-        the conjugate of row t of dft.T @ (conj(V) * twiddle): forward
-        slices of F for t >= 0, conjugated reversed ones for t < 0.
+        the power, F_(c + L t) = sum_s w^(-cs) exp(-2 pi i t s/R) V[s, c] is
+        row t of dft_back @ (V * twiddle_back), the N/M scale being in
+        twiddle_back: forward slices of F for t >= 0, conjugated reversed
+        ones for t < 0.
         """
-        T, twiddle, y, v = self.T, self.twiddle, self._rows, self._spectra
+        T, y, v = self.T, self._rows, self._spectra
         R, C = y.shape
         h = self.grid.points_per_dim // 2
         L = 2 * h // T
@@ -378,24 +383,22 @@ class PaddedPower:
                 k = L * (t + 1)
                 np.conjugate(half[k:k - C:-1], out=x[T - 1 - t])
             np.matmul(self.dft, x, out=y)
-            y *= twiddle
+            y *= self.twiddle
             u = np.fft.irfft(y, n=L, axis=-1, out=np.ndarray((R, L), buffer=v))
             u_power = pointwise_power(u, self.power, out=np.ndarray((R, L), buffer=y))
             total = float(np.vdot(u_power, u)) * self.node_volume
             if not spectrum:
                 return None, total
             np.fft.rfft(u_power, axis=-1, out=v)
-            np.conjugate(v, out=v)
-            v *= twiddle
-            b = np.matmul(self.dft.T, v, out=np.ndarray((T, C), complex, buffer=y))
+            v *= self.twiddle_back
+            b = np.matmul(self.dft_back, v, out=np.ndarray((T, C), complex, buffer=y))
             out = np.empty(h + 1, dtype=complex)
             for t in range(T // 2):
-                np.conjugate(b[t], out=out[L * t:L * t + C])
+                out[L * t:L * t + C] = b[t]
                 k = L * (t + 1)
-                out[k:k - C:-1] = b[T - 1 - t]
+                np.conjugate(b[T - 1 - t], out=out[k:k - C:-1])
             # +N/2 and -N/2 fold into the lattice's Nyquist coefficient
             out[h] += np.conj(out[h])
-            out *= 2.0 * T / self.P  # N/M = 2/P, over the twiddles' 1/T
             return out, total
 
     def __call__(self, half: np.ndarray, spectrum: bool = True) -> tuple:

@@ -245,6 +245,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
             raise ConfigError("fit.l_list: expected a nonempty list of orders >= 0")
     tolerance = fit.get("tolerance", 0.05)
     if isinstance(tolerance, (list, tuple)):
+        if scenario == "regularity-loss-probe":
+            raise ConfigError(f"fit.tolerance: {scenario} checks its orders l <= n0 "
+                              f"against one number, got {tolerance!r}")
         tolerance = _numbers(tolerance, "fit.tolerance")
         if len(tolerance) != len(l_list):
             raise ConfigError(f"fit.tolerance: {len(tolerance)} values for the "

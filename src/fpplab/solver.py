@@ -8,19 +8,20 @@ smoothed nonlinearity through the Duhamel integral:
 with G the exact semigroup and Binv = (I - m Lap)^(-1).  ETD1/ETD2
 discretize the integral with the phi functions, so the linear sub-flow is
 exact per step and the decay measurements are never polluted by linear
-solver error, and a step clipped to land on a sample time or t_end, like a
-linear run's exact jump, builds its phi tables for its own length.  The
-nonlinear power is evaluated pointwise on a zero-padded grid and truncated
-to the lattice, which removes aliasing entirely.
+solver error.  Binv acts only inside that integral, so it is a factor of
+the tables dt phi1 and dt phi2: a nonlinear run builds them per step length
+(a clipped step its own), a linear run, which jumps exactly, not at all.
+The nonlinear power is evaluated pointwise on a zero-padded grid and
+truncated to the lattice, which removes aliasing entirely.
 A state is its real-to-complex half spectrum, like every ``SpectralField``,
-and inside the step loop also its forcing: one padded-power kernel call per
-state gives both that forcing and the energy ledger's source term.
+and inside the step loop also its lattice power: one padded-power kernel
+call per state gives both that power and the energy ledger's source term.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -139,15 +140,15 @@ def padding(theta: int) -> int:
 
 class _Live(NamedTuple):
     """A state inside the step loop: its half spectrum, its |half|^2 (shared
-    by the energy and dissipation sums) and, for a nonlinear run, its
-    forcing Binv(u^(theta+1)), computed by the same padded-power call that
-    gave the ledger its source term."""
+    by the energy and dissipation sums) and, for a nonlinear run, its raw
+    lattice power P_N(u^(theta+1)), which the phi tables, Binv included,
+    multiply; one padded-power call gave it and the ledger's source term."""
 
     t: float
     half: np.ndarray
     sq: np.ndarray
     ledger: EnergyLedger
-    forcing: np.ndarray
+    power: np.ndarray
 
 
 class _Stepper:
@@ -163,29 +164,16 @@ class _Stepper:
         mag = sg.wavenumber_magnitude(grid)
         z = -sigma(mag, params) * dt
         self.decay = np.exp(z)
-        self.dt_phi1 = dt * phi1(z)
-        self.dt_phi2 = dt * phi2(z)
-        self.forcing_multiplier = b_inverse(mag, params)
+        if kernel is not None:  # the Duhamel tables, which a linear run never reads
+            binv = b_inverse(mag, params)
+            self.dt_phi1 = dt * phi1(z) * binv
+            self.dt_phi2 = dt * phi2(z) * binv
         norm = sg.column_weights(N) * grid.box_length ** grid.n / N ** (2 * grid.n)
         self.energy_weight = norm * (1.0 + params.m * mag * mag)
         # Exponentially fitted trapezoid: diss_step * (|a|^2 + |b|^2) / 2 is
         # the exact step integral of the dissipation when b = decay * a.
         self.diss_step = (norm * mag ** (2.0 * params.alpha) * dt * phi1(2.0 * z)
                           / (0.5 * (1.0 + self.decay * self.decay)))
-
-    def _nonlinear(self, half: np.ndarray, need_forcing: bool = True) -> tuple:
-        """Forcing and int u^(theta+2) dx of a state from one padded-power
-        kernel call, or (None, 0.0) for a linear run; the forcing is None
-        when not needed."""
-        if self.kernel is None:
-            return None, 0.0
-        power, source = self.kernel(half, spectrum=need_forcing)
-        if power is not None:
-            # the kernel's output is fresh: it becomes the forcing in place; a
-            # non-finite power gives a non-finite forcing, which advance() checks
-            with np.errstate(over="ignore", invalid="ignore"):
-                power *= self.forcing_multiplier
-        return power, source
 
     def enter(self, field: sg.SpectralField) -> _Live:
         """Bring the initial field into the loop at t = 0 with a new ledger;
@@ -196,16 +184,16 @@ class _Stepper:
         e = float(np.vdot(self.energy_weight, sq))
         if not math.isfinite(e):
             raise SolverBlowupError(0.0)
-        forcing, p = self._nonlinear(half)
-        return _Live(0.0, half, sq, EnergyLedger(e0=e, e=e, p=p), forcing)
+        power, p = self.kernel(half) if self.kernel is not None else (None, 0.0)
+        return _Live(0.0, half, sq, EnergyLedger(e0=e, e=e, p=p), power)
 
     def leave(self, live: _Live) -> StepState:
-        """The state as a field, without the cached forcing."""
+        """The state as a field, without the cached power."""
         return StepState(t=live.t, field=sg.SpectralField(self.grid, live.half),
                          ledger=live.ledger)
 
     def advance(self, live: _Live, _last: bool = False) -> _Live:
-        """One step of length dt.  With _last set the new state's forcing,
+        """One step of length dt.  With _last set the new state's power,
         which no further step would read, is not formed."""
         u = live.half
         t_new = live.t + self.dt
@@ -213,34 +201,35 @@ class _Stepper:
             if self.kernel is None:
                 new = self.decay * u
             else:
-                f_n = live.forcing
-                new = self.decay * u + self.dt_phi1 * f_n
+                p_n = live.power
+                new = self.decay * u + self.dt_phi1 * p_n
                 if self.scheme == "etd2":
-                    # the correction dt phi2 (f_a - f_n), formed in f_a, which
-                    # is then dropped: the new state's kernel call below is the
-                    # step's peak of memory
-                    f_a, _ = self._nonlinear(new)
-                    f_a -= f_n
-                    f_a *= self.dt_phi2
-                    new += f_a
-                    del f_a
+                    # the correction dt phi2 Binv (p_a - p_n), formed in the
+                    # kernel's fresh p_a, which is then dropped: the new
+                    # state's kernel call below is the step's peak of memory
+                    p_a, _ = self.kernel(new)
+                    p_a -= p_n
+                    p_a *= self.dt_phi2
+                    new += p_a
+                    del p_a
             sq = new.real ** 2 + new.imag ** 2
         # every energy weight is positive and finite: one check of the sum
         # catches a non-finite state, an overflowing |new|^2 and sum alike
         e = float(np.vdot(self.energy_weight, sq))
         if not math.isfinite(e):
             raise SolverBlowupError(t_new)
-        forcing, p_new = self._nonlinear(new, need_forcing=not _last)
+        power, p_new = (self.kernel(new, spectrum=not _last) if self.kernel is not None
+                        else (None, 0.0))
         diss = 0.5 * float(np.vdot(self.diss_step, live.sq + sq))
         led = live.ledger
-        ledger = replace(
-            led,
+        ledger = EnergyLedger(
+            e0=led.e0,
             e=e,
             diss_integral=led.diss_integral + diss,
             source_integral=led.source_integral + 0.5 * self.dt * (led.p + p_new),
             p=p_new,
         )
-        return _Live(t_new, new, sq, ledger, forcing)
+        return _Live(t_new, new, sq, ledger, power)
 
 
 @dataclass(frozen=True)

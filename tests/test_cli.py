@@ -347,13 +347,15 @@ class TestRunCommand:
         ("linear-decay", "n_samples", 7),
         # past t_end = 10: the run samples no time in the window
         ("nonlinear-smalldata", "window", [50.0, 100.0]),
+        # a list, though the orders l <= n0 that read it share one value
+        ("regularity-loss-probe", "tolerance", [0.05, 0.05]),
     ], ids=["short-tolerance-list", "long-tolerance-list", "too-few-samples",
-            "window-past-t_end"])
+            "window-past-t_end", "regularity-loss-tolerance-list"])
     def test_unusable_fit_value_is_a_config_error(self, tmp_path, capsys,
                                                   scenario, key, value):
         out = tmp_path / "out"
-        doc = (_linear_config(out, l_list=(0.0, 1.0)) if scenario == "linear-decay"
-               else _smalldata_config(out))
+        doc = (_smalldata_config(out) if scenario == "nonlinear-smalldata"
+               else {**_linear_config(out, l_list=(0.0, 1.0)), "scenario": scenario})
         doc["fit"][key] = value
         assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
         assert f"fit.{key}" in capsys.readouterr().err

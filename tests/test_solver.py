@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpplab.solver
 from fpplab import grid as sg
-from fpplab.model import ModelParams, b_inverse
+from fpplab.model import ModelParams, b_inverse, sigma
 from fpplab.oracle import gaussian_profile
 from fpplab.propagator import propagate
 from fpplab.solver import (SolverConfig, SolverBlowupError, _Stepper,
@@ -66,15 +67,22 @@ class TestNonlinearTerm:
         assert np.max(np.abs(np.delete(c, [0, 4]))) <= 1e-14
 
     def test_is_the_padded_power_on_every_mode(self):
-        # padding is the only dealiasing rule: no mode is masked out
+        # padding is the only dealiasing rule: no mode is masked out; Binv,
+        # which smooths the power inside the Duhamel integral, is a factor
+        # of the phi table, and a step applies both to the raw power
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=3)
         g = sg.GridSpec(1, 64, 10.0)
         f = random_real_field(g, seed=1, decay=0.0)
+        dt = 0.1
         kernel = sg.PaddedPower(g, p.theta + 1, padding(p.theta))
-        forcing, _ = _Stepper(g, p, 0.1, "etd2", kernel)._nonlinear(f.coefficients)
+        stepper = _Stepper(g, p, dt, "etd1", kernel)
         mag = sg.wavenumber_magnitude(g)
-        power = lattice_power(f, p.theta + 1, padding(p.theta))
-        assert np.array_equal(forcing, b_inverse(mag, p) * power.coefficients)
+        z = -sigma(mag, p) * dt
+        assert np.array_equal(stepper.dt_phi1, dt * phi1(z) * b_inverse(mag, p))
+        got = stepper.advance(stepper.enter(f)).half
+        power = lattice_power(f, p.theta + 1, padding(p.theta)).coefficients
+        want = np.exp(z) * f.coefficients + dt * phi1(z) * b_inverse(mag, p) * power
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestStep:
@@ -104,6 +112,26 @@ class TestStep:
         ref = np.max(np.abs(want.coefficients))
         assert np.max(np.abs(res.final_state.field.coefficients
                              - want.coefficients)) <= 1e-12 * ref
+
+    def test_linear_solve_builds_no_phi_tables(self, monkeypatch, gain_params):
+        # a linear run forms no power, so it needs neither dt phi2 Binv nor
+        # dt phi1 Binv; the nonlinear solve after it shows the counts work
+        calls = {"phi2": 0, "b_inverse": 0}
+
+        def counted(name, f):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return call
+        for name in calls:
+            monkeypatch.setattr(fpplab.solver, name, counted(name, getattr(fpplab.solver, name)))
+        g = sg.GridSpec(1, 64, 20.0)
+        f = random_real_field(g, seed=3)
+        solve(f, gain_params, SolverConfig(dt=0.05, t_end=1.0, sample_times=(0.5,),
+                                           enable_nonlinearity=False))
+        assert calls == {"phi2": 0, "b_inverse": 0}
+        solve(f, gain_params, SolverConfig(dt=0.05, t_end=0.1))
+        assert calls == {"phi2": 1, "b_inverse": 1}
 
     def test_blowup_aborts_with_time(self):
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=1)
@@ -137,7 +165,7 @@ class TestStep:
 
 
 class TestLoopCache:
-    """The step loop takes each state's source term and its next forcing
+    """The step loop takes each state's source term and its lattice power
     from one padded-power call; they must belong to the state they ride
     with.  theta = 4 keeps u^(theta+2) >= 0, so no cancellation."""
 
@@ -163,7 +191,7 @@ class TestLoopCache:
                              ids=["whole-steps", "remainder-step"])
     def test_final_state_forms_no_forcing(self, monkeypatch, t_end, steps):
         # the last state needs its padded power for the ledger's p, but not
-        # its spectrum: no step reads its forcing
+        # its spectrum: no step reads it
         calls = {"kernel": 0, "spectrum": 0}
 
         def counted(*args, _f=sg.PaddedPower.__call__, **kwargs):
