@@ -10,7 +10,7 @@ window ends past the horizon is refused before the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,31 +23,30 @@ L_GRID_SPACING = 0.25
 MIN_FIT_SAMPLES = 8
 
 
-@dataclass(frozen=True)
-class NormSeries:
+class NormSeries(NamedTuple("NormSeries", [
+        ("times", np.ndarray),
+        ("values", np.ndarray),
+        ("l", float),
+        ("norm", str),
+        ("component", str),  # full | low | high
+])):
     """One measured norm trajectory: derivative order l, norm type, component."""
 
-    times: np.ndarray
-    values: np.ndarray
-    l: float
-    norm: str = "L2"
-    component: str = "full"  # full | low | high
+    __slots__ = ()
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+    def __new__(cls, times, values, l, norm="L2", component="full"):
+        t = np.asarray(times, dtype=float)
+        v = np.asarray(values, dtype=float)
         if t.shape != v.shape or t.ndim != 1:
             raise ValueError("times and values must be 1-D arrays of equal length")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any(v < 0):
             raise ValueError("norm values must be nonnegative")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
+        return super().__new__(cls, t, v, l, norm, component)
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     """Log-log slope/intercept of a norm series over a fit window."""
 
     slope: float
@@ -139,8 +138,7 @@ class record:
                 for (l, norm, comp), values in zip(kinds, zip(*self.rows))]
 
 
-@dataclass(frozen=True)
-class WeightedFunctionals:
+class WeightedFunctionals(NamedTuple):
     """Running time-weighted sup/integral functionals of a trajectory.
 
     m1: sup over l in [0, s] and y <= t of the rate-weighted squared norms

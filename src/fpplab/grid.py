@@ -21,8 +21,8 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 # The bare package, which loads no subpackage, only because perfbench/worker.py
@@ -32,25 +32,21 @@ import scipy  # noqa: F401
 from .model import cutoff_chi
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple("GridSpec", [("n", int), ("points_per_dim", int),
+                                         ("box_length", float)])):
     """Cubic periodic lattice: `points_per_dim` nodes per axis on [0, box_length)^n."""
 
-    n: int
-    points_per_dim: int
-    box_length: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if float(self.n) != int(self.n) or not 1 <= int(self.n) <= 3:
-            raise ValueError(f"dimension n must be an integer in 1..3, got {self.n}")
-        N = self.points_per_dim
+    def __new__(cls, n, points_per_dim, box_length):
+        if float(n) != int(n) or not 1 <= int(n) <= 3:
+            raise ValueError(f"dimension n must be an integer in 1..3, got {n}")
+        N = points_per_dim
         if float(N) != int(N) or int(N) < 4 or int(N) % 2 != 0:
             raise ValueError(f"points_per_dim must be an even integer >= 4, got {N}")
-        if not self.box_length > 0:
-            raise ValueError(f"box_length must be positive, got {self.box_length}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "points_per_dim", int(self.points_per_dim))
-        object.__setattr__(self, "box_length", float(self.box_length))
+        if not box_length > 0:
+            raise ValueError(f"box_length must be positive, got {box_length}")
+        return super().__new__(cls, int(n), int(N), float(box_length))
 
     @property
     def spacing(self) -> float:
@@ -102,20 +98,20 @@ def physical_nodes(grid: GridSpec) -> np.ndarray:
     return grid.spacing * np.arange(grid.points_per_dim, dtype=float)
 
 
-@dataclass(frozen=True)
-class SpectralField:
+class SpectralField(NamedTuple("SpectralField", [("grid", GridSpec),
+                                                   ("coefficients", np.ndarray)])):
     """A real field stored as its plain-DFT half spectrum, shape grid.half_shape.
 
     Treat instances as immutable values: operations return new fields.
     """
 
-    grid: GridSpec
-    coefficients: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.coefficients.shape != self.grid.half_shape:
-            raise ValueError(f"coefficient shape {self.coefficients.shape} is not the "
-                             f"half spectrum shape {self.grid.half_shape}")
+    def __new__(cls, grid, coefficients):
+        if coefficients.shape != grid.half_shape:
+            raise ValueError(f"coefficient shape {coefficients.shape} is not the "
+                             f"half spectrum shape {grid.half_shape}")
+        return super().__new__(cls, grid, coefficients)
 
 
 def to_spectral(grid: GridSpec, samples: np.ndarray) -> SpectralField:
@@ -130,12 +126,6 @@ def to_physical(field: SpectralField) -> np.ndarray:
     """Inverse transform to the real samples on the lattice."""
     g = field.grid
     return np.fft.irfftn(field.coefficients, s=g.shape, axes=tuple(range(g.n)))
-
-
-def apply_radial_multiplier(field: SpectralField, g) -> SpectralField:
-    """Multiply coefficients by g(|k|); g must accept an ndarray of radii."""
-    mag = wavenumber_magnitude(field.grid)
-    return SpectralField(field.grid, field.coefficients * g(mag))
 
 
 def spectral_weighted_norm(field: SpectralField, weights: np.ndarray) -> float:

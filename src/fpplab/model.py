@@ -18,7 +18,7 @@ high-frequency decay must be bought with extra derivatives of the data).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,28 +27,26 @@ LOSS = "loss"
 CUTOFF_RADIUS = 0.5  # R of the low/high band split: chi = 1 for r <= R, 0 for r >= 2R
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple("ModelParams", [
+        ("n", int),        # spatial dimension, 1..3
+        ("m", float),      # coefficient of -Lap(u_t), positive
+        ("alpha", float),  # fractional dissipation order, positive
+        ("theta", int),    # nonlinearity is u^(theta+1), positive integer
+])):
     """Physical constants of the evolution equation."""
 
-    n: int        # spatial dimension, 1..3
-    m: float      # coefficient of -Lap(u_t), positive
-    alpha: float  # fractional dissipation order, positive
-    theta: int    # nonlinearity is u^(theta+1), positive integer
+    __slots__ = ()
 
-    def __post_init__(self):
-        if float(self.n) != int(self.n) or not 1 <= int(self.n) <= 3:
-            raise ValueError(f"n must be an integer in 1..3, got {self.n}")
-        if not self.m > 0:
-            raise ValueError(f"m must be positive, got {self.m}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if float(self.theta) != int(self.theta) or int(self.theta) < 1:
-            raise ValueError(f"theta must be a positive integer, got {self.theta}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", float(self.m))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "theta", int(self.theta))
+    def __new__(cls, n, m, alpha, theta):
+        if float(n) != int(n) or not 1 <= int(n) <= 3:
+            raise ValueError(f"n must be an integer in 1..3, got {n}")
+        if not m > 0:
+            raise ValueError(f"m must be positive, got {m}")
+        if not alpha > 0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        if float(theta) != int(theta) or int(theta) < 1:
+            raise ValueError(f"theta must be a positive integer, got {theta}")
+        return super().__new__(cls, int(n), float(m), float(alpha), int(theta))
 
     def alpha_bar(self) -> float:
         """1 - alpha; defined only in the loss regime (alpha < 1)."""
@@ -124,8 +122,7 @@ def decay_exponent(l, params: ModelParams):
     return _scalar_or_array(out, scalar)
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     """Outcome of the small-data hypothesis check for a given data regularity s.
 
     n0 is the largest derivative order whose decay rate is guaranteed; it

@@ -34,8 +34,8 @@ with ``grid.field_from_spectral_profile`` reproduces these values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,12 @@ class OracleConvergenceError(RuntimeError):
     """Raised when the radial integral diverges or the tolerance is unmet."""
 
 
-@dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(NamedTuple("RadialProfile", [
+        ("profile", object),  # callable r -> uhat0(r), vectorized over ndarrays
+        ("kind", str),
+        ("parameter", float),
+        ("l1_norm_hint", float),
+])):
     """Radial spectral profile uhat0(r) and its tail: kind gaussian (the
     parameter is the width) or power_tail (the parameter is the exponent p).
 
@@ -78,18 +82,14 @@ class RadialProfile:
     when it is known in closed form (sign-definite profiles).
     """
 
-    profile: object  # callable r -> uhat0(r), vectorized over ndarrays
-    kind: str
-    parameter: float = None
-    l1_norm_hint: float = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "power_tail"):
-            raise ValueError(f"unknown decay class {self.kind!r}")
-        if self.kind == "power_tail" and not (
-            self.parameter is not None and self.parameter > 0
-        ):
-            raise ValueError(f"{self.kind} needs a positive parameter")
+    def __new__(cls, profile, kind, parameter=None, l1_norm_hint=None):
+        if kind not in ("gaussian", "power_tail"):
+            raise ValueError(f"unknown decay class {kind!r}")
+        if kind == "power_tail" and not (parameter is not None and parameter > 0):
+            raise ValueError(f"{kind} needs a positive parameter")
+        return super().__new__(cls, profile, kind, parameter, l1_norm_hint)
 
     def __call__(self, r):
         return self.profile(r)

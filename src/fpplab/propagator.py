@@ -1,4 +1,4 @@
-"""Exact linear semigroup and the band decay-bound probes.
+"""Band decay-bound probes of the linear flow.
 
 The linear flow acts per mode as exp(-sigma(|k|) t).  The band probes run
 on the continuum quadrature oracle (not the grid), so they measure the
@@ -15,26 +15,16 @@ whole-space decay bounds without periodic-box artifacts:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .diagnostics import ols_line
-from .grid import SpectralField, wavenumber_magnitude
-from .model import ModelParams, sigma
+from .model import ModelParams
 from .oracle import RadialProfile, radial_weighted_l2
 
 
-def propagate(field: SpectralField, t: float, params: ModelParams) -> SpectralField:
-    """Apply the exact linear semigroup: multiply mode k by exp(-sigma(|k|) t)."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    decay = np.exp(-sigma(wavenumber_magnitude(field.grid), params) * t)
-    return SpectralField(field.grid, field.coefficients * decay)
-
-
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """What a decay-bound probe measured over a set of sample times.
 
     ratios carry the measured norm times the theoretical growth factor, and

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -155,8 +154,7 @@ def _boolean(value, path) -> bool:
     return value
 
 
-@dataclass(frozen=True)
-class FitSettings:
+class FitSettings(NamedTuple):
     """The fit section with every default filled in by parse_config."""
 
     window: tuple      # (t0, t1); None in convergence-study
@@ -166,8 +164,7 @@ class FitSettings:
     falsify: bool
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     scenario: str
     model: ModelParams
     grid: sg.GridSpec  # None, as is run, where the scenario solves nothing
@@ -280,7 +277,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
             raise ConfigError(f"fit.window: [{window[0]:g}, {window[1]:g}] ends past the "
                               f"contamination horizon {horizon:g}")
         if not run.sample_times:
-            run = replace(run, sample_times=_default_sample_times(window, run.t_end, run.dt))
+            run = run._replace(sample_times=_default_sample_times(window, run.t_end, run.dt))
         found = sum(window[0] <= t <= window[1] for t in run.sample_times)
         if found < MIN_FIT_SAMPLES:
             raise ConfigError(f"fit.window: [{window[0]:g}, {window[1]:g}] holds {found} of "
@@ -422,21 +419,21 @@ def emit_plots(summary: dict, out_path) -> str:
     return text
 
 
-@dataclass
 class RunSummary:
     """What a scenario run reports.  run_scenario creates it, the runner
     fills it, and run_scenario writes it out once the runner has returned."""
 
-    scenario: str
-    config: dict
-    regime: dict
-    fits: list = field(default_factory=list)
-    probes: list = field(default_factory=list)
-    functionals: dict = None
-    verdicts: list = field(default_factory=list)
-    series_files: dict = field(default_factory=dict)  # CSV name -> (times, values)
-    wall_clock_s: float = 0.0
-    step_count: int = 0
+    def __init__(self, scenario: str, config: dict, regime: dict):
+        self.scenario = scenario
+        self.config = config
+        self.regime = regime
+        self.fits = []
+        self.probes = []
+        self.functionals = None
+        self.verdicts = []
+        self.series_files = {}  # CSV name -> (times, values)
+        self.wall_clock_s = 0.0
+        self.step_count = 0
 
     @property
     def all_pass(self) -> bool:
@@ -453,7 +450,7 @@ class RunSummary:
         self.series_files[csv] = (times, values)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = dict(vars(self))
         out["series_files"] = list(self.series_files)
         out["all_pass"] = self.all_pass
         return out
@@ -505,7 +502,7 @@ def _run_linear_decay(cfg, summary, report):
     run = cfg.run
     if not run.sample_times:  # they end inside the horizon
         t_hi = min(t1, horizon, run.t_end)
-        run = replace(run, sample_times=tuple(np.geomspace(max(t0, run.dt), t_hi, 12)))
+        run = run._replace(sample_times=tuple(np.geomspace(max(t0, run.dt), t_hi, 12)))
     inside = []  # (t, ||u(t)||_L2) inside the horizon: parse_config made sure of one
 
     def keep(state):
@@ -610,7 +607,7 @@ def _run_convergence_study(cfg, summary, report):
     run = cfg.run
     finals = []
     for k in range(3):
-        r = solve(u0, cfg.model, replace(run, dt=run.dt / 2 ** k, sample_times=()))
+        r = solve(u0, cfg.model, run._replace(dt=run.dt / 2 ** k, sample_times=()))
         finals.append(r.final_state.field.coefficients)
         summary.step_count += r.step_count
     e1 = sg.lattice_norm(finals[0] - finals[1])

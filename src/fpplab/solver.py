@@ -21,7 +21,6 @@ call per state gives both that power and the energy ledger's source term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -71,31 +70,37 @@ def phi2(z):
     return float(out) if scalar else out
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    scheme: str = "etd2"            # etd1 | etd2
-    dt: float = 0.05
-    t_end: float = 1.0
-    sample_times: tuple = ()
-    enable_nonlinearity: bool = True
+class SolverConfig(NamedTuple("SolverConfig", [
+        ("scheme", str),  # etd1 | etd2
+        ("dt", float),
+        ("t_end", float),
+        ("sample_times", tuple),
+        ("enable_nonlinearity", bool),
+])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.scheme not in ("etd1", "etd2"):
-            raise ValueError(f"scheme must be etd1 or etd2, got {self.scheme!r}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not self.t_end >= 0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        for t in self.sample_times:
-            if not 0.0 <= t <= self.t_end + 1e-12:
+    def __new__(cls, scheme="etd2", dt=0.05, t_end=1.0, sample_times=(),
+                enable_nonlinearity=True):
+        if scheme not in ("etd1", "etd2"):
+            raise ValueError(f"scheme must be etd1 or etd2, got {scheme!r}")
+        if not dt > 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        if not t_end >= 0:
+            raise ValueError(f"t_end must be nonnegative, got {t_end}")
+        for t in sample_times:
+            if not 0.0 <= t <= t_end + 1e-12:
                 raise ValueError(f"sample time {t} outside [0, t_end]")
         # increasing and distinct, each at most t_end: the times a run lands on
-        object.__setattr__(self, "sample_times", tuple(
-            sorted({min(float(t), self.t_end) for t in self.sample_times})))
+        sample_times = tuple(sorted({min(float(t), t_end) for t in sample_times}))
+        return super().__new__(cls, scheme, dt, t_end, sample_times, enable_nonlinearity)
+
+    def _replace(self, **changes):
+        """A copy with `changes`, checked and normalised like a new config
+        (namedtuple's own _replace would skip __new__)."""
+        return type(self)(**{**self._asdict(), **changes})
 
 
-@dataclass(frozen=True)
-class EnergyLedger:
+class EnergyLedger(NamedTuple):
     """Running terms of the energy balance.
 
     e = ||u||_L2^2 + m ||Lam u||_L2^2.  diss_integral accumulates
@@ -112,8 +117,7 @@ class EnergyLedger:
     p: float = 0.0
 
 
-@dataclass(frozen=True)
-class StepState:
+class StepState(NamedTuple):
     t: float
     field: sg.SpectralField
     ledger: EnergyLedger
@@ -232,8 +236,7 @@ class _Stepper:
         return _Live(t_new, new, sq, ledger, power)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     final_state: StepState
     step_count: int
 

@@ -809,9 +809,11 @@ class TestEmitPlots:
 def test_program_import_leaves_heavy_scipy_subpackages_unloaded():
     # every run is a fresh process that pays for what the program imports;
     # it transforms with numpy.fft and needs no solver or linear algebra, and
-    # scipy.fft alone would bring in scipy.special, numpy.f2py and numpy.testing
+    # scipy.fft alone would bring in scipy.special, numpy.f2py and numpy.testing;
+    # its records are NamedTuples, whose classes cost no code generation
     heavy = ["scipy.optimize", "scipy.linalg", "scipy.integrate", "scipy.fft",
-             "scipy.special", "numpy.f2py", "numpy.testing", "numpy.ma", "numpy.random"]
+             "scipy.special", "numpy.f2py", "numpy.testing", "numpy.ma", "numpy.random",
+             "dataclasses"]
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import json, sys, fpplab.cli, fpplab.scenarios; "
             f"print(json.dumps([m for m in {heavy!r} + ['scipy'] if m in sys.modules]))")

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from fpplab import grid as sg
 from fpplab.model import ModelParams, sigma
 from fpplab.oracle import gaussian_profile, radial_weighted_l2
-from fpplab.propagator import _tail_slope, probe_high_band, probe_low_band, propagate
-from conftest import random_real_field
+from fpplab.propagator import _tail_slope, probe_high_band, probe_low_band
+from conftest import propagate, random_real_field
 
 
 class TestPropagate:

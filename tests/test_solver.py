@@ -15,11 +15,10 @@ import fpplab.solver
 from fpplab import grid as sg
 from fpplab.model import ModelParams, b_inverse, sigma
 from fpplab.oracle import gaussian_profile
-from fpplab.propagator import propagate
 from fpplab.solver import (SolverConfig, SolverBlowupError, _Stepper,
                            energy_balance_residual, padding, phi1, phi2, solve)
 from fpplab.scenarios import _ORDER_BANDS
-from conftest import random_real_field
+from conftest import apply_radial_multiplier, propagate, random_real_field
 from test_grid import dense_padded_samples, lattice_power
 
 
@@ -393,7 +392,7 @@ class TestBoundedness:
         params = ModelParams(n=1, m=0.7, alpha=1.0, theta=1)
         g = sg.GridSpec(1, 64, 15.0)
         v = random_real_field(g, seed=seed)
-        smoothed = sg.apply_radial_multiplier(v, lambda r: b_inverse(r, params))
+        smoothed = apply_radial_multiplier(v, lambda r: b_inverse(r, params))
         for l in (0.0, 0.5, 1.0, 2.0):
             assert sg.sobolev_seminorm(smoothed, l) <= \
                 sg.sobolev_seminorm(v, l) * (1 + 1e-13)
