@@ -204,46 +204,12 @@ def padded_size(N: int, P: int) -> int:
     return int(P) * N // 2
 
 
-def _pad_axis(a: np.ndarray, axis: int, M: int) -> np.ndarray:
-    """a with the full-length `axis` zero-padded from N to M modes: modes
-    -N/2 < j < N/2 keep their places, and the Nyquist coefficient is split
-    evenly between +N/2 and -N/2, so the padded field stays real and still
-    interpolates the lattice samples."""
-    h = a.shape[axis] // 2
-    out = np.zeros(a.shape[:axis] + (M,) + a.shape[axis + 1:], dtype=complex)
-    o, i = np.moveaxis(out, axis, 0), np.moveaxis(a, axis, 0)
-    o[:h], o[M - h + 1:] = i[:h], i[h + 1:]
-    o[h] = o[M - h] = 0.5 * i[h]
-    return out
-
-
-def _fold_axis(a: np.ndarray, axis: int, N: int) -> np.ndarray:
-    """a with the full-length `axis` cut from M modes down to N: the +N/2
-    and -N/2 modes, which the lattice cannot tell apart, are folded together
-    into its Nyquist coefficient."""
-    M, h = a.shape[axis], N // 2
-    out = np.empty(a.shape[:axis] + (N,) + a.shape[axis + 1:], dtype=complex)
-    o, i = np.moveaxis(out, axis, 0), np.moveaxis(a, axis, 0)
-    o[:h], o[h + 1:] = i[:h], i[M - h + 1:]
-    o[h] = i[h] + i[M - h]
-    return out
-
-
-# Padded points the kernel below transforms at a time: 2^16 float64 samples,
-# 512 KiB, so a 3-D step never holds the whole padded grid.
+# Padded points the n >= 2 route raises at a time: 2^16 float64 samples,
+# 512 KiB, so a 3-D step never holds the whole padded orthant.
 PADDED_BLOCK_POINTS = 2 ** 16
 # Samples per row of the 1-D route at most, where N allows: 1024 float64 in
 # and their spectrum out take 16 KiB, so a row's transform stays in L1.
 PADDED_ROW_POINTS = 1024
-# Lattice points per axis up to which the n >= 2 route takes its last axis
-# through two dense real matrix products instead of irfft/rfft: only N/2+1
-# of a padded row's M/2+1 modes are fed, and at these lengths the products
-# beat the FFT pair on a block of ~2^16 points (FFT time over product time
-# on one core: 2.2-2.7 at N = 32, 1.5-2.4 at 64, 0.9-1.3 at 96, 0.6-1.0 at
-# 128, 0.3-0.6 at 256 and 384).  Whole solves cross at the same place for
-# n = 2 and 3: the products win or tie up to N = 96 and lose from 128 on,
-# by 2.6 times at n = 2, N = 384 (BENCH_dense_lastaxis_3d.json).
-PADDED_DENSE_POINTS = 64
 
 
 class PaddedPower:
@@ -261,23 +227,24 @@ class PaddedPower:
     points, T lattice modes to a column, one batch of R short transforms
     each way (``_power_1d``); no transform has length M.  T is 2, doubled
     while rows would be longer than PADDED_ROW_POINTS and T*2 divides N.
-    For n >= 2, axis 0 is padded and inverse transformed
-    first.  Then blocks of axis-0 slabs, about PADDED_BLOCK_POINTS padded
-    points each, go through the other axes, the power, the sum and back,
-    each axis cut to the lattice once it is done; axis 0 is folded last.
-    No transform touches the pad's zero blocks.  The last axis feeds only
-    H = N/2+1 of a padded row's M/2+1 modes, so up to N =
-    PADDED_DENSE_POINTS it goes each way as one real matrix product per
-    block, which beats the FFT pair at those lengths: ``inv`` (2H, M) takes
-    the block's Re and Im interleaved to the samples, ``fwd`` (M, 2H) the
-    power back.  Longer last axes keep ``irfft`` and ``rfft``: the products
-    cost N*M per row against the FFT's M log M.  Every route
-    keeps half of the lattice's Nyquist coefficient at +N/2 on the last
-    axis and folds the -N/2 share back from its conjugate: ``irfft`` pads
-    that axis itself, and ``inv`` counts the N/2 mode once and ``fwd``
-    returns twice its real part.
+    For n >= 2 the field must be even in every coordinate (``solver.solve``
+    checks that once): its half spectrum is then real and even, a cosine
+    series, and so are the padded samples and their power, which are taken
+    on the first orthant only, the (M//2+1)^n padded nodes m = 0..M//2 per
+    axis.  On each axis ``inv`` (M//2+1, N/2+1) takes the orthant's real
+    modes k = 0..N/2 to those nodes, column_weights(N)/N cos(2 pi k m/M):
+    modes +k and -k together, the Nyquist mode once, half of it at +N/2
+    and half at -N/2.  ``fwd`` (N/2+1, M//2+1) brings the power back: the
+    node weights mu, which count nodes m and M-m (1 at 0 and M/2, else 2),
+    times N/M cos(2 pi k m/M), its N/2 row doubled, which folds -N/2 into
+    the lattice's Nyquist mode.  The other axes go to the nodes first; then
+    blocks of axis-0 nodes, about PADDED_BLOCK_POINTS padded points each,
+    take one product to the samples, the power, the mu-weighted sum and
+    one product back; the other axes go back last, and the orthant is
+    mirrored onto the half spectrum's leading axes.  Every transform is a
+    real matrix product (BLAS GEMM).
 
-    The kernel builds its twiddles or matrices and its two buffers once and
+    The kernel builds its twiddles or tables and its two buffers once and
     writes the samples, their power and its forward transform into the
     buffers on every call, so it serves one caller at a time; they go with
     it.
@@ -314,32 +281,24 @@ class PaddedPower:
             self.dft_back = np.conj(self.dft).T
             self._rows, self._spectra = np.empty((2, R, C), complex)
         else:
-            rows = min(M, max(1, PADDED_BLOCK_POINTS // M ** (n - 1)))
-            self._raised = np.empty((rows,) + (M,) * (n - 1))
-            self.inv = self.fwd = None
-            if N > PADDED_DENSE_POINTS:
-                self._samples = np.empty((rows,) + (M,) * (n - 2) + (M // 2 + 1,), complex)
-            else:
-                self._samples = np.empty_like(self._raised)
-                H = N // 2 + 1
-                # the angles 2 pi k m / M of the last axis's lattice modes k
-                # at the padded nodes m, from the exact integer k*m mod M
-                turns = 2.0 * np.pi / M * (np.outer(np.arange(H), np.arange(M)) % M)
-                cos, sin = np.cos(turns), np.sin(turns)
-                # rows 2k and 2k+1 take Re and Im of mode k: irfft's sum over
-                # the full axis with its 1/M, each mode counted as often as
-                # the lattice holds it (column_weights), so the N/2 mode
-                # counts once, half of it at +N/2 and half at -N/2; the row
-                # for Im of mode 0, which irfft ignores, is sin 0 = 0
-                weight = (column_weights(N) / M)[:, None]
-                self.inv = np.stack((weight * cos, -weight * sin), axis=1).reshape(2 * H, M)
-                # rfft's columns, Re and Im interleaved, except that the N/2
-                # pair is that column plus its conjugate, (2 cos, 0), which
-                # folds -N/2 into the lattice's Nyquist mode
-                fwd = np.stack((cos, -sin), axis=1)
-                fwd[-1, 0] *= 2.0
-                fwd[-1, 1] = 0.0
-                self.fwd = fwd.reshape(2 * H, M).T
+            H, Q = N // 2 + 1, M // 2 + 1
+            # the angles 2 pi k m / M of the modes k = 0..N/2 at the nodes
+            # m = 0..M//2, from the exact integer k*m mod M
+            cos = np.cos(2.0 * np.pi / M * (np.outer(np.arange(H), np.arange(Q)) % M))
+            self.inv = cos.T * (column_weights(N) / N)
+            # nodes m and M - m hold one sample of an even field: mu counts them
+            self.mu = np.where(2 * np.arange(Q) % M == 0, 1.0, 2.0)
+            self.fwd = cos * (self.mu * (N / M))
+            self.fwd[-1] *= 2.0
+            # mu over the nodes of axes 1..n-1, in the blocks' C order
+            self.mu_rest = self.mu
+            for _ in range(n - 2):
+                self.mu_rest = np.outer(self.mu_rest, self.mu).ravel()
+            rows = min(Q, max(1, PADDED_BLOCK_POINTS // Q ** (n - 1)))
+            self._raised = np.empty((rows, Q ** (n - 1)))
+            # the samples; once the sum has read them, the first H rows take
+            # a block's product back
+            self._samples = np.empty((max(rows, H), Q ** (n - 1)))
 
     def _power_1d(self, half: np.ndarray, spectrum: bool) -> tuple:
         """The 1-D route, by R transforms of length L = N/T.
@@ -392,55 +351,39 @@ class PaddedPower:
             return out, total
 
     def __call__(self, half: np.ndarray, spectrum: bool = True) -> tuple:
-        n, N, M = self.grid.n, self.grid.points_per_dim, self.M
+        n = self.grid.n
         if n == 1:
             return self._power_1d(half, spectrum)
-        H, dense = N // 2 + 1, self.inv is not None
+        inv, fwd, mu = self.inv, self.fwd, self.mu
+        Q, H = inv.shape
+        rows = len(self._raised)
         total = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            a = half * (M / N) ** n
-            if not dense:
-                a[..., -1] *= 0.5
-            a = _pad_axis(a, 0, M)
-            np.fft.ifft(a, axis=0, out=a)
-            rows = len(self._raised)
-            for start in range(0, M, rows):
-                block = a[start:start + rows]
-                for axis in range(1, n - 1):
-                    block = _pad_axis(block, axis, M)
-                    np.fft.ifft(block, axis=axis, out=block)
-                k = len(block)
-                # the samples fill the front of their buffer, which the
-                # forward transform overwrites once the sum has read them
-                u = np.ndarray((k,) + (M,) * (n - 1), buffer=self._samples)
-                if dense:
-                    np.matmul(block.view(float).reshape(-1, 2 * H), self.inv,
-                              out=u.reshape(-1, M))
-                else:
-                    np.fft.irfft(block, n=M, axis=-1, out=u)
+            # axes n-1..1 to the nodes, n being 3 at most; matmul takes the
+            # middle axis of a 3-D array
+            a = np.ascontiguousarray(half[(slice(H),) * n].real) @ inv.T
+            if n == 3:
+                a = np.matmul(inv, a)
+            a = a.reshape(H, -1)
+            out = np.zeros((H, a.shape[1])) if spectrum else None
+            for start in range(0, Q, rows):
+                k = min(rows, Q - start)
+                u = np.matmul(inv[start:start + k], a, out=self._samples[:k])
                 u_power = pointwise_power(u, self.power, out=self._raised[:k])
-                total += np.vdot(u_power, u)
+                u *= u_power
+                total += mu[start:start + k] @ (u @ self.mu_rest)
                 if spectrum:
-                    if dense:
-                        w = np.ndarray((k,) + (M,) * (n - 2) + (H,), complex,
-                                       buffer=self._samples)
-                        np.matmul(u_power.reshape(-1, M), self.fwd,
-                                  out=w.view(float).reshape(-1, 2 * H))
-                    else:
-                        w = np.fft.rfft(u_power, axis=-1, out=self._samples[:k])[..., :H]
-                        # +N/2 and -N/2 fold into the lattice's Nyquist column:
-                        # on the leading axes' padded nodes the -N/2 column is
-                        # the conjugate of the +N/2 one
-                        w[..., N // 2] += np.conj(w[..., N // 2])
-                    for axis in reversed(range(1, n - 1)):
-                        w = _fold_axis(np.fft.fft(w, axis=axis), axis, N)
-                    # this block's slabs of `a` are read: they take its result
-                    a[start:start + rows] = w
+                    out += np.matmul(fwd[:, start:start + k], u_power, out=self._samples[:H])
             total = float(total) * self.node_volume
             if not spectrum:
                 return None, total
-            np.fft.fft(a, axis=0, out=a)
-            return _fold_axis(a, 0, N) * (N / M) ** n, total
+            out = out.reshape((H,) + (Q,) * (n - 1))
+            if n == 3:
+                out = np.matmul(fwd, out)
+            out = out @ fwd.T
+            # spectrum index N-j holds mode -j, whose value is mode j's
+            mirror = np.r_[0:H, H - 2:0:-1]
+            return out[np.ix_(*[mirror] * (n - 1))].astype(complex), total
 
 
 def _chain_power(x: np.ndarray, power: int, out: np.ndarray) -> np.ndarray:

@@ -59,9 +59,10 @@ LEMMA_BETA = 1.0         # lemma-verification (alpha < 1): derivatives spent on 
 DEVIATION_NOISE = 1e-12
 
 # Largest grid, counted as float64 samples, that a solve may transform: the
-# padded grid of a nonlinear step, the lattice of a linear jump.  A step works
-# through the padded grid in blocks (grid.PaddedPower), but its time and its
-# axis-0 stage grow with it; n=3, N=128, theta=5 pads to 448^3 (686 MiB).
+# padded grid of a nonlinear step, the lattice of a linear jump.  For n >= 2 a
+# step raises only the padded grid's first orthant, in blocks
+# (grid.PaddedPower), but its time still grows with the grid; n=3, N=128,
+# theta=5 pads to 448^3 (686 MiB).
 MAX_GRID_BYTES = 256 * 2 ** 20
 # Work budget of a nonlinear run, in steps times padded points: about ten
 # minutes at the ~1.4e7 point-steps/s of a 1-D N=4096 run on one Xeon core.

@@ -29,6 +29,9 @@ from . import grid as sg
 from .model import ModelParams, b_inverse, sigma
 
 PHI_SERIES_CUTOFF = 1e-4
+# Roundoff, relative to max |F|, that the evenness check of n >= 2 nonlinear
+# data allows: rfftn of cosine samples leaves about 1e-16 of imaginary part.
+EVEN_TOLERANCE = 1e-13
 
 
 class SolverBlowupError(RuntimeError):
@@ -241,6 +244,26 @@ class SolveResult(NamedTuple):
     step_count: int
 
 
+def _require_even(half: np.ndarray) -> None:
+    """Refuse a half spectrum that is not even in every coordinate, as the
+    n >= 2 padded-power kernel needs: real, and equal to its mirror image
+    along each leading axis (the last then follows), up to roundoff.  Data
+    that are not finite pass, for the blow-up check at t = 0."""
+    tol = EVEN_TOLERANCE * np.max(np.abs(half))
+    defect = np.max(np.abs(half.imag))
+    if defect > tol:
+        raise ValueError(f"an n >= 2 nonlinear solve needs data even in every coordinate: "
+                         f"the spectrum has an imaginary part of {defect:.3g} "
+                         f"(roundoff allows {tol:.3g})")
+    for axis in range(half.ndim - 1):
+        with np.errstate(invalid="ignore"):
+            defect = np.max(np.abs(half - np.roll(np.flip(half, axis), 1, axis)))
+        if defect > tol:
+            raise ValueError(f"an n >= 2 nonlinear solve needs data even in every coordinate: "
+                             f"the spectrum differs from its mirror image along axis {axis} "
+                             f"by {defect:.3g} (roundoff allows {tol:.3g})")
+
+
 def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
           on_sample=None) -> SolveResult:
     """Integrate from u0 to t_end, calling on_sample(StepState) at the
@@ -255,8 +278,12 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
     takes those steps unclipped, so samples on the dt lattice give the
     fixed-step numbers.  step_count counts the steps, clipped ones
     included.  The nonlinear steps share one padded-power kernel, whose
-    buffers and twiddles go when solve returns.
+    buffers and twiddles go when solve returns.  For n >= 2 that kernel
+    works on even fields only, so a nonlinear solve raises ValueError for
+    data that are not even in every coordinate; the flow keeps them even.
     """
+    if config.enable_nonlinearity and u0.grid.n >= 2:
+        _require_even(u0.coefficients)
     kernel = (sg.PaddedPower(u0.grid, params.theta + 1, padding(params.theta))
               if config.enable_nonlinearity else None)
     stepper = _Stepper(u0.grid, params, config.dt, config.scheme, kernel)

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -273,9 +274,12 @@ class TestPaddedPower:
     @given(n=st.sampled_from((1, 2, 3)), seed=st.integers(0, 1000), P=st.integers(3, 8))
     @settings(max_examples=30, deadline=None)
     def test_first_power_returns_every_mode(self, n, seed, P):
-        # white spectrum: the Nyquist coefficients are as large as any other
+        # white spectrum: the Nyquist coefficients are as large as any other;
+        # for n >= 2 even in every coordinate, as the kernel needs there
         g = sg.GridSpec(n, {1: 32, 2: 16, 3: 8}[n], 5.0)
         f = random_real_field(g, seed=seed, decay=0.0)
+        if n > 1:
+            f = sg.to_spectral(g, even_part(sg.to_physical(f)))
         out = lattice_power(f, 1, P)
         ref = np.max(np.abs(f.coefficients))
         assert np.max(np.abs(out.coefficients - f.coefficients)) <= 1e-14 * ref
@@ -306,6 +310,32 @@ class TestPaddedPower:
             conv = _circular_free_convolution(conv, series, N)
         assert np.allclose(out.coefficients / N, conv[: N // 2 + 1], atol=1e-13)
 
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_cosine_product_powers_are_binomial(self, n, p):
+        # u = prod_i cos(x_i), single_mode data with k = 1 on [0, 2 pi)^n:
+        # cos^p x = 2^-p sum_j C(p, j) exp(i (p - 2j) x), so the spectrum of
+        # u^p is N^n times the outer product of those binomial lists, and
+        # the integral of u^(p+1) is the product of the 1-D ones; the
+        # reference needs no transform
+        N, L = 16, 2.0 * np.pi
+        g = sg.GridSpec(n, N, L)
+        x = sg.physical_nodes(g)
+        samples = np.cos(x)
+        for _ in range(n - 1):
+            samples = np.multiply.outer(samples, np.cos(x))
+        out, total = sg.PaddedPower(g, p, max(3, p + 1))(sg.to_spectral(g, samples).coefficients)
+        line = np.zeros(N)
+        for j in range(p + 1):
+            line[(p - 2 * j) % N] += math.comb(p, j) / 2.0 ** p
+        want = N * line
+        for _ in range(n - 1):
+            want = np.multiply.outer(want, N * line)
+        want = want[..., : N // 2 + 1]
+        assert np.max(np.abs(out - want)) <= 1e-14 * np.max(want)
+        one_axis = L * math.comb(p + 1, (p + 1) // 2) / 2.0 ** (p + 1) if p % 2 else 0.0
+        assert total == pytest.approx(one_axis ** n, rel=1e-14, abs=1e-14)
+
 
 def _along_axes(matrix, a):
     """Apply `matrix` to every axis of a in turn."""
@@ -333,11 +363,12 @@ def _fold(N, M):
     return F
 
 
-def last_axis_bounds(n):
-    """PADDED_DENSE_POINTS values that take an n >= 2 kernel on any grid of
-    these tests (N <= 64) down both last-axis paths: dense matrix products,
-    then irfft/rfft.  1-D has the one row route."""
-    return (sg.PADDED_DENSE_POINTS,) if n == 1 else (sg.PADDED_DENSE_POINTS, 0)
+def even_part(u):
+    """Lattice samples u averaged over their mirror images x_i -> -x_i, one
+    axis at a time: even in every coordinate, as the n >= 2 kernel needs."""
+    for axis in range(u.ndim):
+        u = 0.5 * (u + np.roll(np.flip(u, axis), 1, axis))
+    return u
 
 
 def dense_padded_samples(u, M):
@@ -350,13 +381,16 @@ def dense_padded_samples(u, M):
 
 class TestPrunedPaddedTransforms:
     """The padded-power kernel against dense zero-padded full-lattice
-    transforms built with plain numpy.fft."""
+    transforms built with plain numpy.fft, on random fields, made even in
+    every coordinate for n >= 2."""
 
     @staticmethod
-    def _check_dense(n, N, P, T=2, dense=True):
+    def _check_dense(n, N, P, T=2):
         rng = np.random.default_rng(100 * n + N)
         M = sg.padded_size(N, P)
         u = rng.standard_normal((N,) * n)
+        if n > 1:
+            u = even_part(u)
         up = dense_padded_samples(u, M)
         # the first power, and u^(theta+1) for the theta this padding serves
         for power in (1, P - 1):
@@ -364,7 +398,7 @@ class TestPrunedPaddedTransforms:
             folded = _along_axes(_fold(N, M), np.fft.fftn(raised)) * (N / M) ** n
             ref = folded[..., : N // 2 + 1]
             kernel = unit_kernel(n, N, power, P)
-            assert kernel.T == T if n == 1 else (kernel.inv is not None) == dense
+            assert n > 1 or kernel.T == T
             out, total = kernel(np.fft.rfftn(u))
             assert out.shape == ref.shape
             assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -372,27 +406,19 @@ class TestPrunedPaddedTransforms:
             assert abs(total - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
 
     # every 1-D case, odd N/2 (N = 6, 10) and odd M = P*N/2 included, on
-    # rows of N/2 points (T = 2), and the blocked n >= 2 route at the
-    # paddings of theta = 1, 2, 5, its last axis on dense matrix products
+    # rows of N/2 points (T = 2), and the n >= 2 orthant route at the
+    # paddings of theta = 1, 2, 5, odd M (N = 6, 10 at P = 3, 7) included
     @pytest.mark.parametrize(
         "n,N,P", [(1, N, P) for N in (4, 6, 8, 10, 12, 16) for P in range(3, 9)]
         + [(n, N, P) for n in (2, 3) for N in (6, 8, 10) for P in (3, 4, 7)])
     def test_match_dense_padding(self, n, N, P):
         self._check_dense(n, N, P)
 
-    # the same n >= 2 cases with the last axis on irfft/rfft
-    @pytest.mark.parametrize("n,N,P", [(n, N, P) for n in (2, 3) for N in (6, 8, 10)
-                                       for P in (3, 4, 7)])
-    def test_match_dense_padding_on_the_fft_last_axis(self, monkeypatch, n, N, P):
-        monkeypatch.setattr(sg, "PADDED_DENSE_POINTS", N - 2)
-        self._check_dense(n, N, P, dense=False)
-
-    # convergence-3d's kernel (n = 3, N = 32, theta = 5), and n = 2 on both
-    # sides of PADDED_DENSE_POINTS = 64: N = 96 keeps irfft/rfft
-    @pytest.mark.parametrize("n,N,P,dense", [(3, 32, 7, True), (2, 64, 7, True),
-                                             (2, 96, 7, False)])
-    def test_match_dense_padding_at_production_sizes(self, n, N, P, dense):
-        self._check_dense(n, N, P, dense=dense)
+    # convergence-3d's kernel (n = 3, N = 32, theta = 5, three blocks), and
+    # n = 2 at N = 64 and 96 (one block each)
+    @pytest.mark.parametrize("n,N,P", [(3, 32, 7), (2, 64, 7), (2, 96, 7)])
+    def test_match_dense_padding_at_production_sizes(self, n, N, P):
+        self._check_dense(n, N, P)
 
     # the same 1-D cases on rows of N/T points for every T = 4, 8 that
     # divides N, rows of one point (N = T) and the odd N/T = 3 (N = 12, T = 4)
@@ -432,89 +458,88 @@ class TestPrunedPaddedTransforms:
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_non_finite_samples_raise_no_warning(self, monkeypatch, n):
         # an overflowed power gives inf and nan samples and coefficients,
-        # which the sum, the folds, the row and matrix products and the
-        # scaling must pass on without a warning; in 1-D on rows of 4
-        # (T = 2) and 2 (T = 4), for n >= 2 on both last-axis paths
+        # which the sum, the row and matrix products and the scaling must
+        # pass on without a warning; in 1-D on rows of 4 (T = 2) and 2
+        # (T = 4), for n >= 2 on an even field
         u = np.ones((8,) * n)
         u.flat[5] = 1e60
+        if n > 1:
+            u = even_part(u)
         for T in (2, 4) if n == 1 else (2,):
             monkeypatch.setattr(sg, "PADDED_ROW_POINTS", 8 // T)
-            for bound in last_axis_bounds(n):
-                monkeypatch.setattr(sg, "PADDED_DENSE_POINTS", bound)
-                kernel = unit_kernel(n, 8, 6, 7)
-                assert n > 1 or kernel.T == T
-                out, total = kernel(np.fft.rfftn(u))
-                assert not np.all(np.isfinite(out))
-                assert not np.isfinite(total)
+            kernel = unit_kernel(n, 8, 6, 7)
+            assert n > 1 or kernel.T == T
+            out, total = kernel(np.fft.rfftn(u))
+            assert not np.all(np.isfinite(out))
+            assert not np.isfinite(total)
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_partial_last_block_matches_one_block(self, monkeypatch, n):
-        # N = 8 pads to 28 slabs; blocks of 3 slabs leave one slab over, on
-        # both last-axis paths
-        half = np.fft.rfftn(np.random.default_rng(n).standard_normal((8,) * n))
-        for bound in last_axis_bounds(n):
-            monkeypatch.setattr(sg, "PADDED_DENSE_POINTS", bound)
-            monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 28 ** n)
-            whole, whole_sum = unit_kernel(n, 8, 5, 7)(half)
-            monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 3 * 28 ** (n - 1))
-            blocked, blocked_sum = unit_kernel(n, 8, 5, 7)(half)
-            assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
-            # u^6 >= 0, so the sum has no cancellation
-            assert blocked_sum == pytest.approx(whole_sum, rel=1e-14)
+        # N = 8 pads to M = 28, an orthant of 15 axis-0 nodes; blocks of 4
+        # leave 3 over, and hold fewer rows than the N/2+1 = 5 that a
+        # block's product back fills
+        half = _random_half(n, 8, n)
+        monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 15 ** n)
+        whole, whole_sum = unit_kernel(n, 8, 5, 7)(half)
+        monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 4 * 15 ** (n - 1))
+        kernel = unit_kernel(n, 8, 5, 7)
+        assert len(kernel._raised) == 4
+        blocked, blocked_sum = kernel(half)
+        assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
+        # u^6 >= 0, so the sum has no cancellation
+        assert blocked_sum == pytest.approx(whole_sum, rel=1e-14)
 
     def test_one_call_holds_less_than_one_padded_cube(self):
-        # n = 3, N = 32, theta = 5 pads to 112^3 points: 10.7 MB as float64;
-        # the kernel's buffers count, so it is made inside the trace
+        # n = 3, N = 32, theta = 5 pads to 112^3 points, 10.7 MiB as float64,
+        # whose first orthant of 57^3 nodes is 1.4 MiB: a call holds less
+        # than two orthants; the kernel's buffers count, so it is made
+        # inside the trace
         theta, N = 5, 32
         M = sg.padded_size(N, padding(theta))
-        half = np.fft.rfftn(np.random.default_rng(0).standard_normal((N,) * 3))
+        half = _random_half(3, N, 0)
         tracemalloc.start()
         try:
             unit_kernel(3, N, theta + 1, padding(theta))(half)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * M ** 3
+        assert peak < 2 * 8 * (M // 2 + 1) ** 3
 
 
 def _random_half(n, N, seed):
-    return np.fft.rfftn(np.random.default_rng(seed).standard_normal((N,) * n))
+    """Half spectrum of random samples, even in every coordinate for n >= 2."""
+    u = np.random.default_rng(seed).standard_normal((N,) * n)
+    return np.fft.rfftn(even_part(u) if n > 1 else u)
 
 
 class TestPaddedWorkspace:
     """A kernel reuses its buffers from call to call; no result may depend
-    on what an earlier call, or another kernel, left behind.  For n >= 2
-    each test runs on both last-axis paths."""
+    on what an earlier call, or another kernel, left behind."""
 
     @pytest.mark.parametrize("n", (1, 2, 3))
-    def test_result_is_not_overwritten_by_the_next_call(self, monkeypatch, n):
-        for bound in last_axis_bounds(n):
-            monkeypatch.setattr(sg, "PADDED_DENSE_POINTS", bound)
-            kernel = unit_kernel(n, 8, 6, 7)
-            first, _ = kernel(_random_half(n, 8, 1))
-            kept = first.copy()
-            kernel(_random_half(n, 8, 2))
-            assert np.array_equal(first, kept)
+    def test_result_is_not_overwritten_by_the_next_call(self, n):
+        kernel = unit_kernel(n, 8, 6, 7)
+        first, _ = kernel(_random_half(n, 8, 1))
+        kept = first.copy()
+        kernel(_random_half(n, 8, 2))
+        assert np.array_equal(first, kept)
 
     @pytest.mark.parametrize("n", (1, 2, 3))
-    def test_other_grid_in_between_changes_nothing(self, monkeypatch, n):
+    def test_other_grid_in_between_changes_nothing(self, n):
         half = _random_half(n, 8, 1)
-        for bound in last_axis_bounds(n):
-            monkeypatch.setattr(sg, "PADDED_DENSE_POINTS", bound)
-            kernel, other = unit_kernel(n, 8, 6, 7), unit_kernel(n, 16, 6, 7)
-            first, first_sum = kernel(half)
-            other(_random_half(n, 16, 2))
-            again, again_sum = kernel(half)
-            assert np.array_equal(again, first) and again_sum == first_sum
+        kernel, other = unit_kernel(n, 8, 6, 7), unit_kernel(n, 16, 6, 7)
+        first, first_sum = kernel(half)
+        other(_random_half(n, 16, 2))
+        again, again_sum = kernel(half)
+        assert np.array_equal(again, first) and again_sum == first_sum
 
     @pytest.mark.parametrize("n", (1, 2, 3))
-    def test_non_finite_call_leaves_no_trace(self, monkeypatch, n):
+    def test_non_finite_call_leaves_no_trace(self, n):
+        # an infinite sample at the origin, which is even in every coordinate
         u = np.ones((8,) * n)
-        u.flat[3] = np.inf
-        for bound in last_axis_bounds(n):
-            monkeypatch.setattr(sg, "PADDED_DENSE_POINTS", bound)
-            kernel = unit_kernel(n, 8, 6, 7)
-            kernel(np.fft.rfftn(u))
-            power, total = kernel(_random_half(n, 8, 1))
-            want, want_sum = unit_kernel(n, 8, 6, 7)(_random_half(n, 8, 1))
-            assert np.array_equal(power, want) and total == want_sum
+        u.flat[0] = np.inf
+        kernel = unit_kernel(n, 8, 6, 7)
+        kernel(np.fft.rfftn(u))
+        power, total = kernel(_random_half(n, 8, 1))
+        want, want_sum = unit_kernel(n, 8, 6, 7)(_random_half(n, 8, 1))
+        assert np.array_equal(power, want) and total == want_sum

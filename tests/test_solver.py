@@ -17,7 +17,7 @@ from fpplab.model import ModelParams, b_inverse, sigma
 from fpplab.oracle import gaussian_profile
 from fpplab.solver import (SolverConfig, SolverBlowupError, _Stepper,
                            energy_balance_residual, padding, phi1, phi2, solve)
-from fpplab.scenarios import _ORDER_BANDS
+from fpplab.scenarios import _ORDER_BANDS, build_field, parse_config
 from conftest import apply_radial_multiplier, propagate, random_real_field
 from test_grid import dense_padded_samples, lattice_power
 
@@ -161,6 +161,61 @@ class TestStep:
             with pytest.raises(SolverBlowupError) as err:
                 stepper.advance(live._replace(t=0.5, half=half))
         assert err.value.t == 0.5 + dt
+
+
+class TestEvenData:
+    """An n >= 2 nonlinear solve takes data even in every coordinate only,
+    which its padded-power kernel needs; it checks them once, at entry."""
+
+    @pytest.mark.parametrize("data, defect", [
+        ("random", "imaginary part"),
+        # odd in x_0: an imaginary spectrum
+        ("sin(x0) cos(x1)", "imaginary part"),
+        # point-symmetric, so a real spectrum, but odd in neither axis alone
+        ("cos(x0 + x1)", "mirror image along axis 0"),
+    ])
+    def test_refuses_data_not_even(self, data, defect):
+        g = sg.GridSpec(2, 16, 2.0 * np.pi)
+        x0, x1 = np.meshgrid(sg.physical_nodes(g), sg.physical_nodes(g), indexing="ij")
+        u0 = (random_real_field(g, seed=1) if data == "random" else
+              sg.to_spectral(g, np.sin(x0) * np.cos(x1) if data.startswith("sin")
+                             else np.cos(x0 + x1)))
+        params = ModelParams(n=2, m=1.0, alpha=1.0, theta=2)
+        with pytest.raises(ValueError, match=f"even in every coordinate: .*{defect}"):
+            solve(u0, params, SolverConfig(dt=0.1, t_end=0.1))
+        # a linear run has no padded power, so it takes any data
+        solve(u0, params, SolverConfig(dt=0.1, t_end=0.1, enable_nonlinearity=False))
+
+    def test_non_finite_data_blow_up_at_entry(self):
+        # the evenness check passes them on, without a warning, to the
+        # energy check at t = 0
+        g = sg.GridSpec(2, 8, 6.0)
+        half = np.zeros(g.half_shape, complex)
+        half[1, 1] = half[-1, 1] = np.inf  # its mirror difference is inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverBlowupError) as err:
+                solve(sg.SpectralField(g, half), ModelParams(n=2, m=1.0, alpha=1.0, theta=2),
+                      SolverConfig(dt=0.1, t_end=0.1))
+        assert err.value.t == 0.0
+
+    @pytest.mark.parametrize("n,N", [(2, 16), (3, 8)])
+    @pytest.mark.parametrize("data", [{"kind": "single_mode", "k": 2, "amplitude": 0.5},
+                                      {"kind": "gaussian", "width": 1.0, "amplitude": 0.5}],
+                             ids=["single_mode", "gaussian"])
+    def test_accepts_the_configs_data(self, n, N, data):
+        # single_mode data come from rfftn, with a roundoff imaginary part
+        cfg = parse_config({
+            "scenario": "convergence-study",
+            "model": {"n": n, "m": 1.0, "alpha": 1.0, "theta": 2},
+            "grid": {"n": n, "points_per_dim": N, "box_length": 10.0},
+            "data": data,
+            "run": {"scheme": "etd2", "dt": 0.1, "t_end": 0.4},
+        })
+        u0 = build_field(cfg)
+        assert (np.max(np.abs(u0.coefficients.imag)) > 0.0) == (data["kind"] == "single_mode")
+        res = solve(u0, cfg.model, SolverConfig(dt=0.1, t_end=0.1))
+        assert np.all(np.isfinite(res.final_state.field.coefficients))
 
 
 class TestLoopCache:
