@@ -379,24 +379,68 @@ def dense_padded_samples(u, M):
     return np.fft.irfftn(dense[..., : M // 2 + 1], s=(M,) * n, axes=range(n))
 
 
+def _mirror(a):
+    """a at the negated modes -k of every axis, in FFT order."""
+    for axis in range(a.ndim):
+        a = np.roll(np.flip(a, axis), 1, axis)
+    return a
+
+
+def fft_padded_power(u, M, power):
+    """The lattice half spectrum of (padded u)^power, the padded samples of
+    u and their power, by zero-padded transforms of length M built from
+    slices, the last axis halved by irfftn/rfftn: the Nyquist mode split
+    between +N/2 and -N/2 on the way out, and both folded onto it on the
+    way back, the last axis's -N/2 read from the conjugate mirror."""
+    N, n = u.shape[0], u.ndim
+    h = N // 2
+    spectrum = np.fft.rfftn(u) * (M / N) ** n
+    for axis in range(n - 1):
+        spectrum = np.moveaxis(spectrum, axis, 0)
+        wide = np.zeros((M,) + spectrum.shape[1:], complex)
+        wide[:h], wide[M - h + 1:] = spectrum[:h], spectrum[h + 1:]
+        wide[h] = wide[M - h] = 0.5 * spectrum[h]
+        spectrum = np.moveaxis(wide, 0, axis)
+    padded = np.zeros(spectrum.shape[:-1] + (M // 2 + 1,), complex)
+    padded[..., :h] = spectrum[..., :h]
+    padded[..., h] = 0.5 * spectrum[..., h]
+    up = np.fft.irfftn(padded, s=(M,) * n, axes=range(n))
+    raised = up ** power
+    folded = np.fft.rfftn(raised)[..., : h + 1] * (N / M) ** n
+    folded[..., h] += np.conj(_mirror(folded[..., h]))
+    for axis in range(n - 1):
+        folded = np.moveaxis(folded, axis, 0)
+        narrow = np.concatenate([folded[:h], folded[h:h + 1] + folded[M - h:M - h + 1],
+                                 folded[M - h + 1:]])
+        folded = np.moveaxis(narrow, 0, axis)
+    return folded, raised, up
+
+
+def matrix_padded_power(u, M, power):
+    """The same three arrays as fft_padded_power, by the dense spread and
+    fold matrices on full-lattice fftn spectra."""
+    N, n = u.shape[0], u.ndim
+    up = dense_padded_samples(u, M)
+    raised = up ** power
+    folded = _along_axes(_fold(N, M), np.fft.fftn(raised)) * (N / M) ** n
+    return folded[..., : N // 2 + 1], raised, up
+
+
 class TestPrunedPaddedTransforms:
     """The padded-power kernel against dense zero-padded full-lattice
     transforms built with plain numpy.fft, on random fields, made even in
     every coordinate for n >= 2."""
 
     @staticmethod
-    def _check_dense(n, N, P, T=2):
+    def _check_dense(n, N, P, T=2, reference=matrix_padded_power):
         rng = np.random.default_rng(100 * n + N)
         M = sg.padded_size(N, P)
         u = rng.standard_normal((N,) * n)
         if n > 1:
             u = even_part(u)
-        up = dense_padded_samples(u, M)
         # the first power, and u^(theta+1) for the theta this padding serves
         for power in (1, P - 1):
-            raised = up ** power
-            folded = _along_axes(_fold(N, M), np.fft.fftn(raised)) * (N / M) ** n
-            ref = folded[..., : N // 2 + 1]
+            ref, raised, up = reference(u, M, power)
             kernel = unit_kernel(n, N, power, P)
             assert n > 1 or kernel.T == T
             out, total = kernel(np.fft.rfftn(u))
@@ -414,11 +458,20 @@ class TestPrunedPaddedTransforms:
     def test_match_dense_padding(self, n, N, P):
         self._check_dense(n, N, P)
 
+    # the same n >= 2 cases against the zero-padded irfftn/rfftn reference
+    @pytest.mark.parametrize("n,N,P", [(n, N, P) for n in (2, 3) for N in (6, 8, 10)
+                                       for P in (3, 4, 7)])
+    def test_match_dense_padding_on_the_fft_last_axis(self, n, N, P):
+        self._check_dense(n, N, P, reference=fft_padded_power)
+
     # convergence-3d's kernel (n = 3, N = 32, theta = 5, three blocks), and
-    # n = 2 at N = 64 and 96 (one block each)
-    @pytest.mark.parametrize("n,N,P", [(3, 32, 7), (2, 64, 7), (2, 96, 7)])
-    def test_match_dense_padding_at_production_sizes(self, n, N, P):
-        self._check_dense(n, N, P)
+    # n = 2 at N = 64 and 96 (one block each), against the dense matrices
+    # or, for N = 96, the zero-padded irfftn/rfftn reference
+    @pytest.mark.parametrize("n,N,P,dense", [(3, 32, 7, True), (2, 64, 7, True),
+                                             (2, 96, 7, False)])
+    def test_match_dense_padding_at_production_sizes(self, n, N, P, dense):
+        self._check_dense(n, N, P,
+                          reference=matrix_padded_power if dense else fft_padded_power)
 
     # the same 1-D cases on rows of N/T points for every T = 4, 8 that
     # divides N, rows of one point (N = T) and the odd N/T = 3 (N = 12, T = 4)
