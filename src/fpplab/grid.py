@@ -205,7 +205,8 @@ def padded_size(N: int, P: int) -> int:
 
 
 # Padded points the n >= 2 route raises at a time: 2^16 float64 samples,
-# 512 KiB, so a 3-D step never holds the whole padded orthant.
+# 512 KiB, so a 3-D step never holds the whole padded orthant; but a block
+# holds at least the N/2+1 axis-0 nodes that its product back fills.
 PADDED_BLOCK_POINTS = 2 ** 16
 # Samples per row of the 1-D route at most, where N allows: 1024 float64 in
 # and their spectrum out take 16 KiB, so a row's transform stays in L1.
@@ -238,7 +239,7 @@ class PaddedPower:
     node weights mu, which count nodes m and M-m (1 at 0 and M/2, else 2),
     times N/M cos(2 pi k m/M), its N/2 row doubled, which folds -N/2 into
     the lattice's Nyquist mode.  The other axes go to the nodes first; then
-    blocks of axis-0 nodes, about PADDED_BLOCK_POINTS padded points each,
+    blocks of at least N/2+1 axis-0 nodes, about PADDED_BLOCK_POINTS points,
     take one product to the samples, the power, the mu-weighted sum and
     one product back; the other axes go back last, and the orthant is
     mirrored onto the half spectrum's leading axes.  Every transform is a
@@ -294,11 +295,11 @@ class PaddedPower:
             self.mu_rest = self.mu
             for _ in range(n - 2):
                 self.mu_rest = np.outer(self.mu_rest, self.mu).ravel()
-            rows = min(Q, max(1, PADDED_BLOCK_POINTS // Q ** (n - 1)))
+            rows = min(Q, max(H, PADDED_BLOCK_POINTS // Q ** (n - 1)))
             self._raised = np.empty((rows, Q ** (n - 1)))
             # the samples; once the sum has read them, the first H rows take
             # a block's product back
-            self._samples = np.empty((max(rows, H), Q ** (n - 1)))
+            self._samples = np.empty((rows, Q ** (n - 1)))
 
     def _power_1d(self, half: np.ndarray, spectrum: bool) -> tuple:
         """The 1-D route, by R transforms of length L = N/T.

@@ -10,13 +10,12 @@ with w = 1, chi, or 1 - chi for the full / low / high window.  This module
 is the discretization-free ground truth for decay-rate measurements.
 
 The integral is split into panels at R, 2R, 1, the sigma(r) t = 30
-crossing and the Gaussian width.  The crossings of all times are bracketed
-on one fixed radius grid and refined together by Illinois iterations
-(modified regula falsi; Dowell & Jarratt 1971) on log sigma in log r; a
-bracket still open after 40 of them (_ROOT_MAX_ITER) raises
-OracleConvergenceError.  The far tail is taken in log u, u = 1/r, broken
-where sigma t falls back below 30, and the part of a power tail
-beyond float64 range is added in closed form.  Every panel, the tail
+crossing and the Gaussian width.  A crossing is only a panel edge, so it is
+taken on one fixed radius grid, for all times at once: the grid node that
+bounds the crossing's cell on the damped side, where sigma t >= 30.  The
+far tail is taken in log u, u = 1/r, broken at the node where sigma t
+falls back below 30, and the part of a power tail beyond float64 range is
+added in closed form.  Every panel, the tail
 included, uses one tanh-sinh (double-exponential) rule, which converges
 exponentially on smooth panels and at algebraic endpoint singularities
 (Takahasi & Mori 1974).  All sample times of a series are integrated
@@ -44,11 +43,6 @@ from .model import CUTOFF_RADIUS, ModelParams, cutoff_partition, sigma
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 _TAIL_EXPONENT = 30.0  # sigma(r) t beyond this contributes < exp(-60) relative
 _CROSSING_GRID = np.geomspace(1e-6, 1e8, 281)
-_LOG_CROSSING_GRID = np.log(_CROSSING_GRID)
-# The crossing root finder's converged bracket width in log r, relative to
-# max(1, |log r|), and its iteration cap.
-_ROOT_XTOL = 4.0 * np.finfo(float).eps
-_ROOT_MAX_ITER = 40
 DEFAULT_TOL = 1e-8
 
 # Tanh-sinh rule on [a, b]: x = a + (b - a) / (1 + exp(-pi sinh(tau))) at
@@ -154,60 +148,19 @@ def _crossing_grid(params: ModelParams) -> np.ndarray:
 
 
 def _sigma_crossings(t: np.ndarray, params: ModelParams):
-    """Radii where sigma(r) t first crosses the tail threshold (up, down).
-
-    One array per direction, nan where a time has no such crossing (t = 0
-    never has one).  All times are bracketed on one grid and their roots
-    refined together by _log_crossing_roots.
-    """
+    """Panel edges at the first up and down crossings of sigma(r) t = 30,
+    nan where a time has none (t = 0 never has one): the crossing-grid node
+    of each crossing's cell where sigma t >= 30, the outer node of an up
+    crossing and the inner node of a down crossing."""
     out = np.full((2, t.size), np.nan)
     (live,) = np.nonzero(t > 0.0)
-    target = _TAIL_EXPONENT / t[live]
-    above = _crossing_grid(params) > target[:, None]
+    above = _crossing_grid(params) > _TAIL_EXPONENT / t[live, None]
     change = above[:, 1:] != above[:, :-1]
     turns = np.stack([change & above[:, 1:], change & ~above[:, 1:]])
     sides, rows = np.nonzero(turns.any(axis=2))
-    if rows.size:
-        cols = turns[sides, rows].argmax(axis=1)
-        out[sides, live[rows]] = _log_crossing_roots(cols, np.log(target[rows]),
-                                                     params)
+    cols = turns[sides, rows].argmax(axis=1)
+    out[sides, live[rows]] = _CROSSING_GRID[cols + 1 - sides]
     return out[0], out[1]
-
-
-def _log_crossing_roots(cols: np.ndarray, log_c: np.ndarray,
-                        params: ModelParams) -> np.ndarray:
-    """Radii r in [grid[cols], grid[cols + 1]] with sigma(r) = exp(log_c).
-
-    Illinois (modified regula falsi; Dowell & Jarratt 1971) on
-    f(x) = log sigma(e^x) - log_c, x = log r, all rows at once: each
-    iteration is one sigma call on every row.  The secant step is at least
-    half the tolerance, so an iterate that has converged from one side
-    closes the bracket on the next step instead of creeping up to it.  A
-    row stops when its bracket is _ROOT_XTOL max(1, |x|) wide or its
-    residual is exactly 0; a row still open after _ROOT_MAX_ITER
-    iterations raises OracleConvergenceError.
-    """
-    log_sigma = np.log(_crossing_grid(params))
-    a, b = _LOG_CROSSING_GRID[cols], _LOG_CROSSING_GRID[cols + 1]
-    fa, fb = log_sigma[cols] - log_c, log_sigma[cols + 1] - log_c
-    for iteration in range(_ROOT_MAX_ITER + 1):
-        tol = _ROOT_XTOL * np.fmax(1.0, np.abs(b))
-        active = (fa != 0.0) & (fb != 0.0) & (np.abs(b - a) > tol)
-        if not active.any():
-            root = np.exp(np.where(fa == 0.0, a, b))
-            return np.clip(root, _CROSSING_GRID[cols], _CROSSING_GRID[cols + 1])
-        if iteration == _ROOT_MAX_ITER:
-            raise OracleConvergenceError(
-                f"crossing root finder left {int(active.sum())} bracket(s) open "
-                f"after {_ROOT_MAX_ITER} iterations"
-            )
-        step = np.fmax(np.abs(fb * (b - a) / (fb - fa)), 0.5 * tol)
-        x = np.where(active, b - np.copysign(step, b - a), b)
-        fx = np.log(sigma(np.exp(x), params)) - log_c
-        kept = fx * fb > 0.0  # root still between a and x: halve fa
-        a = np.where(active & ~kept, b, a)
-        fa = np.where(active, np.where(kept, 0.5 * fa, fb), fa)
-        b, fb = x, np.where(active, fx, fb)
 
 
 def _check_tail_convergence(profile: RadialProfile, l: float, t: np.ndarray,

@@ -269,10 +269,13 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
     horizon = contamination_horizon(grid, model) if grid is not None else None
-    if scenario == "linear-decay" and run is not None and run.sample_times and not any(
-            0 < t <= horizon for t in run.sample_times):
-        raise ConfigError(f"run.sample_times: none lies in (0, {horizon:g}], inside the "
-                          f"contamination horizon, where the solver meets the oracle")
+    if scenario == "linear-decay" and run is not None:
+        if not run.sample_times:
+            run = run._replace(sample_times=_linear_sample_times(window, horizon,
+                                                                 run.t_end, run.dt))
+        if not any(0 < t <= horizon for t in run.sample_times):
+            raise ConfigError(f"run.sample_times: none lies in (0, {horizon:g}], inside the "
+                              f"contamination horizon, where the solver meets the oracle")
     if scenario == "nonlinear-smalldata":  # the samples fit_decay will find
         if window[1] > horizon:
             raise ConfigError(f"fit.window: [{window[0]:g}, {window[1]:g}] ends past the "
@@ -498,19 +501,14 @@ def _run_linear_decay(cfg, summary, report):
         _check_decay(summary, entry, tol)
     if cfg.grid is None:
         return
-    t0, t1 = cfg.fit.window
     horizon = contamination_horizon(cfg.grid, cfg.model)
-    run = cfg.run
-    if not run.sample_times:  # they end inside the horizon
-        t_hi = min(t1, horizon, run.t_end)
-        run = run._replace(sample_times=tuple(np.geomspace(max(t0, run.dt), t_hi, 12)))
     inside = []  # (t, ||u(t)||_L2) inside the horizon: parse_config made sure of one
 
     def keep(state):
         if 0 < state.t <= horizon:
             inside.append((state.t, sg.lp_norm(state.field, 2)))
 
-    summary.step_count = solve(build_field(cfg), cfg.model, run, on_sample=keep).step_count
+    summary.step_count = solve(build_field(cfg), cfg.model, cfg.run, on_sample=keep).step_count
     times, values = (np.array(column) for column in zip(*inside))
     want = radial_weighted_l2(cfg.profile, 0.0, times, cfg.model)
     summary.series("series_solver_l0_full.csv", times, values)
@@ -558,9 +556,16 @@ def _run_lemma_verification(cfg, summary, report):
 def _default_sample_times(window, t_end, dt):
     """48 geometric times up to t_end, and t0, t1, t_end/2 and t_end; the
     SolverConfig they go into sorts them and drops repeats."""
-    ts = np.geomspace(max(window[0] / 4.0, dt), t_end, 48)
+    ts = np.geomspace(max(window[0] / 4.0, dt), t_end, 48) if t_end > 0 else ()
     return tuple(float(t) for t in (*ts, window[0], window[1], t_end / 2.0, t_end)
                  if t <= t_end)
+
+
+def _linear_sample_times(window, horizon, t_end, dt):
+    """linear-decay's 12 geometric times from max(t0, dt) to the first of t1,
+    the horizon and t_end, those up to t_end; none when t_end is 0."""
+    ts = np.geomspace(max(window[0], dt), min(window[1], horizon, t_end), 12) if t_end > 0 else ()
+    return tuple(float(t) for t in ts if t <= t_end)
 
 
 def _run_nonlinear_smalldata(cfg, summary, report):

@@ -148,6 +148,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="fit.s"):
             parse_config(doc)
 
+    def test_linear_run_ending_before_the_fit_window_samples_t_end(self, tmp_path):
+        # the 12 default times run from t0 down to t_end; of them only t_end
+        # lies in the run, so the solver meets the oracle there
+        doc = _scenario_config("linear-decay", tmp_path / "out")
+        doc["run"]["t_end"] = 0.25  # the window is [0.5, 1]
+        assert parse_config(doc).run.sample_times == (0.25,)
+
 
 class TestRunCommand:
     def test_linear_decay_passes_and_writes_artifacts(self, tmp_path):
@@ -532,6 +539,24 @@ class TestRunCommand:
         assert not out.exists()
         doc["run"]["sample_times"] = [0.5, 3.0]
         assert main(["validate", _write(tmp_path, doc), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("scenario, message", [
+        ("linear-decay", "run.sample_times: none lies in (0, 4.15285]"),
+        ("nonlinear-smalldata", "fit.window: [0.5, 1] holds 0 of the run's sample times"),
+    ], ids=["linear-decay", "nonlinear-smalldata"])
+    def test_zero_t_end_without_sample_times_is_a_config_error(self, tmp_path, capsys,
+                                                               scenario, message):
+        # a run that ends at t = 0 gets no geometric default sample times,
+        # so none lies where the scenario compares or fits
+        out = tmp_path / "out"
+        doc = _scenario_config(scenario, out)
+        parse_config(doc)
+        doc["run"]["t_end"] = 0.0
+        cfg = _write(tmp_path, doc)
+        for command in ("validate", "run"):
+            assert main([command, cfg, "--quiet"]) == 2
+            assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_output_dir_flag_wins(self, tmp_path):
         out_a = tmp_path / "a"

@@ -528,15 +528,17 @@ class TestPrunedPaddedTransforms:
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_partial_last_block_matches_one_block(self, monkeypatch, n):
-        # N = 8 pads to M = 28, an orthant of 15 axis-0 nodes; blocks of 4
-        # leave 3 over, and hold fewer rows than the N/2+1 = 5 that a
-        # block's product back fills
+        # N = 8 pads to M = 28, an orthant of 15 axis-0 nodes; blocks of 6
+        # leave 3 over.  A block holds at least the N/2+1 = 5 rows that its
+        # product back fills, so a setting of 4 rows gives 5
         half = _random_half(n, 8, n)
         monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 15 ** n)
         whole, whole_sum = unit_kernel(n, 8, 5, 7)(half)
         monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 4 * 15 ** (n - 1))
+        assert len(unit_kernel(n, 8, 5, 7)._raised) == 5
+        monkeypatch.setattr(sg, "PADDED_BLOCK_POINTS", 6 * 15 ** (n - 1))
         kernel = unit_kernel(n, 8, 5, 7)
-        assert len(kernel._raised) == 4
+        assert len(kernel._raised) == 6
         blocked, blocked_sum = kernel(half)
         assert np.max(np.abs(blocked - whole)) <= 1e-14 * np.max(np.abs(whole))
         # u^6 >= 0, so the sum has no cancellation
