@@ -15,11 +15,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import grid as sg
-from .model import ModelParams, sigma, validate
+from .model import LOSS, ModelParams, RegimeReport, sigma
 
 R_SQUARED_POWER_LAW = 0.995
 HORIZON_CONSTANT = 0.1
-L_GRID_SPACING = 0.25
 MIN_FIT_SAMPLES = 8
 
 
@@ -110,9 +109,10 @@ class record:
     field is split once at model.CUTOFF_RADIUS, and the full field and its
     low/high parts are measured in ||Lam^l . ||_L2 for each l.  The high
     part is also measured in the mixed weight of each (l_j, s_j) of bands,
-    the loss regime's family (model.validate(params, s).bands) that the
+    the loss regime's family (the run's RegimeReport.bands) that the
     time-weighted functionals need.  Only the numbers are kept;
-    ``series()`` returns them as NormSeries.
+    ``series()`` returns them as NormSeries: full, low and high of each l
+    in l_list order, then one high-band series per (l_j, s_j).
     """
 
     def __init__(self, l_list, bands=()):
@@ -146,7 +146,6 @@ class WeightedFunctionals(NamedTuple):
     m2 is the same sup restricted to l <= n0.  In the loss regime e and l
     aggregate the mixed-weight high-band norms (running sup and running
     time integral respectively); in the gain regime they are None.
-    e0 is the data size ||u0||_Hs + ||u0||_L1 when the caller supplies it.
     """
 
     times: np.ndarray
@@ -154,72 +153,45 @@ class WeightedFunctionals(NamedTuple):
     m2: np.ndarray
     e: np.ndarray = None
     l: np.ndarray = None
-    e0: float = None
 
 
-def _check_l_coverage(ls: np.ndarray, s: float):
-    if ls.size == 0 or ls.min() > 1e-12 or ls.max() < s - 1e-9:
-        raise ValueError(f"insufficient l coverage for s={s:g}: have {ls}")
-    if np.any(np.diff(ls) > L_GRID_SPACING + 1e-12):
-        raise ValueError(
-            f"l grid too coarse for the sup over [0, s]: spacing must be "
-            f"<= {L_GRID_SPACING}, have {ls}"
-        )
+def weighted_functionals(series, params: ModelParams,
+                         report: RegimeReport) -> WeightedFunctionals:
+    """Assemble the running weighted functionals from a run's recorded series.
 
-
-def weighted_functionals(series, params: ModelParams, s: float,
-                         e0: float = None) -> WeightedFunctionals:
-    """Assemble the running weighted functionals from recorded series.
-
-    Needs full-component ||Lam^l .||_L2 series on an l-grid covering [0, s]
-    with spacing <= 0.25; in the loss regime additionally the mixed-weight
-    high-band family that ``record`` measures for validate(params, s).bands.
-    All outputs are nondecreasing in t by construction.
+    report is the run's RegimeReport and series what a ``record`` given
+    report.bands measured.  m1 takes every full-component ||Lam^l .||_L2
+    series (scenarios.parse_config has checked that their l grid covers
+    [0, s]), m2 those with l <= report.n0; in the loss regime e and l take
+    the mixed-weight high-band family.  All outputs are nondecreasing in t
+    by construction.
     """
-    full = sorted(
-        (ns for ns in series if ns.component == "full" and ns.norm == "L2"),
-        key=lambda ns: ns.l,
-    )
-    ls = np.array([ns.l for ns in full])
-    _check_l_coverage(ls, s)
+    full = [ns for ns in series if ns.component == "full" and ns.norm == "L2"]
     times = full[0].times
-    for ns in full:
-        if not np.array_equal(ns.times, times):
-            raise ValueError("all series must share the same sample times")
-    report = validate(params, s)
     n, alpha = params.n, params.alpha
 
-    def running_sup_sq(members, exps):
-        w = np.stack(
-            [(1.0 + times) ** ex * ns.values ** 2 for ns, ex in zip(members, exps)]
-        )
+    def running_sup_sq(members):
+        w = np.stack([(1.0 + times) ** (n / (2.0 * alpha) + ns.l / alpha) * ns.values ** 2
+                      for ns in members])
         return np.maximum.accumulate(w.max(axis=0))
 
-    m1_sq = running_sup_sq(full, [n / (2.0 * alpha) + l / alpha for l in ls])
-    m2_members = [ns for ns in full if ns.l <= report.n0 + 1e-12]
-    m2_sq = running_sup_sq(
-        m2_members, [n / (2.0 * alpha) + ns.l / alpha for ns in m2_members]
-    )
+    m1_sq = running_sup_sq(full)
+    m2_sq = running_sup_sq([ns for ns in full if ns.l <= report.n0 + 1e-12])
     e = l_int = None
-    if params.alpha < 1.0:
-        ab = params.alpha_bar()
-        bands = [ns for ns in series if ns.norm != "L2"]
-        have, want = [ns.l for ns in bands], [l_j for l_j, _ in report.bands]
-        if have != want:
-            raise ValueError(
-                f"high-band series l={have} are not the family l_j={want} of "
-                f"s={s:g} (record the samples with validate(params, s).bands)"
-            )
+    if report.regime == LOSS:
+        ab = 1.0 - alpha
         terms_sup = np.zeros_like(times)
         terms_int = np.zeros_like(times)
-        for ns in bands:
+        for ns in series:
+            if ns.norm == "L2":
+                continue
             w = (1.0 + times) ** (ns.l - 0.5 * ab) * ns.values ** 2
             terms_sup = terms_sup + np.maximum.accumulate(w)
             terms_int = terms_int + _running_trapezoid(times, w)
         e = np.sqrt(terms_sup)
         l_int = np.sqrt(terms_int)
     return WeightedFunctionals(times=times, m1=np.sqrt(m1_sq), m2=np.sqrt(m2_sq),
-                               e=e, l=l_int, e0=e0)
+                               e=e, l=l_int)
 
 
 def _running_trapezoid(t: np.ndarray, y: np.ndarray) -> np.ndarray:

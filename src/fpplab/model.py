@@ -48,12 +48,6 @@ class ModelParams(NamedTuple("ModelParams", [
             raise ValueError(f"theta must be a positive integer, got {theta}")
         return super().__new__(cls, int(n), float(m), float(alpha), int(theta))
 
-    def alpha_bar(self) -> float:
-        """1 - alpha; defined only in the loss regime (alpha < 1)."""
-        if self.alpha >= 1:
-            raise ValueError("alpha_bar is defined only for alpha < 1")
-        return 1.0 - self.alpha
-
 
 def _as_radii(r):
     r = np.asarray(r, dtype=float)

@@ -31,8 +31,7 @@ import numpy as np
 
 from . import grid as sg
 from .diagnostics import (MIN_FIT_SAMPLES, R_SQUARED_POWER_LAW, NormSeries,
-                          _check_l_coverage, contamination_horizon, fit_decay,
-                          weighted_functionals)
+                          contamination_horizon, fit_decay, weighted_functionals)
 from .model import CUTOFF_RADIUS, ModelParams, decay_exponent, sigma, validate
 from .oracle import (OracleConvergenceError, RadialProfile, gaussian_profile,
                      power_tail_profile, radial_weighted_l2)
@@ -67,6 +66,12 @@ MAX_GRID_BYTES = 256 * 2 ** 20
 # Work budget of a nonlinear run, in steps times padded points: about ten
 # minutes at the ~1.4e7 point-steps/s of a 1-D N=4096 run on one Xeon core.
 MAX_POINT_STEPS = 2 ** 33
+# Most fit samples of an oracle scenario: the oracle evaluates all of them in
+# one batch, about 75 KB each (315 MB peak RSS at 4096 samples).
+MAX_FIT_SAMPLES = 2048
+# Widest step of nonlinear-smalldata's l grid, over which the weighted
+# functionals take their sup over l in [0, s].
+L_GRID_SPACING = 0.25
 
 # The keys a config may carry, per section.  Any other key is a config
 # error, so a misspelt option cannot quietly run with its default.
@@ -199,6 +204,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
         raise ConfigError(f"data.kind: unknown kind {kind!r}")
     _as_mapping(data, "data", ("kind",) + _DATA_KEYS[kind])
     values = _section_numbers(data, _DATA_KEYS[kind], "data")
+    if values["amplitude"] == 0:
+        raise ConfigError("data.amplitude: zero data has no decay to measure, got 0")
     profile = None
     if kind != "single_mode":
         make = gaussian_profile if kind == "gaussian" else power_tail_profile
@@ -256,14 +263,19 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if n_samples < MIN_FIT_SAMPLES:
         raise ConfigError(f"fit.n_samples: the decay fit needs at least "
                           f"{MIN_FIT_SAMPLES} samples, got {n_samples}")
+    if n_samples > MAX_FIT_SAMPLES:
+        raise ConfigError(f"fit.n_samples: the oracle evaluates every sample in one "
+                          f"batch; at most {MAX_FIT_SAMPLES}, got {n_samples}")
     s = _number(fit.get("s", max(l_list, default=1.0)), "fit.s")
     if s < 0:
         raise ConfigError(f"fit.s: data regularity must be nonnegative, got {s:g}")
     if scenario == "nonlinear-smalldata":  # the weighted functionals' sup over [0, s]
-        try:
-            _check_l_coverage(np.array(sorted(l_list)), s)
-        except ValueError as exc:
-            raise ConfigError(f"fit.l_list: {exc}") from exc
+        ls = np.array(sorted(l_list))
+        if ls[0] > 1e-12 or ls[-1] < s - 1e-9:
+            raise ConfigError(f"fit.l_list: insufficient l coverage for s={s:g}: have {ls}")
+        if np.any(np.diff(ls) > L_GRID_SPACING + 1e-12):
+            raise ConfigError(f"fit.l_list: l grid too coarse for the sup over [0, s]: "
+                              f"spacing must be <= {L_GRID_SPACING}, have {ls}")
     falsify = _boolean(fit.get("falsify", False), "fit.falsify")
     output_dir = doc.get("output_dir", f"runs/{scenario}")
     if not isinstance(output_dir, str):
@@ -576,18 +588,14 @@ def _run_nonlinear_smalldata(cfg, summary, report):
     result = solve(u0, cfg.model, cfg.run, on_sample=recorder)
     series = recorder.series()
     e0 = sg.sobolev_norm(u0, cfg.s) + sg.lp_norm(u0, 1)
-    wf = weighted_functionals(series, cfg.model, cfg.s, e0=e0)
-    for l, tol in zip(cfg.fit.l_list, cfg.fit.tolerance):
-        for ns in series:
-            if ns.norm != "L2" or ns.l != l:
-                continue
-            csv = f"series_l{ns.l:g}_{ns.component}.csv"
-            summary.series(csv, ns.times, ns.values)
-            if ns.component != "full":
-                continue
-            entry = _fit_entry(cfg, l, ns, "solver", csv)
-            summary.fits.append(entry)
-            _check_decay(summary, entry, tol)
+    wf = weighted_functionals(series, cfg.model, report)
+    # record's layout: full, low and high of each order of l_list, then the bands
+    for k, (l, tol) in enumerate(zip(cfg.fit.l_list, cfg.fit.tolerance)):
+        for ns in series[3 * k:3 * k + 3]:
+            summary.series(f"series_l{l:g}_{ns.component}.csv", ns.times, ns.values)
+        entry = _fit_entry(cfg, l, series[3 * k], "solver", f"series_l{l:g}_full.csv")
+        summary.fits.append(entry)
+        _check_decay(summary, entry, tol)
     m1 = wf.m1
     i_half = min(int(np.searchsorted(wf.times, cfg.run.t_end / 2.0)), len(m1) - 1)
     m1_half, m1_end = float(m1[i_half]), float(m1[-1])  # floats: inf/inf is NaN, no warning

@@ -14,7 +14,7 @@ from fpplab import grid as sg
 from fpplab.cli import main as cli_main
 from fpplab.diagnostics import (NormSeries, contamination_horizon, fit_decay,
                                 record, weighted_functionals)
-from fpplab.model import ModelParams, sigma
+from fpplab.model import ModelParams, sigma, validate
 from fpplab.oracle import gaussian_profile, radial_weighted_l2
 from fpplab.propagator import probe_high_band, probe_low_band
 from fpplab.scenarios import run_scenario
@@ -163,7 +163,7 @@ def test_c8_nonlinear_smalldata_decay_and_m1():
     full0 = next(ns for ns in series if ns.component == "full" and ns.l == 0.0)
     fit = fit_decay(full0, (10.0, 500.0))  # the horizon is 4000
     e0 = sg.sobolev_norm(u0, 1.0) + sg.lp_norm(u0, 1)
-    wf = weighted_functionals(series, params, 1.0, e0=e0)
+    wf = weighted_functionals(series, params, validate(params, 1.0))
     m1 = wf.m1
     i_half = int(np.searchsorted(wf.times, t_end / 2.0))
     stable = m1[-1] <= 1.05 * m1[min(i_half, len(m1) - 1)]

@@ -10,9 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fpplab import scenarios
 from fpplab.cli import main
-from fpplab.scenarios import (_FIT_KEYS, _SCENARIOS, DEVIATION_NOISE, ConfigError,
-                              RunSummary, emit_plots, parse_config, run_scenario)
+from fpplab.scenarios import (_FIT_KEYS, _SCENARIOS, DEVIATION_NOISE, MAX_FIT_SAMPLES,
+                              ConfigError, RunSummary, emit_plots, parse_config,
+                              run_scenario)
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
 
 def _write(tmp_path, doc, name="config.json"):
@@ -352,11 +356,15 @@ class TestRunCommand:
         ("linear-decay", "tolerance", [0.02, 0.02, 0.02]),
         # the decay fit needs 8
         ("linear-decay", "n_samples", 7),
+        # the oracle holds all fit times in one batch, about 75 KB each
+        ("linear-decay", "n_samples", MAX_FIT_SAMPLES + 1),
+        ("regularity-loss-probe", "n_samples", MAX_FIT_SAMPLES + 1),
         # past t_end = 10: the run samples no time in the window
         ("nonlinear-smalldata", "window", [50.0, 100.0]),
         # a list, though the orders l <= n0 that read it share one value
         ("regularity-loss-probe", "tolerance", [0.05, 0.05]),
     ], ids=["short-tolerance-list", "long-tolerance-list", "too-few-samples",
+            "too-many-samples", "regularity-loss-too-many-samples",
             "window-past-t_end", "regularity-loss-tolerance-list"])
     def test_unusable_fit_value_is_a_config_error(self, tmp_path, capsys,
                                                   scenario, key, value):
@@ -364,8 +372,29 @@ class TestRunCommand:
         doc = (_smalldata_config(out) if scenario == "nonlinear-smalldata"
                else {**_linear_config(out, l_list=(0.0, 1.0)), "scenario": scenario})
         doc["fit"][key] = value
-        assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
-        assert f"fit.{key}" in capsys.readouterr().err
+        cfg = _write(tmp_path, doc)
+        for command in ("validate", "run"):
+            assert main([command, cfg, "--quiet"]) == 2
+            assert f"fit.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario, data", [
+        ("linear-decay", {"kind": "gaussian", "width": 1.0}),
+        ("regularity-loss-probe", {"kind": "power_tail", "exponent": 4.6}),
+        ("nonlinear-smalldata", {"kind": "single_mode", "k": 1}),
+        ("lemma-verification", {"kind": "gaussian", "width": 1.0}),
+        ("convergence-study", {"kind": "gaussian", "width": 1.0}),
+    ], ids=lambda case: case if isinstance(case, str) else case["kind"])
+    def test_zero_amplitude_is_a_config_error(self, tmp_path, capsys, scenario, data):
+        # zero data has no decay to fit and no gain to probe: each scenario
+        # would otherwise fail deep in its run, after solving
+        out = tmp_path / "out"
+        doc = _scenario_config(scenario, out)
+        doc["data"] = {**data, "amplitude": 0.0}
+        cfg = _write(tmp_path, doc)
+        for command in ("validate", "run"):
+            assert main([command, cfg, "--quiet"]) == 2
+            assert "data.amplitude: zero data" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -781,6 +810,41 @@ class TestScenarios:
         assert summary.all_pass
         assert summary.functionals["m1_over_e0"] < 1.0
         assert (tmp_path / "out" / "functional_m1.csv").exists()
+
+
+class TestVerdictControls:
+    """Each verdict on both sides of its bound, from a committed workload
+    config whose own run sits on the passing side."""
+
+    @pytest.mark.parametrize("growth, ok", [(1.04, True), (1.06, False)])
+    def test_m1_stability_fails_past_its_growth_allowance(self, tmp_path, monkeypatch,
+                                                          growth, ok):
+        # m1 is flat over the smoke run's second half: scaled there by
+        # `growth`, m1(t_end) / m1(t_end / 2) reads `growth`
+        doc = json.loads((WORKLOADS / "smoke" / "smalldata.json").read_text())
+        half = doc["run"]["t_end"] / 2.0
+        real = scenarios.weighted_functionals
+
+        def grown(*args):
+            wf = real(*args)
+            return wf._replace(m1=np.where(wf.times > half, growth * wf.m1, wf.m1))
+        monkeypatch.setattr(scenarios, "weighted_functionals", grown)
+        summary = run_scenario(doc, output_dir=tmp_path / "out", quiet=True)
+        [verdict] = [v for v in summary.verdicts if v["name"] == "m1-stability"]
+        assert verdict["value"] == growth
+        assert verdict["pass"] is ok
+
+    @pytest.mark.parametrize("r_squared, ok", [(0.99, False), (0.996, True)])
+    def test_power_law_fails_below_its_r_squared_floor(self, tmp_path, monkeypatch,
+                                                       r_squared, ok):
+        doc = json.loads((WORKLOADS / "oracle-fits" / "linear-decay.json").read_text())
+        real = scenarios.fit_decay
+        monkeypatch.setattr(scenarios, "fit_decay", lambda series, window: real(
+            series, window)._replace(r_squared=r_squared))
+        summary = run_scenario(doc, output_dir=tmp_path / "out", quiet=True)
+        verdicts = [v for v in summary.verdicts if v["name"].startswith("power-law(")]
+        assert [v["name"] for v in verdicts] == ["power-law(l=0)", "power-law(l=1)"]
+        assert all(v["value"] == r_squared and v["pass"] is ok for v in verdicts)
 
 
 class TestCheck:

@@ -97,7 +97,7 @@ class TestRecord:
         want = [(float(l), "L2", comp, [sg.sobolev_seminorm(f, l) for f in fs])
                 for l in ls for comp, fs in (("full", fields), ("low", lows), ("high", highs))]
         if regime == "loss":
-            ab = params.alpha_bar()
+            ab = 1.0 - params.alpha
             mag = sg.wavenumber_magnitude(g)
             for j in range(math.floor(s / (2.0 * ab))):
                 w = mag ** (j * ab) * (1.0 + mag * mag) ** (0.5 * (s - 2.0 * j * ab))
@@ -170,7 +170,7 @@ class TestWeightedFunctionals:
         times = np.geomspace(0.1, 1e3, 50)
         ls = [0.0, 0.25, 0.5, 0.75, 1.0]
         series = self._synthetic(gain_params, 1.0, ls, times)
-        wf = weighted_functionals(series, gain_params, 1.0, e0=1.0)
+        wf = weighted_functionals(series, gain_params, validate(gain_params, 1.0))
         assert np.max(np.abs(wf.m1 - 1.0)) <= 1e-3
         assert np.all(np.diff(wf.m1) >= -1e-12)
 
@@ -178,42 +178,22 @@ class TestWeightedFunctionals:
         times = np.geomspace(0.1, 10.0, 12)
         series = [_series(times, np.zeros_like(times), l=l)
                   for l in (0.0, 0.25, 0.5, 0.75, 1.0)]
-        wf = weighted_functionals(series, gain_params, 1.0, e0=0.5)
+        wf = weighted_functionals(series, gain_params, validate(gain_params, 1.0))
         assert np.all(wf.m1 == 0.0) and np.all(wf.m2 == 0.0)
-        assert wf.e0 == 0.5
 
-    def test_insufficient_l_coverage_rejected(self, gain_params):
-        times = np.geomspace(0.1, 10.0, 12)
-        series = [_series(times, np.ones_like(times), l=l) for l in (0.0, 1.0)]
-        with pytest.raises(ValueError, match="coverage|coarse"):
-            weighted_functionals(series, gain_params, 1.0)
-
-    def _loss_run(self, loss_params, bands):
-        """Series of a short loss-regime run on an l grid covering s = 4, its
-        high band measured in the mixed weights of bands."""
+    def test_loss_regime_functionals_from_solver_run(self, loss_params):
+        # a short loss-regime run on an l grid covering s = 4, its high band
+        # measured in the mixed weights of the report's family
         g = sg.GridSpec(1, 256, 200.0)
         u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.01, n=1).profile)
         ts = tuple(np.geomspace(0.5, 20.0, 10))
         ls = [round(0.25 * k, 2) for k in range(17)]  # 0 .. 4 step 0.25
-        recorder = record(ls, bands=bands)
+        report = validate(loss_params, 4.0)
+        recorder = record(ls, bands=report.bands)
         solve(u0, loss_params, SolverConfig(dt=0.05, t_end=20.0, sample_times=ts),
               on_sample=recorder)
-        return recorder.series()
-
-    def test_loss_regime_functionals_from_solver_run(self, loss_params):
-        series = self._loss_run(loss_params, validate(loss_params, 4.0).bands)
-        wf = weighted_functionals(series, loss_params, 4.0, e0=1.0)
+        wf = weighted_functionals(recorder.series(), loss_params, report)
         assert wf.e is not None and wf.l is not None
         assert np.all(np.diff(wf.e) >= -1e-12 * wf.e[-1])
         assert np.all(np.diff(wf.l) >= -1e-12 * wf.l[-1])
         assert np.all(np.diff(wf.m1) >= -1e-12 * wf.m1[-1])
-
-    @pytest.mark.parametrize("bands_s", [None, 3.0], ids=["no-bands", "other-s"])
-    def test_loss_regime_needs_the_band_family_of_its_s(self, loss_params, bands_s):
-        # s = 4 at alpha = 0.5 needs H[4], H[3], H[2], H[1] at l_j = 0 .. 1.5;
-        # a run recorded without bands, or with the three of s = 3, cannot
-        # give E and L
-        bands = () if bands_s is None else validate(loss_params, bands_s).bands
-        series = self._loss_run(loss_params, bands)
-        with pytest.raises(ValueError, match="not the family"):
-            weighted_functionals(series, loss_params, 4.0)

@@ -22,11 +22,6 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(n=4, m=1.0, alpha=1.0, theta=1)
 
-    def test_alpha_bar_only_in_loss_regime(self):
-        assert ModelParams(1, 1.0, 0.25, 1).alpha_bar() == 0.75
-        with pytest.raises(ValueError):
-            ModelParams(1, 1.0, 1.0, 1).alpha_bar()
-
 
 class TestValidate:
     def test_gain_example(self):
