@@ -1,5 +1,9 @@
 """Norm time series, decay-rate fits, and weighted sup functionals.
 
+A run's norms are plain float arrays in the layout of ``record.series()``:
+the sample times, then one row per derivative order (or per high-band
+weight) and one column per sample.
+
 Decay rates are always measured as ordinary least-squares slopes of
 log(value) against log(1 + t).  A fit is only trusted as a power law when
 its r^2 clears ``R_SQUARED_POWER_LAW`` (exponential decay on a two-decade
@@ -22,36 +26,12 @@ HORIZON_CONSTANT = 0.1
 MIN_FIT_SAMPLES = 8
 
 
-class NormSeries(NamedTuple("NormSeries", [
-        ("times", np.ndarray),
-        ("values", np.ndarray),
-        ("l", float),
-        ("norm", str),
-        ("component", str),  # full | low | high
-])):
-    """One measured norm trajectory: derivative order l, norm type, component."""
-
-    __slots__ = ()
-
-    def __new__(cls, times, values, l, norm="L2", component="full"):
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if t.shape != v.shape or t.ndim != 1:
-            raise ValueError("times and values must be 1-D arrays of equal length")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if np.any(v < 0):
-            raise ValueError("norm values must be nonnegative")
-        return super().__new__(cls, t, v, l, norm, component)
-
-
 class DecayFit(NamedTuple):
     """Log-log slope/intercept of a norm series over a fit window."""
 
     slope: float
     intercept: float
     r_squared: float
-    window: tuple
 
 
 def ols_line(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -83,36 +63,33 @@ def contamination_horizon(grid: sg.GridSpec, params: ModelParams) -> float:
     return HORIZON_CONSTANT / sigma(k1, params)
 
 
-def fit_decay(series: NormSeries, window) -> DecayFit:
-    """OLS fit of log(value) against log(1 + t) over the window.
+def fit_decay(times: np.ndarray, values: np.ndarray, window) -> DecayFit:
+    """OLS fit of log(values) against log(1 + times) over the window.
 
-    Zero values inside the window are an error (no power law to measure).
+    A value inside the window that is not positive (a norm that underflowed
+    to zero) is a FloatingPointError: there is no power law to measure.
     """
-    t0, t1 = float(window[0]), float(window[1])
-    mask = (series.times >= t0) & (series.times <= t1)
-    t = series.times[mask]
-    v = series.values[mask]
+    mask = (times >= window[0]) & (times <= window[1])
+    t = times[mask]
+    v = values[mask]
     if t.size < MIN_FIT_SAMPLES:
         raise ValueError(
             f"need at least {MIN_FIT_SAMPLES} samples in the window, found {t.size}"
         )
     if np.any(v <= 0):
-        raise ValueError("series has nonpositive values inside the fit window")
-    slope, intercept, r2 = ols_line(np.log1p(t), np.log(v))
-    return DecayFit(slope=slope, intercept=intercept, r_squared=r2, window=(t0, t1))
+        raise FloatingPointError("series has nonpositive values inside the fit window")
+    return DecayFit(*ols_line(np.log1p(t), np.log(v)))
 
 
 class record:
-    """Norm series for every (l, component), measured one sample at a time.
+    """Norms of every l of l_list and every band, measured one sample at a time.
 
     Pass an instance to ``solver.solve`` as ``on_sample``.  Each sample's
     field is split once at model.CUTOFF_RADIUS, and the full field and its
     low/high parts are measured in ||Lam^l . ||_L2 for each l.  The high
     part is also measured in the mixed weight of each (l_j, s_j) of bands,
     the loss regime's family (the run's RegimeReport.bands) that the
-    time-weighted functionals need.  Only the numbers are kept;
-    ``series()`` returns them as NormSeries: full, low and high of each l
-    in l_list order, then one high-band series per (l_j, s_j).
+    time-weighted functionals need.  Only the numbers are kept.
     """
 
     def __init__(self, l_list, bands=()):
@@ -124,18 +101,20 @@ class record:
         field = state.field
         low, high = sg.split_low_high(field)
         mag = sg.wavenumber_magnitude(field.grid)
-        norms = [sg.sobolev_seminorm(part, l) for l in self.l_list for part in (field, low, high)]
+        norms = [sg.sobolev_seminorm(part, l) for part in (field, low, high) for l in self.l_list]
         norms += [sg.spectral_weighted_norm(high, mag ** l_j * (1.0 + mag * mag) ** (0.5 * s_j))
                   for l_j, s_j in self.bands]
         self.times.append(state.t)
         self.rows.append(norms)
 
-    def series(self) -> list:
-        times = np.array(self.times, dtype=float)
-        kinds = [(float(l), "L2", comp) for l in self.l_list for comp in ("full", "low", "high")]
-        kinds += [(float(l_j), f"H[{s_j:g}]", "high") for l_j, s_j in self.bands]
-        return [NormSeries(times, np.array(values), l=l, norm=norm, component=comp)
-                for (l, norm, comp), values in zip(kinds, zip(*self.rows))]
+    def series(self) -> tuple:
+        """(times, full, low, high, bands): the sample times, then arrays with
+        one row per order of l_list (full, low, high) or per (l_j, s_j) of
+        bands (the high part in its mixed weight), one column per sample."""
+        k = len(self.l_list)
+        norms = np.array(self.rows, dtype=float).T
+        return (np.array(self.times, dtype=float), norms[:k], norms[k:2 * k],
+                norms[2 * k:3 * k], norms[3 * k:])
 
 
 class WeightedFunctionals(NamedTuple):
@@ -155,37 +134,33 @@ class WeightedFunctionals(NamedTuple):
     l: np.ndarray = None
 
 
-def weighted_functionals(series, params: ModelParams,
+def weighted_functionals(times, full, bands, l_list, params: ModelParams,
                          report: RegimeReport) -> WeightedFunctionals:
-    """Assemble the running weighted functionals from a run's recorded series.
+    """Assemble the running weighted functionals from a run's recorded norms.
 
-    report is the run's RegimeReport and series what a ``record`` given
-    report.bands measured.  m1 takes every full-component ||Lam^l .||_L2
-    series (scenarios.parse_config has checked that their l grid covers
-    [0, s]), m2 those with l <= report.n0; in the loss regime e and l take
-    the mixed-weight high-band family.  All outputs are nondecreasing in t
-    by construction.
+    times, full and bands are what ``record(l_list, report.bands).series()``
+    returns, report the run's RegimeReport.  m1 takes every row of full, the
+    ||Lam^l .||_L2 norms (scenarios.parse_config has checked that l_list
+    covers [0, s]), m2 those with l <= report.n0; in the loss regime e and l
+    take the rows of bands, the mixed-weight high-band family.  All outputs
+    are nondecreasing in t by construction.
     """
-    full = [ns for ns in series if ns.component == "full" and ns.norm == "L2"]
-    times = full[0].times
     n, alpha = params.n, params.alpha
 
-    def running_sup_sq(members):
-        w = np.stack([(1.0 + times) ** (n / (2.0 * alpha) + ns.l / alpha) * ns.values ** 2
-                      for ns in members])
+    def running_sup_sq(rows):
+        w = np.stack([(1.0 + times) ** (n / (2.0 * alpha) + l / alpha) * values ** 2
+                      for l, values in rows])
         return np.maximum.accumulate(w.max(axis=0))
 
-    m1_sq = running_sup_sq(full)
-    m2_sq = running_sup_sq([ns for ns in full if ns.l <= report.n0 + 1e-12])
+    m1_sq = running_sup_sq(zip(l_list, full))
+    m2_sq = running_sup_sq([(l, v) for l, v in zip(l_list, full) if l <= report.n0 + 1e-12])
     e = l_int = None
     if report.regime == LOSS:
         ab = 1.0 - alpha
         terms_sup = np.zeros_like(times)
         terms_int = np.zeros_like(times)
-        for ns in series:
-            if ns.norm == "L2":
-                continue
-            w = (1.0 + times) ** (ns.l - 0.5 * ab) * ns.values ** 2
+        for (l_j, _), values in zip(report.bands, bands):
+            w = (1.0 + times) ** (l_j - 0.5 * ab) * values ** 2
             terms_sup = terms_sup + np.maximum.accumulate(w)
             terms_int = terms_int + _running_trapezoid(times, w)
         e = np.sqrt(terms_sup)

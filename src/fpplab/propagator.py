@@ -107,14 +107,17 @@ def probe_high_band(profile: RadialProfile, l: float, t_samples, params: ModelPa
     / ||Lam^(beta+l) phi||; the bound holds when the ratio does not grow
     (rapidly decaying data legitimately overshoot the bound, so only the
     tail slope's upper side matters).
+
+    Norms that underflow to zero, leaving nothing to fit or to weigh by, are
+    a FloatingPointError.
     """
     times = np.asarray(t_samples, dtype=float)
     norms = radial_weighted_l2(profile, l, times, params, window="high")
     if params.alpha >= 1.0:
         pos = norms > 0.0
         if np.sum(pos) < 3:
-            raise ValueError("gain-regime probe needs >= 3 sample times with "
-                             "nonzero high-band norm")
+            raise FloatingPointError("gain-regime probe needs >= 3 sample times with "
+                                     "nonzero high-band norm")
         slope, _, r2 = ols_line(times[pos], np.log(norms[pos]))
         ratios = np.zeros_like(norms)
         ratios[pos] = np.exp(np.log(norms[pos]) - slope * times[pos])
@@ -125,7 +128,7 @@ def probe_high_band(profile: RadialProfile, l: float, t_samples, params: ModelPa
         raise ValueError("loss-regime high-band probe needs beta > 0")
     weight_norm = radial_weighted_l2(profile, beta + l, 0.0, params)
     if weight_norm == 0.0:
-        raise ValueError("profile has zero ||Lam^(beta+l) phi|| norm")
+        raise FloatingPointError("profile has zero ||Lam^(beta+l) phi|| norm")
     exponent = beta / (2.0 * (1.0 - params.alpha))
     ratios = norms * (1.0 + times) ** exponent / weight_norm
     return ProbeReport(times=times, ratios=ratios, sup_ratio=float(np.max(ratios)),

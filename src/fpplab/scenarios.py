@@ -30,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import grid as sg
-from .diagnostics import (MIN_FIT_SAMPLES, R_SQUARED_POWER_LAW, NormSeries,
-                          contamination_horizon, fit_decay, weighted_functionals)
+from .diagnostics import (MIN_FIT_SAMPLES, R_SQUARED_POWER_LAW, contamination_horizon,
+                          fit_decay, weighted_functionals)
 from .model import CUTOFF_RADIUS, ModelParams, decay_exponent, sigma, validate
 from .oracle import (OracleConvergenceError, RadialProfile, gaussian_profile,
                      power_tail_profile, radial_weighted_l2)
@@ -248,6 +248,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
         l_list = _numbers(_need(fit, "l_list", "fit"), "fit.l_list")
         if not l_list or min(l_list) < 0:
             raise ConfigError("fit.l_list: expected a nonempty list of orders >= 0")
+        repeated = next((l for i, l in enumerate(l_list) if l in l_list[:i]), None)
+        if repeated is not None:
+            raise ConfigError(f"fit.l_list: order {repeated:g} is listed more than once")
     tolerance = fit.get("tolerance", 0.05)
     if isinstance(tolerance, (list, tuple)):
         if scenario == "regularity-loss-probe":
@@ -472,16 +475,17 @@ class RunSummary:
         return out
 
 
-def _fit_entry(cfg, l, series, source, csv):
-    fit = fit_decay(series, cfg.fit.window)
+def _fit_entry(cfg, l, times, values, source, csv):
+    """The fits entry of the full-field norms `values` of order l."""
+    fit = fit_decay(times, values, cfg.fit.window)
     return {
         "l": float(l),
-        "component": series.component,
+        "component": "full",
         "label": f"{source} l={l:g}",
         "slope": fit.slope,
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
-        "window": list(fit.window),
+        "window": list(cfg.fit.window),
         "theory": float(decay_exponent(l, cfg.model)),
         "series_csv": csv,
     }
@@ -500,11 +504,10 @@ def _oracle_fits(cfg, summary):
     fit window, adding one series and one fits entry per order."""
     times = np.geomspace(*cfg.fit.window, cfg.fit.n_samples)
     for l in cfg.fit.l_list:
-        series = NormSeries(times, radial_weighted_l2(cfg.profile, l, times, cfg.model),
-                            l=l)
+        values = radial_weighted_l2(cfg.profile, l, times, cfg.model)
         csv = f"series_l{l:g}_full.csv"
-        summary.series(csv, series.times, series.values)
-        summary.fits.append(_fit_entry(cfg, l, series, "oracle", csv))
+        summary.series(csv, times, values)
+        summary.fits.append(_fit_entry(cfg, l, times, values, "oracle", csv))
 
 
 def _run_linear_decay(cfg, summary, report):
@@ -586,14 +589,13 @@ def _run_nonlinear_smalldata(cfg, summary, report):
     u0 = build_field(cfg)
     recorder = record(cfg.fit.l_list, bands=report.bands)
     result = solve(u0, cfg.model, cfg.run, on_sample=recorder)
-    series = recorder.series()
+    times, full, low, high, bands = recorder.series()
     e0 = sg.sobolev_norm(u0, cfg.s) + sg.lp_norm(u0, 1)
-    wf = weighted_functionals(series, cfg.model, report)
-    # record's layout: full, low and high of each order of l_list, then the bands
-    for k, (l, tol) in enumerate(zip(cfg.fit.l_list, cfg.fit.tolerance)):
-        for ns in series[3 * k:3 * k + 3]:
-            summary.series(f"series_l{l:g}_{ns.component}.csv", ns.times, ns.values)
-        entry = _fit_entry(cfg, l, series[3 * k], "solver", f"series_l{l:g}_full.csv")
+    wf = weighted_functionals(times, full, bands, cfg.fit.l_list, cfg.model, report)
+    for l, tol, *parts in zip(cfg.fit.l_list, cfg.fit.tolerance, full, low, high):
+        for component, values in zip(("full", "low", "high"), parts):
+            summary.series(f"series_l{l:g}_{component}.csv", times, values)
+        entry = _fit_entry(cfg, l, times, parts[0], "solver", f"series_l{l:g}_full.csv")
         summary.fits.append(entry)
         _check_decay(summary, entry, tol)
     m1 = wf.m1
@@ -664,7 +666,7 @@ def run_scenario(doc, output_dir=None, quiet: bool = False) -> RunSummary:
 
     Nothing is written until the runner has returned.  Raises ConfigError for
     malformed configs; numerical failures propagate (OracleConvergenceError,
-    SolverBlowupError).
+    SolverBlowupError, and FloatingPointError for norms that underflow to zero).
     """
     cfg = parse_config(doc)
     out = Path(output_dir if output_dir is not None else cfg.output_dir)

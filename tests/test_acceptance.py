@@ -12,8 +12,7 @@ import pytest
 
 from fpplab import grid as sg
 from fpplab.cli import main as cli_main
-from fpplab.diagnostics import (NormSeries, contamination_horizon, fit_decay,
-                                record, weighted_functionals)
+from fpplab.diagnostics import contamination_horizon, fit_decay, record, weighted_functionals
 from fpplab.model import ModelParams, sigma, validate
 from fpplab.oracle import gaussian_profile, radial_weighted_l2
 from fpplab.propagator import probe_high_band, probe_low_band
@@ -159,11 +158,11 @@ def test_c8_nonlinear_smalldata_decay_and_m1():
                        sample_times=tuple(ts))
     recorder = record([0.0, 0.25, 0.5, 0.75, 1.0])
     solve(u0, params, cfg, on_sample=recorder)
-    series = recorder.series()
-    full0 = next(ns for ns in series if ns.component == "full" and ns.l == 0.0)
-    fit = fit_decay(full0, (10.0, 500.0))  # the horizon is 4000
+    times, full, _, _, bands = recorder.series()
+    fit = fit_decay(times, full[0], (10.0, 500.0))  # l = 0; the horizon is 4000
     e0 = sg.sobolev_norm(u0, 1.0) + sg.lp_norm(u0, 1)
-    wf = weighted_functionals(series, params, validate(params, 1.0))
+    wf = weighted_functionals(times, full, bands, recorder.l_list, params,
+                              validate(params, 1.0))
     m1 = wf.m1
     i_half = int(np.searchsorted(wf.times, t_end / 2.0))
     stable = m1[-1] <= 1.05 * m1[min(i_half, len(m1) - 1)]

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpplab import scenarios
+from fpplab import oracle, scenarios
 from fpplab.cli import main
+from fpplab.oracle import OracleConvergenceError
 from fpplab.scenarios import (_FIT_KEYS, _SCENARIOS, DEVIATION_NOISE, MAX_FIT_SAMPLES,
                               ConfigError, RunSummary, emit_plots, parse_config,
                               run_scenario)
@@ -633,6 +634,39 @@ class TestRunCommand:
         assert f"non-finite state detected at t={t}\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ("smoke/smalldata", "series has nonpositive values inside the fit window"),
+        ("oracle-fits/linear-decay", "series has nonpositive values inside the fit window"),
+        ("oracle-fits/regularity-loss", "series has nonpositive values inside the fit window"),
+        ("oracle-fits/lemma-gain", "gain-regime probe needs >= 3 sample times with "
+                                   "nonzero high-band norm"),
+        ("oracle-fits/lemma-loss", "profile has zero ||Lam^(beta+l) phi|| norm"),
+    ], ids=["smalldata", "linear-decay", "regularity-loss", "lemma-gain", "lemma-loss"])
+    def test_norms_that_underflow_to_zero_exit_3(self, tmp_path, capsys, config, message):
+        # nonzero data so small that the norms fit or probed underflow to 0
+        doc = json.loads((WORKLOADS / f"{config}.json").read_text())
+        doc["data"]["amplitude"] = 1e-300
+        doc["output_dir"] = str(tmp_path / "out")
+        assert main(["run", _write(tmp_path, doc), "--quiet"]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("config, l_list, order", [
+        ("smoke/smalldata", [0.0, 0.0], "0"),
+        ("oracle-fits/regularity-loss", [0.0, 0.5, 1.0, 1.5, 4.0, 4.0], "4"),
+    ])
+    def test_repeated_order_is_a_config_error(self, tmp_path, capsys, command, config,
+                                              l_list, order):
+        # one verdict per order and name: a repeat would be fitted and judged twice
+        doc = json.loads((WORKLOADS / f"{config}.json").read_text())
+        doc["fit"]["l_list"] = l_list
+        doc["output_dir"] = str(tmp_path / "out")
+        assert main([command, _write(tmp_path, doc), "--quiet"]) == 2
+        assert capsys.readouterr().err == (f"config error: fit.l_list: order {order} "
+                                           f"is listed more than once\n")
+        assert not (tmp_path / "out").exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         cfg = _write(tmp_path, _linear_config(out_a))
@@ -811,6 +845,28 @@ class TestScenarios:
         assert summary.functionals["m1_over_e0"] < 1.0
         assert (tmp_path / "out" / "functional_m1.csv").exists()
 
+    def test_nonlinear_smalldata_loss_regime_numbers(self, tmp_path):
+        # the only nonlinear alpha < 1 run, the one whose functionals read
+        # record's band rows (e and l).  Its window is pre-asymptotic, so its
+        # verdicts fail: only its numbers are pinned, at 1e-12 relative.
+        # energy_residual is a roundoff-level cancellation and is left out.
+        doc = {
+            "scenario": "nonlinear-smalldata",
+            "model": {"n": 1, "m": 1.0, "alpha": 0.5, "theta": 3},
+            "grid": {"n": 1, "points_per_dim": 1024, "box_length": 700.0},
+            "data": {"kind": "gaussian", "width": 1.0, "amplitude": 0.5},
+            "run": {"scheme": "etd2", "dt": 0.1, "t_end": 10.0},
+            "fit": {"window": [1.0, 10.0], "l_list": [0.25 * k for k in range(9)],
+                    "s": 2.0},
+            "output_dir": str(tmp_path / "out"),
+        }
+        functionals = run_scenario(doc, quiet=True).functionals
+        want = {"e_final": 0.9356693100728184, "l_final": 0.9840808823176608,
+                "m1_final": 6.139246405252379, "m2_final": 0.8277920910650194,
+                "e0": 2.3572146831466476}
+        for key, value in want.items():
+            assert functionals[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
 
 class TestVerdictControls:
     """Each verdict on both sides of its bound, from a committed workload
@@ -839,12 +895,46 @@ class TestVerdictControls:
                                                        r_squared, ok):
         doc = json.loads((WORKLOADS / "oracle-fits" / "linear-decay.json").read_text())
         real = scenarios.fit_decay
-        monkeypatch.setattr(scenarios, "fit_decay", lambda series, window: real(
-            series, window)._replace(r_squared=r_squared))
+        monkeypatch.setattr(scenarios, "fit_decay", lambda times, values, window: real(
+            times, values, window)._replace(r_squared=r_squared))
         summary = run_scenario(doc, output_dir=tmp_path / "out", quiet=True)
         verdicts = [v for v in summary.verdicts if v["name"].startswith("power-law(")]
         assert [v["name"] for v in verdicts] == ["power-law(l=0)", "power-law(l=1)"]
         assert all(v["value"] == r_squared and v["pass"] is ok for v in verdicts)
+
+
+    @pytest.mark.parametrize("offset_ignored, ok", [(True, False), (False, True)])
+    def test_falsification_fails_when_the_probe_ignores_its_rate_offset(
+            self, tmp_path, monkeypatch, offset_ignored, ok):
+        # without its 0.1 over-weighting the falsified probe is the real one,
+        # whose tail slope sits near zero, inside the band it must leave
+        doc = json.loads((WORKLOADS / "oracle-fits" / "lemma-gain.json").read_text())
+        real = scenarios.probe_low_band
+        if offset_ignored:
+            monkeypatch.setattr(scenarios, "probe_low_band",
+                                lambda profile, l, times, params, rate_offset=0.0:
+                                real(profile, l, times, params))
+        summary = run_scenario(doc, output_dir=tmp_path / "out", quiet=True)
+        verdicts = [v for v in summary.verdicts if v["name"].startswith("falsification(")]
+        assert [v["name"] for v in verdicts] == ["falsification(l=0)", "falsification(l=1)"]
+        assert all(v["pass"] is ok for v in verdicts)
+
+    @pytest.mark.parametrize("skew, ok", [(4.0, False), (0.5, True)])
+    def test_oracle_tolerance_halving_fails_past_tol(self, tmp_path, monkeypatch, skew, ok):
+        # the tol/2 squared norms scaled by 1 + skew tol move each norm by
+        # about skew/2 tol: past tol the halving check must refuse the run
+        doc = json.loads((WORKLOADS / "oracle-fits" / "regularity-loss.json").read_text())
+        real = oracle._weighted_integral
+
+        def skewed(*args):
+            at_tol, at_half = real(*args)
+            return at_tol, at_half * (1.0 + skew * args[-1])  # args[-1] is tol
+        monkeypatch.setattr(oracle, "_weighted_integral", skewed)
+        if ok:
+            assert run_scenario(doc, output_dir=tmp_path / "out", quiet=True).all_pass
+        else:
+            with pytest.raises(OracleConvergenceError, match="tolerance-halving check failed"):
+                run_scenario(doc, output_dir=tmp_path / "out", quiet=True)
 
 
 class TestCheck:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fpplab import grid as sg
-from fpplab.diagnostics import DecayFit, NormSeries, WeightedFunctionals
+from fpplab.diagnostics import DecayFit, WeightedFunctionals
 from fpplab.model import ModelParams, validate
 from fpplab.oracle import gaussian_profile
 from fpplab.propagator import probe_low_band
@@ -19,7 +19,6 @@ def _records():
     grid = sg.GridSpec(1, 16, 2.0 * np.pi)
     field = sg.field_from_spectral_profile(grid, gaussian_profile())
     result = solve(field, params, SolverConfig(dt=0.5, t_end=1.0))
-    series = NormSeries([1.0, 2.0], [1.0, 0.5], l=0.0)
     cfg = parse_config({
         "scenario": "nonlinear-smalldata",
         "model": {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 5},
@@ -33,12 +32,11 @@ def _records():
         "GridSpec": grid,
         "SpectralField": field,
         "RadialProfile": gaussian_profile(),
-        "NormSeries": series,
         "SolverConfig": cfg.run,
         "RegimeReport": validate(params, 1.0),
-        "DecayFit": DecayFit(-0.25, 0.0, 1.0, (1.0, 2.0)),
-        "WeightedFunctionals": WeightedFunctionals(series.times, series.values,
-                                                   series.values),
+        "DecayFit": DecayFit(-0.25, 0.0, 1.0),
+        "WeightedFunctionals": WeightedFunctionals(np.array([1.0, 2.0]), np.ones(2),
+                                                   np.ones(2)),
         "ProbeReport": probe_low_band(gaussian_profile(), 0.0, [1.0, 2.0, 4.0], params),
         "EnergyLedger": result.final_state.ledger,
         "StepState": result.final_state,
