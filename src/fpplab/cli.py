@@ -4,8 +4,8 @@ Subcommands:
 
 * ``run <config.json>``       execute a scenario, write artifacts, exit 0
                               only if every verdict passes;
-* ``validate <config.json>``  parse the config and print the regime report
-                              without running anything;
+* ``validate <config.json>``  parse the config, check its output_dir, and
+                              print the regime report; run nothing;
 * ``list-scenarios``          print the known scenario names.
 
 Exit codes: 0 all verdicts pass, 1 verdict failure, 2 config error,
@@ -21,8 +21,8 @@ import sys
 from .model import validate
 from .oracle import OracleConvergenceError
 from .scenarios import (EXIT_CONFIG_ERROR, EXIT_NUMERICAL_ERROR, EXIT_OK,
-                        EXIT_VERDICT_FAIL, SCENARIOS, ConfigError, parse_config,
-                        run_scenario)
+                        EXIT_VERDICT_FAIL, SCENARIOS, ConfigError, output_path,
+                        parse_config, run_scenario)
 from .solver import SolverBlowupError
 
 
@@ -53,6 +53,7 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         cfg = parse_config(_load(args.config))
+        output_path(cfg.output_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -29,7 +29,7 @@ import numpy as np
 # reads its __version__ from sys.modules.  Every transform is numpy.fft.
 import scipy  # noqa: F401
 
-from .model import cutoff_chi
+from .model import cutoff_partition
 
 
 class GridSpec(NamedTuple("GridSpec", [("n", int), ("points_per_dim", int),
@@ -168,12 +168,12 @@ def lp_norm(field: SpectralField, p) -> float:
 def split_low_high(field: SpectralField) -> tuple:
     """Split into (low, high) parts with the smooth cutoff at R = CUTOFF_RADIUS.
 
-    low has multiplier chi(|k|), high has 1 - chi(|k|); their sum restores
-    the field to machine precision because the weights sum to 1 exactly.
+    low and high have the multipliers (chi, 1 - chi) of cutoff_partition, the
+    oracle's band windows; their sum restores the field to machine precision.
     """
-    chi = cutoff_chi(wavenumber_magnitude(field.grid))
+    chi, rest = cutoff_partition(wavenumber_magnitude(field.grid))
     low = SpectralField(field.grid, field.coefficients * chi)
-    high = SpectralField(field.grid, field.coefficients * (1.0 - chi))
+    high = SpectralField(field.grid, field.coefficients * rest)
     return low, high
 
 

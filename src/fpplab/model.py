@@ -76,19 +76,11 @@ def b_inverse(r, params: ModelParams):
     return _scalar_or_array(out, scalar)
 
 
-def cutoff_chi(r):
-    """Smooth cutoff at R = CUTOFF_RADIUS: 1 for r <= R, 0 for r >= 2R, monotone between.
-
-    The transition uses the symmetric exp(-1/x) partition
-    chi = f(2 - r/R) / (f(2 - r/R) + f(r/R - 1)), f(x) = exp(-1/x) for x > 0,
-    which is C-infinity, has exact plateaus, and equals 1/2 at r = 1.5 R.
-    """
-    return cutoff_partition(r)[0]
-
-
 def cutoff_partition(r):
-    """(chi, 1 - chi) of cutoff_chi, each formed as its own ratio.
+    """(chi, 1 - chi) of the smooth cutoff at R = CUTOFF_RADIUS, each its own ratio.
 
+    chi = f(2 - r/R) / (f(2 - r/R) + f(r/R - 1)), f(x) = exp(-1/x) for x > 0:
+    C-infinity, 1 for r <= R, 0 for r >= 2R, monotone between, 1/2 at r = 1.5 R.
     1 - chi by subtraction keeps no digits where chi rounds to 1 (just above
     R); f(r/R - 1) / (f(2 - r/R) + f(r/R - 1)) keeps them all.
     """

@@ -451,7 +451,6 @@ class RunSummary:
         self.functionals = None
         self.verdicts = []
         self.series_files = {}  # CSV name -> (times, values)
-        self.wall_clock_s = 0.0
         self.step_count = 0
 
     @property
@@ -661,24 +660,32 @@ _SCENARIOS = {
 SCENARIOS = tuple(_SCENARIOS)
 
 
+def output_path(path) -> Path:
+    """`path` as a Path; ConfigError if it or its nearest existing ancestor is a file."""
+    out = Path(path)
+    blocker = next(p for p in (out, *out.parents) if p.exists())
+    if not blocker.is_dir():
+        raise ConfigError(f"output_dir: {blocker} exists and is not a directory")
+    return out
+
+
 def run_scenario(doc, output_dir=None, quiet: bool = False) -> RunSummary:
-    """Execute one scenario config; writes summary JSON, CSVs, and a plot script.
+    """Execute one scenario config; writes summary JSON, CSVs, a plot script, and
+    timing.json with the run's wall time, the one artifact reruns change.
 
     Nothing is written until the runner has returned.  Raises ConfigError for
     malformed configs; numerical failures propagate (OracleConvergenceError,
     SolverBlowupError, and FloatingPointError for norms that underflow to zero).
     """
     cfg = parse_config(doc)
-    out = Path(output_dir if output_dir is not None else cfg.output_dir)
-    blocker = next(p for p in (out, *out.parents) if p.exists())
-    if not blocker.is_dir():
-        raise ConfigError(f"output_dir: {blocker} exists and is not a directory")
+    out = output_path(output_dir if output_dir is not None else cfg.output_dir)
     t0 = time.perf_counter()
     report = validate(cfg.model, cfg.s)
     summary = RunSummary(cfg.scenario, cfg.raw, report.to_dict())
     _SCENARIOS[cfg.scenario].runner(cfg, summary, report)
-    summary.wall_clock_s = time.perf_counter() - t0
+    wall_clock_s = time.perf_counter() - t0
     out.mkdir(parents=True, exist_ok=True)
+    (out / "timing.json").write_text(json.dumps({"wall_clock_s": wall_clock_s}) + "\n")
     for csv, (times, values) in summary.series_files.items():
         write_series_csv(out / csv, times, values)
     result = summary.to_dict()

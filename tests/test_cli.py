@@ -18,6 +18,7 @@ from fpplab.scenarios import (_FIT_KEYS, _SCENARIOS, DEVIATION_NOISE, MAX_FIT_SA
                               run_scenario)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _write(tmp_path, doc, name="config.json"):
@@ -55,11 +56,6 @@ _PINNED_FIT_SETTINGS = {
     "solver_match_tol": 1e-4, "rate_margin": 0.9, "t_samples": [1.0, 10.0],
     "high_t_samples": [1.0, 2.0], "m1_growth_tol": 0.05, "order_band": [1.7, 2.3],
 }
-
-
-def _summary_without_wall_clock(out):
-    lines = (out / "summary.json").read_text().splitlines()
-    return [line for line in lines if '"wall_clock_s"' not in line]
 
 
 def _readme_table(header):
@@ -112,6 +108,15 @@ def test_readme_tables_match_the_code():
         assert kinds == ("`gaussian`, `power_tail`" if spec.profile else "any"), name
         read = [key for key, readers in _README_FIT_READERS.items() if name in readers]
         assert read == list(spec.fit_keys), name
+
+
+def test_experiment_configs_parse():
+    # the paper's committed experiments, which CI runs end to end
+    configs = sorted(SCRIPTS.glob("*.json"))
+    assert [path.stem for path in configs] == [
+        "band_probe_gain", "band_probe_loss", "linear_decay", "regularity_loss", "smalldata"]
+    for path in configs:
+        assert parse_config(json.loads(path.read_text())).output_dir.startswith("runs/")
 
 
 class TestParseConfig:
@@ -525,10 +530,18 @@ class TestRunCommand:
     def test_output_dir_under_a_file_is_a_config_error(self, tmp_path, capsys):
         blocker = tmp_path / "taken"
         blocker.write_text("keep")
+        message = f"config error: output_dir: {blocker} exists and is not a directory\n"
         for out in (blocker, blocker / "out"):
-            assert main(["run", _write(tmp_path, _linear_config(out)), "--quiet"]) == 2
-            assert "output_dir" in capsys.readouterr().err
+            doc = _smalldata_config(out)
+            for command in ("run", "validate"):
+                assert main([command, _write(tmp_path, doc), "--quiet"]) == 2
+                assert capsys.readouterr().err == message
+            # run checks the directory it will write: --output-dir's, not the config's
+            doc["output_dir"] = str(tmp_path / "free")
+            assert main(["run", _write(tmp_path, doc), "--quiet", "--output-dir", str(out)]) == 2
+            assert capsys.readouterr().err == message
         assert blocker.read_text() == "keep"
+        assert not (tmp_path / "free").exists()
 
     def test_tight_tolerance_forces_failure(self, tmp_path):
         out = tmp_path / "out"
@@ -676,7 +689,11 @@ class TestRunCommand:
             (out_b / "series_l0_full.csv").read_bytes()
         assert (out_a / "plot_series.py").read_bytes() == \
             (out_b / "plot_series.py").read_bytes()
-        assert _summary_without_wall_clock(out_a) == _summary_without_wall_clock(out_b)
+        assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+        # the wall time, the one number reruns change, is kept apart
+        for out in (out_a, out_b):
+            assert list(json.loads((out / "timing.json").read_text())) == ["wall_clock_s"]
+            assert "wall_clock_s" not in json.loads((out / "summary.json").read_text())
 
     def test_determinism_byte_identical_nonlinear_3d(self, tmp_path):
         # the padded transforms of a 3-D nonlinear run: 8^3 lattice, 28^3 padded
@@ -693,7 +710,7 @@ class TestRunCommand:
             assert main(["run", cfg, "--quiet", "--output-dir", str(out)]) == 0
         assert (out_a / "plot_series.py").read_bytes() == \
             (out_b / "plot_series.py").read_bytes()
-        assert _summary_without_wall_clock(out_a) == _summary_without_wall_clock(out_b)
+        assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
 
     @pytest.mark.parametrize("section, key, misspelt", [
         ("run", "scheme", "sheme"),

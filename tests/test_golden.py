@@ -1,9 +1,9 @@
 """Committed numbers of the tier-1 workload configs.
 
 Each record in ``tests/golden/`` holds what one config's run wrote: every
-value of its ``summary.json`` except ``wall_clock_s``, and every row of
-every CSV.  The test reruns the config and compares numbers at 1e-12
-relative, strings, booleans and the layout exactly.
+value of its ``summary.json`` and every row of every CSV.  The test reruns
+the config and compares numbers at 1e-12 relative, strings, booleans and
+the layout exactly.
 
 A change that is meant to move these numbers rewrites the records with
 
@@ -51,7 +51,6 @@ def run_record(workload: str, config: str, out: Path) -> dict:
     doc = json.loads((REPO / "perfbench" / "workloads" / workload / f"{config}.json").read_text())
     run_scenario(doc, output_dir=out, quiet=True)
     summary = json.loads((out / "summary.json").read_text())
-    del summary["wall_clock_s"]
     csv = {}
     for path in sorted(out.glob("*.csv")):
         header, *rows = path.read_text().splitlines()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fpplab import grid as sg
-from fpplab.model import ModelParams, sigma
+from fpplab.model import ModelParams, cutoff_partition, sigma
 from fpplab.solver import padding
 from conftest import apply_radial_multiplier, random_real_field
 
@@ -208,6 +208,20 @@ class TestSplit:
         g = sg.GridSpec(1, 64, 40.0)
         f = random_real_field(g, seed=seed)
         low, high = sg.split_low_high(f)
+        diff = np.abs(low.coefficients + high.coefficients - f.coefficients)
+        assert np.max(diff) <= 1e-15 * np.max(np.abs(f.coefficients))
+
+    def test_high_part_keeps_modes_where_chi_rounds_to_one(self):
+        # smalldata-1d's lattice: just above R, chi rounds to 1 at two modes,
+        # whose high part 1 - chi by subtraction would set to zero
+        g = sg.GridSpec(1, 4096, 400.0 * np.pi)
+        f = random_real_field(g, seed=3)
+        chi, rest = cutoff_partition(sg.wavenumber_magnitude(g))
+        kept = (1.0 - chi == 0.0) & (rest > 0.0)
+        assert np.count_nonzero(kept) == 2
+        low, high = sg.split_low_high(f)
+        assert np.all(high.coefficients[kept] == f.coefficients[kept] * rest[kept])
+        assert np.all(high.coefficients[kept] != 0.0)
         diff = np.abs(low.coefficients + high.coefficients - f.coefficients)
         assert np.max(diff) <= 1e-15 * np.max(np.abs(f.coefficients))
 

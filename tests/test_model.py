@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpplab.model import (GAIN, LOSS, ModelParams, b_inverse, cutoff_chi,
+from fpplab.model import (GAIN, LOSS, ModelParams, b_inverse, cutoff_partition,
                           decay_exponent, sigma, validate)
 
 
@@ -113,25 +113,31 @@ class TestBInverse:
         assert 0.0 < b_inverse(hi, p) <= b_inverse(lo, p) <= 1.0
 
 
+def chi(r):
+    return cutoff_partition(r)[0]
+
+
 class TestCutoffChi:
     def test_plateaus_and_midpoint(self):
-        assert cutoff_chi(0.3) == 1.0
-        assert cutoff_chi(1.0) == 0.0
-        assert cutoff_chi(0.75) == pytest.approx(0.5, abs=1e-15)
-        mid = cutoff_chi(0.65)
+        assert chi(0.3) == 1.0
+        assert chi(1.0) == 0.0
+        assert chi(0.75) == pytest.approx(0.5, abs=1e-15)
+        mid = chi(0.65)
         assert 0.0 < mid < 1.0
 
     @given(r1=st.floats(0.0, 2.0), r2=st.floats(0.0, 2.0))
     @settings(max_examples=100, deadline=None)
     def test_monotone_nonincreasing(self, r1, r2):
         lo, hi = sorted((r1, r2))
-        assert cutoff_chi(hi) <= cutoff_chi(lo) + 1e-15
+        assert chi(hi) <= chi(lo) + 1e-15
 
     @given(r=st.floats(0.0, 3.0))
     @settings(max_examples=100, deadline=None)
     def test_partition_of_unity_exact(self, r):
-        c = cutoff_chi(r)
+        c = chi(r)
         assert c + (1.0 - c) == 1.0
+        # the pair's second weight, its own ratio, sums with chi to 1 within an ulp
+        assert abs(c + cutoff_partition(r)[1] - 1.0) <= np.finfo(float).eps
 
 
 class TestDecayExponent:
