@@ -93,11 +93,6 @@ def lattice_norm(half: np.ndarray) -> float:
     return math.sqrt(np.vdot(half, column_weights(2 * half.shape[-1] - 2) * half).real)
 
 
-def physical_nodes(grid: GridSpec) -> np.ndarray:
-    """1-D physical axis x_j = j h."""
-    return grid.spacing * np.arange(grid.points_per_dim, dtype=float)
-
-
 class SpectralField(NamedTuple("SpectralField", [("grid", GridSpec),
                                                    ("coefficients", np.ndarray)])):
     """A real field stored as its plain-DFT half spectrum, shape grid.half_shape.
@@ -112,14 +107,6 @@ class SpectralField(NamedTuple("SpectralField", [("grid", GridSpec),
             raise ValueError(f"coefficient shape {coefficients.shape} is not the "
                              f"half spectrum shape {grid.half_shape}")
         return super().__new__(cls, grid, coefficients)
-
-
-def to_spectral(grid: GridSpec, samples: np.ndarray) -> SpectralField:
-    """Forward transform of physical samples (shape must match the grid)."""
-    samples = np.asarray(samples)
-    if samples.shape != grid.shape:
-        raise ValueError(f"sample shape {samples.shape} does not match grid shape {grid.shape}")
-    return SpectralField(grid, np.fft.rfftn(samples, axes=tuple(range(grid.n))))
 
 
 def to_physical(field: SpectralField) -> np.ndarray:

@@ -81,7 +81,7 @@ class RadialProfile(NamedTuple("RadialProfile", [
     def __new__(cls, profile, kind, parameter=None, l1_norm_hint=None):
         if kind not in ("gaussian", "power_tail"):
             raise ValueError(f"unknown decay class {kind!r}")
-        if kind == "power_tail" and not (parameter is not None and parameter > 0):
+        if not (parameter is not None and parameter > 0):
             raise ValueError(f"{kind} needs a positive parameter")
         return super().__new__(cls, profile, kind, parameter, l1_norm_hint)
 

@@ -81,10 +81,9 @@ _GRID_KEYS = ("n", "points_per_dim", "box_length")
 _RUN_KEYS = ("scheme", "dt", "t_end", "sample_times", "enable_nonlinearity")
 # In the order of the profile's arguments: gaussian_profile(width, amplitude).
 _DATA_KEYS = {"gaussian": ("width", "amplitude"),
-              "power_tail": ("exponent", "amplitude"),
-              "single_mode": ("k", "amplitude")}
-# Values that count dimensions, points or powers, or index a mode.
-_WHOLE_KEYS = ("n", "points_per_dim", "theta", "k")
+              "power_tail": ("exponent", "amplitude")}
+# Values that count dimensions, points or powers.
+_WHOLE_KEYS = ("n", "points_per_dim", "theta")
 _FIT_KEYS = ("window", "l_list", "tolerance", "s", "n_samples", "falsify")
 # Former fit keys that the benchmark's workload configs still state at their
 # pinned value: that value is accepted, any other is a config error.
@@ -143,7 +142,7 @@ def _whole(value, path) -> int:
 
 def _section_numbers(section, keys, path) -> dict:
     """The values of `keys` in `section`, each required and checked to be a
-    number, and a whole number where it counts or indexes (_WHOLE_KEYS)."""
+    number, and a whole number where it counts (_WHOLE_KEYS)."""
     return {key: (_whole if key in _WHOLE_KEYS else _number)(
         _need(section, key, path), _path(path, key)) for key in keys}
 
@@ -174,8 +173,7 @@ class ScenarioConfig(NamedTuple):
     scenario: str
     model: ModelParams
     grid: sg.GridSpec  # None, as is run, where the scenario solves nothing
-    data: dict         # data.kind and its typed values
-    profile: RadialProfile  # None for single_mode data
+    profile: RadialProfile  # data.kind and its values, on the whole space
     run: SolverConfig  # in nonlinear-smalldata, with its default sample times
     fit: FitSettings
     s: float  # data regularity: fit.s, else max(fit.l_list), else 1.0
@@ -206,16 +204,11 @@ def parse_config(doc: dict) -> ScenarioConfig:
     values = _section_numbers(data, _DATA_KEYS[kind], "data")
     if values["amplitude"] == 0:
         raise ConfigError("data.amplitude: zero data has no decay to measure, got 0")
-    profile = None
-    if kind != "single_mode":
-        make = gaussian_profile if kind == "gaussian" else power_tail_profile
-        try:
-            profile = make(*values.values(), n=model.n)
-        except ValueError as exc:
-            raise ConfigError(f"data: {exc}") from exc
-    elif spec.profile:
-        raise ConfigError(f"data.kind: {kind!r} has no continuum radial profile; "
-                          f"use gaussian or power_tail for {scenario}")
+    make = gaussian_profile if kind == "gaussian" else power_tail_profile
+    try:
+        profile = make(*values.values(), n=model.n)
+    except ValueError as exc:
+        raise ConfigError(f"data: {exc}") from exc
 
     present = [key for key in ("grid", "run") if key in doc]
     if spec.sections == "refused" and present:
@@ -307,7 +300,6 @@ def parse_config(doc: dict) -> ScenarioConfig:
         scenario=scenario,
         model=model,
         grid=grid,
-        data={"kind": kind, **values},
         profile=profile,
         run=run,
         fit=FitSettings(window=window, l_list=l_list, tolerance=tolerance,
@@ -363,15 +355,7 @@ def _parse_run(run_cfg, scenario, model, grid) -> SolverConfig:
 
 
 def build_field(cfg: ScenarioConfig) -> sg.SpectralField:
-    if cfg.profile is not None:
-        return sg.field_from_spectral_profile(cfg.grid, cfg.profile.profile)
-    # single_mode: product of cosines at integer mode index k per axis
-    x = sg.physical_nodes(cfg.grid)
-    wave = np.cos(2.0 * np.pi * cfg.data["k"] * x / cfg.grid.box_length)
-    samples = wave
-    for _ in range(cfg.grid.n - 1):
-        samples = np.multiply.outer(samples, wave)
-    return sg.to_spectral(cfg.grid, cfg.data["amplitude"] * samples)
+    return sg.field_from_spectral_profile(cfg.grid, cfg.profile.profile)
 
 
 def _format_float(x) -> str:
@@ -640,7 +624,6 @@ class _Scenario(NamedTuple):
     runner: object     # fills a RunSummary from (cfg, summary, regime report)
     sections: str      # grid and run: required, optional (both or neither) or refused
     fit_keys: tuple    # the fit keys it reads; another known one is a config error
-    profile: bool      # its data need a continuum radial profile (the oracle's)
 
 
 # What each scenario reads, stated here only: parse_config checks every
@@ -648,14 +631,13 @@ class _Scenario(NamedTuple):
 # first column.
 _ORACLE_FIT_KEYS = ("window", "l_list", "tolerance", "s", "n_samples")
 _SCENARIOS = {
-    "linear-decay": _Scenario(_run_linear_decay, "optional", _ORACLE_FIT_KEYS, True),
-    "regularity-loss-probe": _Scenario(_run_regularity_loss, "refused",
-                                       _ORACLE_FIT_KEYS, True),
+    "linear-decay": _Scenario(_run_linear_decay, "optional", _ORACLE_FIT_KEYS),
+    "regularity-loss-probe": _Scenario(_run_regularity_loss, "refused", _ORACLE_FIT_KEYS),
     "nonlinear-smalldata": _Scenario(_run_nonlinear_smalldata, "required",
-                                     ("window", "l_list", "tolerance", "s"), False),
+                                     ("window", "l_list", "tolerance", "s")),
     "lemma-verification": _Scenario(_run_lemma_verification, "refused",
-                                    ("window", "l_list", "s", "falsify"), True),
-    "convergence-study": _Scenario(_run_convergence_study, "required", ("s",), False),
+                                    ("window", "l_list", "s", "falsify")),
+    "convergence-study": _Scenario(_run_convergence_study, "required", ("s",)),
 }
 SCENARIOS = tuple(_SCENARIOS)
 

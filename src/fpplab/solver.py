@@ -29,9 +29,6 @@ from . import grid as sg
 from .model import ModelParams, b_inverse, sigma
 
 PHI_SERIES_CUTOFF = 1e-4
-# Roundoff, relative to max |F|, that the evenness check of n >= 2 nonlinear
-# data allows: rfftn of cosine samples leaves about 1e-16 of imaginary part.
-EVEN_TOLERANCE = 1e-13
 
 
 class SolverBlowupError(RuntimeError):
@@ -246,22 +243,22 @@ class SolveResult(NamedTuple):
 
 def _require_even(half: np.ndarray) -> None:
     """Refuse a half spectrum that is not even in every coordinate, as the
-    n >= 2 padded-power kernel needs: real, and equal to its mirror image
-    along each leading axis (the last then follows), up to roundoff.  Data
-    that are not finite pass, for the blow-up check at t = 0."""
-    tol = EVEN_TOLERANCE * np.max(np.abs(half))
+    n >= 2 padded-power kernel needs: exactly real, and exactly equal to its
+    mirror image along each leading axis (the last then follows).  A radial
+    profile planted on the lattice is both, with no roundoff.  Data that are
+    not finite pass, for the blow-up check at t = 0."""
+    if not np.isfinite(half).all():
+        return
     defect = np.max(np.abs(half.imag))
-    if defect > tol:
+    if defect > 0.0:
         raise ValueError(f"an n >= 2 nonlinear solve needs data even in every coordinate: "
-                         f"the spectrum has an imaginary part of {defect:.3g} "
-                         f"(roundoff allows {tol:.3g})")
+                         f"the spectrum has an imaginary part of {defect:.3g}")
     for axis in range(half.ndim - 1):
-        with np.errstate(invalid="ignore"):
-            defect = np.max(np.abs(half - np.roll(np.flip(half, axis), 1, axis)))
-        if defect > tol:
+        defect = np.max(np.abs(half - np.roll(np.flip(half, axis), 1, axis)))
+        if defect > 0.0:
             raise ValueError(f"an n >= 2 nonlinear solve needs data even in every coordinate: "
                              f"the spectrum differs from its mirror image along axis {axis} "
-                             f"by {defect:.3g} (roundoff allows {tol:.3g})")
+                             f"by {defect:.3g}")
 
 
 def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
@@ -280,7 +277,8 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
     included.  The nonlinear steps share one padded-power kernel, whose
     buffers and twiddles go when solve returns.  For n >= 2 that kernel
     works on even fields only, so a nonlinear solve raises ValueError for
-    data that are not even in every coordinate; the flow keeps them even.
+    data that are not exactly even in every coordinate, with no roundoff
+    allowed; the flow keeps them even.
     """
     if config.enable_nonlinearity and u0.grid.n >= 2:
         _require_even(u0.coefficients)

@@ -20,11 +20,24 @@ def grid_1d():
     return sg.GridSpec(1, 64, 2.0 * np.pi)
 
 
+def physical_nodes(grid):
+    """1-D physical axis x_j = j h."""
+    return grid.spacing * np.arange(grid.points_per_dim, dtype=float)
+
+
+def to_spectral(grid, samples):
+    """Forward transform of physical samples (shape must match the grid)."""
+    samples = np.asarray(samples)
+    if samples.shape != grid.shape:
+        raise ValueError(f"sample shape {samples.shape} does not match grid shape {grid.shape}")
+    return sg.SpectralField(grid, np.fft.rfftn(samples, axes=tuple(range(grid.n))))
+
+
 def random_real_field(grid, seed=0, decay=1.5):
     """Random real field with mildly decaying spectrum (keeps norms finite)."""
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal(grid.shape)
-    field = sg.to_spectral(grid, samples)
+    field = to_spectral(grid, samples)
     mag = sg.wavenumber_magnitude(grid)
     return sg.SpectralField(grid, field.coefficients / (1.0 + mag) ** decay)
 

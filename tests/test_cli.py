@@ -70,12 +70,11 @@ def _readme_table(header):
     return rows
 
 
-# The README's scenario table: name -> (grid and run, data kinds), and its
-# fit-key table: key -> the scenarios that read it.  The config-error tests
-# below take their cases from these, and test_readme_tables_match_the_code
-# holds them to the code.
-_README_SCENARIOS = {row[0].strip("`"): (row[1], row[2])
-                     for row in _readme_table("scenario")}
+# The README's scenario table: name -> grid and run, and its fit-key table:
+# key -> the scenarios that read it.  The config-error tests below take their
+# cases from these, and test_readme_tables_match_the_code holds them to the
+# code.
+_README_SCENARIOS = {row[0].strip("`"): row[1] for row in _readme_table("scenario")}
 _README_FIT_READERS = {row[0].strip("`"): re.findall(r"`([a-z-]+)`", row[2])
                        for row in _readme_table("`fit` key")}
 _FIT_VALUES = {"window": [0.5, 1.0], "l_list": [0.0], "tolerance": 0.1, "s": 1.0,
@@ -93,7 +92,7 @@ def _scenario_config(scenario, out):
                 if scenario in _README_FIT_READERS[key]},
         "output_dir": str(out),
     }
-    if _README_SCENARIOS[scenario][0] != "refused":
+    if _README_SCENARIOS[scenario] != "refused":
         doc["grid"] = {"n": 1, "points_per_dim": 64, "box_length": 40.0}
         doc["run"] = {"scheme": "etd2", "dt": 0.1, "t_end": 1.0}
     return doc
@@ -103,9 +102,7 @@ def test_readme_tables_match_the_code():
     assert list(_README_SCENARIOS) == list(_SCENARIOS)
     assert list(_README_FIT_READERS) == list(_FIT_KEYS)
     for name, spec in _SCENARIOS.items():
-        sections, kinds = _README_SCENARIOS[name]
-        assert sections == spec.sections, name
-        assert kinds == ("`gaussian`, `power_tail`" if spec.profile else "any"), name
+        assert _README_SCENARIOS[name] == spec.sections, name
         read = [key for key, readers in _README_FIT_READERS.items() if name in readers]
         assert read == list(spec.fit_keys), name
 
@@ -300,7 +297,7 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario, section", [
-        (scenario, section) for scenario, (sections, _) in _README_SCENARIOS.items()
+        (scenario, section) for scenario, sections in _README_SCENARIOS.items()
         if sections == "refused" for section in ("grid", "run")])
     def test_section_the_scenario_does_not_read_is_a_config_error(
             self, tmp_path, capsys, scenario, section):
@@ -343,16 +340,17 @@ class TestRunCommand:
         assert "run.dealias_fraction" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("scenario", ["linear-decay", "regularity-loss-probe",
-                                          "lemma-verification"])
-    def test_single_mode_for_oracle_scenario_creates_no_directory(self, tmp_path,
-                                                                   capsys, scenario):
+    @pytest.mark.parametrize("scenario", list(_SCENARIOS))
+    def test_unknown_data_kind_creates_no_directory(self, tmp_path, capsys, scenario):
+        # a periodic cosine is not in L1 of the whole space, so no decay
+        # rate of the theory applies to it: every run starts from a profile
         out = tmp_path / "out"
-        doc = _linear_config(out)
-        doc["scenario"] = scenario
+        doc = _scenario_config(scenario, out)
         doc["data"] = {"kind": "single_mode", "k": 1, "amplitude": 1.0}
-        assert main(["run", _write(tmp_path, doc), "--quiet"]) == 2
-        assert "data.kind" in capsys.readouterr().err
+        cfg = _write(tmp_path, doc)
+        for command in ("validate", "run"):
+            assert main([command, cfg, "--quiet"]) == 2
+            assert "data.kind: unknown kind 'single_mode'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario, key, value", [
@@ -387,7 +385,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("scenario, data", [
         ("linear-decay", {"kind": "gaussian", "width": 1.0}),
         ("regularity-loss-probe", {"kind": "power_tail", "exponent": 4.6}),
-        ("nonlinear-smalldata", {"kind": "single_mode", "k": 1}),
+        ("nonlinear-smalldata", {"kind": "gaussian", "width": 1.0}),
         ("lemma-verification", {"kind": "gaussian", "width": 1.0}),
         ("convergence-study", {"kind": "gaussian", "width": 1.0}),
     ], ids=lambda case: case if isinstance(case, str) else case["kind"])
@@ -449,13 +447,11 @@ class TestRunCommand:
         ("model.alpha", "1", "model.alpha: expected a number, got '1'"),
         ("model.theta", 5.5, "model.theta: expected a whole number, got 5.5"),
         ("output_dir", 5, "output_dir: expected a string, got 5"),
-        ("data", {"kind": "single_mode", "k": 1.5, "amplitude": 0.01},
-         "data.k: expected a whole number, got 1.5"),
     ])
     def test_mistyped_run_or_data_value_is_a_config_error(self, tmp_path, capsys,
                                                           path, value, message):
         # a non-empty string must not pass for true, nor a string for a
-        # number, nor a fraction for a count or a mode index
+        # number, nor a fraction for a count
         self._assert_smalldata_refused(tmp_path, capsys, path, value, message)
 
     @staticmethod
@@ -754,8 +750,8 @@ class TestOtherCommands:
             doc = {
                 "scenario": "convergence-study",
                 "model": {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 1},
-                "grid": {"n": 1, "points_per_dim": 64, "box_length": 2.0 * math.pi},
-                "data": {"kind": "single_mode", "k": 2, "amplitude": 0.3},
+                "grid": {"n": 1, "points_per_dim": 64, "box_length": 40.0},
+                "data": {"kind": "gaussian", "width": 1.0, "amplitude": 0.3},
                 "run": {"scheme": "etd1", "dt": 0.2, "t_end": 4.0},
                 "output_dir": str(out),
             }
@@ -795,17 +791,18 @@ class TestScenarios:
         assert summary.all_pass
         assert 1.7 <= summary.functionals["observed_order"] <= 2.3
 
-    def test_single_mode_data_runs_through_solver(self, tmp_path):
+    def test_convergence_study_etd1(self, tmp_path):
         doc = {
             "scenario": "convergence-study",
             "model": {"n": 1, "m": 1.0, "alpha": 1.0, "theta": 1},
-            "grid": {"n": 1, "points_per_dim": 64, "box_length": 2.0 * math.pi},
-            "data": {"kind": "single_mode", "k": 2, "amplitude": 0.3},
+            "grid": {"n": 1, "points_per_dim": 64, "box_length": 40.0},
+            "data": {"kind": "gaussian", "width": 1.0, "amplitude": 0.3},
             "run": {"scheme": "etd1", "dt": 0.2, "t_end": 4.0},
             "output_dir": str(tmp_path / "out"),
         }
         summary = run_scenario(doc, quiet=True)
         assert summary.all_pass
+        assert 0.7 <= summary.functionals["observed_order"] <= 1.3
 
     @pytest.mark.parametrize("N, L, deviation", [
         # an exact linear solve on a resolved box: rounding noise, ~3e-16
@@ -826,11 +823,12 @@ class TestScenarios:
         else:
             assert f"{verdict['value']:.4g}" == f"{deviation:.4g}"
 
-    def test_single_mode_rejected_for_oracle_scenario(self, tmp_path):
+    def test_single_mode_is_an_unknown_data_kind(self, tmp_path):
         doc = _linear_config(tmp_path / "out")
         doc["data"] = {"kind": "single_mode", "k": 1, "amplitude": 1.0}
-        with pytest.raises(ConfigError, match="data.kind"):
+        with pytest.raises(ConfigError, match="data.kind: unknown kind 'single_mode'"):
             run_scenario(doc, quiet=True)
+        assert not (tmp_path / "out").exists()
 
     def test_lemma_verification_gain(self, tmp_path):
         doc = {
@@ -952,6 +950,75 @@ class TestVerdictControls:
         else:
             with pytest.raises(OracleConvergenceError, match="tolerance-halving check failed"):
                 run_scenario(doc, output_dir=tmp_path / "out", quiet=True)
+
+    @staticmethod
+    def _verdict(summary, name):
+        """The verdict `name` and its margin: positive inside the bounds."""
+        [verdict] = [v for v in summary.verdicts if v["name"] == name]
+        lo, hi = verdict["lo"], verdict["hi"]
+        value = verdict["value"]
+        margin = min(value - lo if lo is not None else math.inf,
+                     hi - value if hi is not None else math.inf)
+        return verdict, margin
+
+    @pytest.mark.parametrize("shift, ok", [(0.03, False), (0.01, True), (-0.01, True),
+                                           (-0.03, False)])
+    def test_decay_fails_outside_its_tolerance(self, tmp_path, monkeypatch, shift, ok):
+        # decay(l=0) reads slope - theory, -0.00053 on this config, within
+        # +-0.02: the theory moved by `shift` carries it past either bound
+        doc = json.loads((WORKLOADS / "oracle-fits" / "linear-decay.json").read_text())
+        real = scenarios.decay_exponent
+        monkeypatch.setattr(scenarios, "decay_exponent",
+                            lambda l, params: real(l, params) + (shift if l == 0 else 0.0))
+        summary = run_scenario(doc, output_dir=tmp_path / "out", quiet=True)
+        verdict, margin = self._verdict(summary, "decay(l=0)")
+        assert (margin > 0) is ok and verdict["pass"] is ok
+        assert self._verdict(summary, "decay(l=1)")[0]["pass"]
+
+    @pytest.mark.parametrize("d, ok", [(5e-5, True), (2e-4, False)])
+    def test_solver_vs_oracle_fails_past_its_match_tolerance(self, tmp_path, monkeypatch,
+                                                             d, ok):
+        # the solver meets the oracle to rounding noise here: the oracle's
+        # norms scaled by 1 + d set the deviation to about d, against 1e-4
+        doc = json.loads((WORKLOADS / "oracle-fits" / "linear-decay.json").read_text())
+        real = scenarios.radial_weighted_l2
+        monkeypatch.setattr(scenarios, "radial_weighted_l2",
+                            lambda *args: real(*args) * (1.0 + d))
+        summary = run_scenario(doc, output_dir=tmp_path / "out", quiet=True)
+        verdict, margin = self._verdict(summary, "solver-vs-oracle")
+        assert (margin > 0) is ok and verdict["pass"] is ok
+        assert verdict["value"] == pytest.approx(d, rel=1e-3)
+
+    @pytest.mark.parametrize("shift, ok", [(4.2, True), (4.35, False)])
+    def test_loss_gap_fails_below_its_floor(self, tmp_path, monkeypatch, shift, ok):
+        # loss-gap(l=4) reads slope - theory, 4.39983 on this config, against
+        # lo = 0.1: the theory raised by `shift` leaves 0.19983 or 0.04983
+        doc = json.loads((WORKLOADS / "oracle-fits" / "regularity-loss.json").read_text())
+        real = scenarios.decay_exponent
+        monkeypatch.setattr(scenarios, "decay_exponent",
+                            lambda l, params: real(l, params) + (shift if l == 4 else 0.0))
+        summary = run_scenario(doc, output_dir=tmp_path / "out", quiet=True)
+        verdict, margin = self._verdict(summary, "loss-gap(l=4)")
+        assert (margin > 0) is ok and verdict["pass"] is ok
+
+    @pytest.mark.parametrize("log2_scale, ok", [(0.3, False), (0.2, True), (-0.3, True),
+                                                (-0.4, False)])
+    def test_observed_order_fails_outside_its_band(self, tmp_path, monkeypatch,
+                                                   log2_scale, ok):
+        # observed-order is log2(e1 / e2), 1.93865 on this config, within
+        # [1.7, 2.3]: e2 scaled by 2^log2_scale lowers it by log2_scale
+        doc = json.loads((WORKLOADS / "convergence-3d" / "convergence.json").read_text())
+        real = scenarios.sg.lattice_norm
+        calls = []
+
+        def scaled(half):
+            calls.append(half)
+            return real(half) * (2.0 ** log2_scale if len(calls) == 2 else 1.0)
+        monkeypatch.setattr(scenarios.sg, "lattice_norm", scaled)
+        summary = run_scenario(doc, output_dir=tmp_path / "out", quiet=True)
+        assert len(calls) == 2
+        verdict, margin = self._verdict(summary, "observed-order")
+        assert (margin > 0) is ok and verdict["pass"] is ok
 
 
 class TestCheck:

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from fpplab import grid as sg
 from fpplab.model import ModelParams, cutoff_partition, sigma
 from fpplab.solver import padding
-from conftest import apply_radial_multiplier, random_real_field
+from conftest import apply_radial_multiplier, physical_nodes, random_real_field, to_spectral
 
 
 class TestMakeGrid:
@@ -43,7 +43,7 @@ class TestTransforms:
         g = sg.GridSpec(1, 64, 2.0 * np.pi)
         rng = np.random.default_rng(seed)
         f = rng.standard_normal(g.shape)
-        back = sg.to_physical(sg.to_spectral(g, f))
+        back = sg.to_physical(to_spectral(g, f))
         assert np.max(np.abs(back.real - f)) <= 1e-12 * max(1.0, np.max(np.abs(f)))
         assert np.max(np.abs(back.imag)) <= 1e-12
 
@@ -52,13 +52,13 @@ class TestTransforms:
             g = sg.GridSpec(n, N, 5.0)
             rng = np.random.default_rng(n)
             f = rng.standard_normal(g.shape)
-            back = sg.to_physical(sg.to_spectral(g, f))
+            back = sg.to_physical(to_spectral(g, f))
             assert np.max(np.abs(back.real - f)) <= 1e-12
 
     def test_single_cosine_has_two_lines(self):
         g = sg.GridSpec(1, 32, 2.0 * np.pi)
-        x = sg.physical_nodes(g)
-        field = sg.to_spectral(g, np.cos(3.0 * x))
+        x = physical_nodes(g)
+        field = to_spectral(g, np.cos(3.0 * x))
         c = field.coefficients
         big = np.abs(c) > 1e-9 * np.max(np.abs(c))
         assert big.sum() == 1  # the line at -3 is the mirror image of this one
@@ -67,7 +67,7 @@ class TestTransforms:
     def test_size_mismatch(self):
         g = sg.GridSpec(1, 16, 1.0)
         with pytest.raises(ValueError):
-            sg.to_spectral(g, np.zeros(8))
+            to_spectral(g, np.zeros(8))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_full_lattice_array_is_rejected(self, n):
@@ -82,7 +82,7 @@ class TestTransforms:
     def test_half_lattice_norms_equal_full_lattice_sums(self, n, seed, l):
         g = sg.GridSpec(n, {1: 64, 2: 16, 3: 8}[n], 5.0)
         x = np.random.default_rng(seed).standard_normal(g.shape)
-        f = sg.to_spectral(g, x)
+        f = to_spectral(g, x)
         full = np.fft.fftn(x)
         k = sg.axis_wavenumbers(g)
         mag = np.sqrt(sum(a * a for a in np.meshgrid(*([k] * n), indexing="ij")))
@@ -101,7 +101,7 @@ class TestTransforms:
         g = sg.GridSpec(1, 128, 10.0)
         rng = np.random.default_rng(seed)
         f = rng.standard_normal(g.shape)
-        field = sg.to_spectral(g, f)
+        field = to_spectral(g, f)
         physical = np.sum(np.abs(f) ** 2) * g.cell_volume
         N, L = g.points_per_dim, g.box_length
         weighted = sg.column_weights(N) * np.abs(field.coefficients) ** 2
@@ -117,16 +117,16 @@ class TestRadialMultiplier:
 
     def test_laplacian_symbol_on_single_mode(self):
         g = sg.GridSpec(1, 32, 2.0 * np.pi)
-        x = sg.physical_nodes(g)
-        f = sg.to_spectral(g, np.cos(2.0 * x))
+        x = physical_nodes(g)
+        f = to_spectral(g, np.cos(2.0 * x))
         out = apply_radial_multiplier(f, lambda r: r**2)
         assert np.allclose(out.coefficients, 4.0 * f.coefficients)
 
     def test_sigma_multiplier_on_unit_mode(self):
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=1)
         g = sg.GridSpec(1, 32, 2.0 * np.pi)
-        x = sg.physical_nodes(g)
-        f = sg.to_spectral(g, np.cos(x))
+        x = physical_nodes(g)
+        f = to_spectral(g, np.cos(x))
         out = apply_radial_multiplier(f, lambda r: sigma(r, p))
         assert np.allclose(out.coefficients, 0.5 * f.coefficients)
 
@@ -146,13 +146,13 @@ class TestRadialMultiplier:
 class TestNorms:
     def test_seminorm_of_constant_vanishes(self):
         g = sg.GridSpec(1, 16, 3.0)
-        f = sg.to_spectral(g, np.full(g.shape, 2.5))
+        f = to_spectral(g, np.full(g.shape, 2.5))
         assert sg.sobolev_seminorm(f, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_single_mode_weighting(self):
         g = sg.GridSpec(1, 32, 2.0 * np.pi)
-        x = sg.physical_nodes(g)
-        f = sg.to_spectral(g, np.cos(2.0 * x))
+        x = physical_nodes(g)
+        f = to_spectral(g, np.cos(2.0 * x))
         a = sg.sobolev_seminorm(f, 0.0)
         assert sg.sobolev_seminorm(f, 1.0) == pytest.approx(2.0 * a, rel=1e-13)
 
@@ -163,20 +163,20 @@ class TestNorms:
 
     def test_sup_norm_of_sine(self):
         g = sg.GridSpec(1, 128, 2.0 * np.pi)
-        x = sg.physical_nodes(g)
-        f = sg.to_spectral(g, np.sin(x))
+        x = physical_nodes(g)
+        f = to_spectral(g, np.sin(x))
         assert sg.lp_norm(f, np.inf) == pytest.approx(1.0, abs=g.spacing**2)
 
     def test_l1_of_constant(self):
         g = sg.GridSpec(1, 16, 5.0)
-        f = sg.to_spectral(g, np.full(g.shape, -2.0))
+        f = to_spectral(g, np.full(g.shape, -2.0))
         assert sg.lp_norm(f, 1) == pytest.approx(2.0 * 5.0, rel=1e-13)
 
     def test_l1_gaussian_against_quadrature(self):
         L = 40.0
         g = sg.GridSpec(1, 512, L)
-        x = sg.physical_nodes(g)
-        f = sg.to_spectral(g, np.exp(-0.5 * (x - L / 2.0) ** 2))
+        x = physical_nodes(g)
+        f = to_spectral(g, np.exp(-0.5 * (x - L / 2.0) ** 2))
         ref, _ = quad(lambda y: np.exp(-0.5 * (y - L / 2.0) ** 2), 0.0, L)
         assert sg.lp_norm(f, 1) == pytest.approx(ref, rel=1e-6)
 
@@ -275,9 +275,9 @@ def _circular_free_convolution(a, b, N):
 class TestPaddedPower:
     def test_square_of_cosine_two_lines(self):
         g = sg.GridSpec(1, 32, 2.0 * np.pi)
-        x = sg.physical_nodes(g)
+        x = physical_nodes(g)
         a = 0.7
-        f = sg.to_spectral(g, a * np.cos(2.0 * x))
+        f = to_spectral(g, a * np.cos(2.0 * x))
         sq = lattice_power(f, 2, padding(1))
         c = sq.coefficients / g.points_per_dim  # Fourier-series coefficients
         assert c[0] == pytest.approx(a * a / 2.0, rel=1e-13)
@@ -293,7 +293,7 @@ class TestPaddedPower:
         g = sg.GridSpec(n, {1: 32, 2: 16, 3: 8}[n], 5.0)
         f = random_real_field(g, seed=seed, decay=0.0)
         if n > 1:
-            f = sg.to_spectral(g, even_part(sg.to_physical(f)))
+            f = to_spectral(g, even_part(sg.to_physical(f)))
         out = lattice_power(f, 1, P)
         ref = np.max(np.abs(f.coefficients))
         assert np.max(np.abs(out.coefficients - f.coefficients)) <= 1e-14 * ref
@@ -301,7 +301,7 @@ class TestPaddedPower:
     def test_constant_field_maps_to_zero_mode(self):
         g = sg.GridSpec(1, 32, 4.0)
         c = 0.3
-        f = sg.to_spectral(g, np.full(g.shape, c))
+        f = to_spectral(g, np.full(g.shape, c))
         out = lattice_power(f, 3, padding(2))
         phys = sg.to_physical(out)
         assert np.allclose(phys.real, c**3, rtol=1e-13)
@@ -327,18 +327,18 @@ class TestPaddedPower:
     @pytest.mark.parametrize("n", (2, 3))
     @pytest.mark.parametrize("p", range(1, 7))
     def test_cosine_product_powers_are_binomial(self, n, p):
-        # u = prod_i cos(x_i), single_mode data with k = 1 on [0, 2 pi)^n:
+        # u = prod_i cos(x_i) on [0, 2 pi)^n:
         # cos^p x = 2^-p sum_j C(p, j) exp(i (p - 2j) x), so the spectrum of
         # u^p is N^n times the outer product of those binomial lists, and
         # the integral of u^(p+1) is the product of the 1-D ones; the
         # reference needs no transform
         N, L = 16, 2.0 * np.pi
         g = sg.GridSpec(n, N, L)
-        x = sg.physical_nodes(g)
+        x = physical_nodes(g)
         samples = np.cos(x)
         for _ in range(n - 1):
             samples = np.multiply.outer(samples, np.cos(x))
-        out, total = sg.PaddedPower(g, p, max(3, p + 1))(sg.to_spectral(g, samples).coefficients)
+        out, total = sg.PaddedPower(g, p, max(3, p + 1))(to_spectral(g, samples).coefficients)
         line = np.zeros(N)
         for j in range(p + 1):
             line[(p - 2 * j) % N] += math.comb(p, j) / 2.0 ** p

@@ -24,9 +24,12 @@ def test_sphere_areas():
 def test_decay_class_validation():
     with pytest.raises(ValueError, match="unknown decay class"):
         RadialProfile(np.exp, "weird")
-    for parameter in (None, 0.0):
-        with pytest.raises(ValueError, match="positive parameter"):
-            RadialProfile(np.exp, "power_tail", parameter)
+    # a gaussian's width is a parameter too: without one radial_weighted_l2
+    # would fail dividing by None, and a negative one would move its panel edge
+    for kind in ("gaussian", "power_tail"):
+        for parameter in (None, 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"{kind} needs a positive parameter"):
+                RadialProfile(np.exp, kind, parameter)
 
 
 class TestRadialWeightedL2:

@@ -7,7 +7,7 @@ from fpplab import grid as sg
 from fpplab.model import ModelParams, sigma
 from fpplab.oracle import gaussian_profile, radial_weighted_l2
 from fpplab.propagator import _tail_slope, probe_high_band, probe_low_band
-from conftest import propagate, random_real_field
+from conftest import physical_nodes, propagate, random_real_field, to_spectral
 
 
 class TestPropagate:
@@ -18,14 +18,14 @@ class TestPropagate:
 
     def test_single_mode_decay_factor(self, gain_params):
         g = sg.GridSpec(1, 32, 2.0 * np.pi)
-        x = sg.physical_nodes(g)
-        f = sg.to_spectral(g, np.cos(x))
+        x = physical_nodes(g)
+        f = to_spectral(g, np.cos(x))
         out = propagate(f, 2.0, gain_params)  # sigma(1) = 0.5, factor e^-1
         assert np.allclose(out.coefficients, np.exp(-1.0) * f.coefficients)
 
     def test_constant_field_unchanged(self, gain_params):
         g = sg.GridSpec(1, 16, 4.0)
-        f = sg.to_spectral(g, np.full(g.shape, 3.0))
+        f = to_spectral(g, np.full(g.shape, 3.0))
         out = propagate(f, 50.0, gain_params)
         assert np.allclose(out.coefficients, f.coefficients)
 

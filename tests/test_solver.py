@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -18,8 +19,15 @@ from fpplab.oracle import gaussian_profile
 from fpplab.solver import (SolverConfig, SolverBlowupError, _Stepper,
                            energy_balance_residual, padding, phi1, phi2, solve)
 from fpplab.scenarios import _ORDER_BANDS, build_field, parse_config
-from conftest import apply_radial_multiplier, propagate, random_real_field
+from conftest import (apply_radial_multiplier, physical_nodes, propagate, random_real_field,
+                      to_spectral)
 from test_grid import dense_padded_samples, lattice_power
+
+_ROOT = Path(__file__).resolve().parents[1]
+# The committed configs that plant data on a grid.
+_GRID_CONFIGS = [path for path in sorted((_ROOT / "scripts").glob("*.json"))
+                 + sorted((_ROOT / "perfbench" / "workloads").glob("*/*.json"))
+                 if "grid" in json.loads(path.read_text())]
 
 
 class TestPhiFunctions:
@@ -56,9 +64,9 @@ class TestNonlinearTerm:
         # the step loop's padded power of u^(theta+1) at theta = 1
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=1)
         g = sg.GridSpec(1, 64, 2.0 * np.pi)
-        x = sg.physical_nodes(g)
+        x = physical_nodes(g)
         a = 0.9
-        f = sg.to_spectral(g, a * np.cos(2.0 * x))
+        f = to_spectral(g, a * np.cos(2.0 * x))
         out = lattice_power(f, p.theta + 1, padding(p.theta))
         c = out.coefficients / g.points_per_dim
         assert c[0].real == pytest.approx(a * a / 2.0, rel=1e-13)
@@ -135,7 +143,7 @@ class TestStep:
     def test_blowup_aborts_with_time(self):
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=1)
         g = sg.GridSpec(1, 64, 10.0)
-        f = sg.to_spectral(g, np.full(g.shape, 60.0))  # u' ~ u^2, fast blowup
+        f = to_spectral(g, np.full(g.shape, 60.0))  # u' ~ u^2, fast blowup
         cfg = SolverConfig(dt=0.5, t_end=50.0)
         with pytest.raises(SolverBlowupError) as err:
             solve(f, p, cfg)
@@ -176,10 +184,16 @@ class TestEvenData:
     ])
     def test_refuses_data_not_even(self, data, defect):
         g = sg.GridSpec(2, 16, 2.0 * np.pi)
-        x0, x1 = np.meshgrid(sg.physical_nodes(g), sg.physical_nodes(g), indexing="ij")
-        u0 = (random_real_field(g, seed=1) if data == "random" else
-              sg.to_spectral(g, np.sin(x0) * np.cos(x1) if data.startswith("sin")
-                             else np.cos(x0 + x1)))
+        if data == "random":
+            u0 = random_real_field(g, seed=1)
+        elif data.startswith("sin"):
+            x0, x1 = np.meshgrid(physical_nodes(g), physical_nodes(g), indexing="ij")
+            u0 = to_spectral(g, np.sin(x0) * np.cos(x1))
+        else:  # its one half-spectrum line, set exactly: rfftn of the samples
+            # would leave a roundoff imaginary part, refused before the mirror
+            half = np.zeros(g.half_shape, complex)
+            half[1, 1] = g.points_per_dim ** 2 / 2.0
+            u0 = sg.SpectralField(g, half)
         params = ModelParams(n=2, m=1.0, alpha=1.0, theta=2)
         with pytest.raises(ValueError, match=f"even in every coordinate: .*{defect}"):
             solve(u0, params, SolverConfig(dt=0.1, t_end=0.1))
@@ -200,22 +214,26 @@ class TestEvenData:
         assert err.value.t == 0.0
 
     @pytest.mark.parametrize("n,N", [(2, 16), (3, 8)])
-    @pytest.mark.parametrize("data", [{"kind": "single_mode", "k": 2, "amplitude": 0.5},
-                                      {"kind": "gaussian", "width": 1.0, "amplitude": 0.5}],
-                             ids=["single_mode", "gaussian"])
-    def test_accepts_the_configs_data(self, n, N, data):
-        # single_mode data come from rfftn, with a roundoff imaginary part
+    def test_accepts_the_configs_data(self, n, N):
         cfg = parse_config({
             "scenario": "convergence-study",
             "model": {"n": n, "m": 1.0, "alpha": 1.0, "theta": 2},
             "grid": {"n": n, "points_per_dim": N, "box_length": 10.0},
-            "data": data,
+            "data": {"kind": "gaussian", "width": 1.0, "amplitude": 0.5},
             "run": {"scheme": "etd2", "dt": 0.1, "t_end": 0.4},
         })
         u0 = build_field(cfg)
-        assert (np.max(np.abs(u0.coefficients.imag)) > 0.0) == (data["kind"] == "single_mode")
+        assert np.max(np.abs(u0.coefficients.imag)) == 0.0
         res = solve(u0, cfg.model, SolverConfig(dt=0.1, t_end=0.1))
         assert np.all(np.isfinite(res.final_state.field.coefficients))
+
+    @pytest.mark.parametrize("path", _GRID_CONFIGS, ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_committed_data_are_exactly_even(self, path):
+        # the exact evenness check holds every committed config to this
+        half = build_field(parse_config(json.loads(path.read_text()))).coefficients
+        assert np.max(np.abs(half.imag)) == 0.0
+        for axis in range(half.ndim - 1):
+            assert np.array_equal(half, np.roll(np.flip(half, axis), 1, axis))
 
 
 class TestLoopCache:
@@ -346,7 +364,7 @@ class TestConstantSolution:
     def _start(self, n, N):
         g = sg.GridSpec(n, N, 2.0 * np.pi)
         params = ModelParams(n=n, m=1.0, alpha=1.0, theta=self.THETA)
-        return sg.to_spectral(g, np.full(g.shape, self.C)), params
+        return to_spectral(g, np.full(g.shape, self.C)), params
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scheme", ("etd2", "etd1"))
