@@ -211,16 +211,22 @@ class PaddedPower:
     lattice for degree d when P >= d+1.  Non-finite values pass through
     without a warning.
 
-    In 1-D the padded row is R = P*T/2 interleaved sub-lattices of N/T
-    points, T lattice modes to a column, one batch of R short transforms
-    each way (``_power_1d``); no transform has length M.  T is 2, doubled
-    while rows would be longer than PADDED_ROW_POINTS and T*2 divides N.
-    For n >= 2 the field must be even in every coordinate (``solver.solve``
+    The field must be even in every coordinate, whatever n (``solver.solve``
     checks that once): its half spectrum is then real and even, a cosine
-    series, and so are the padded samples and their power, which are taken
-    on the first orthant only, the (M//2+1)^n padded nodes m = 0..M//2 per
-    axis.  On each axis ``inv`` (M//2+1, N/2+1) takes the orthant's real
-    modes k = 0..N/2 to those nodes, column_weights(N)/N cos(2 pi k m/M):
+    series, and so are the padded samples and their power, and padded node
+    M - m mirrors node m on each axis.  The spectrum returned is exactly
+    real.
+
+    In 1-D the padded row is R = P*T/2 interleaved sub-lattices of N/T
+    points, T lattice modes to a column; no transform has length M.  T is
+    2, doubled while rows would be longer than PADDED_ROW_POINTS and T*2
+    divides N.  Row R - s mirrors row s, so only rows s = 0..R//2, each
+    weighted by the g_s rows it stands for, take one batch of short
+    transforms each way (``_power_1d``).  For n >= 2 the samples and their
+    power are taken on the first orthant only, the (M//2+1)^n padded nodes
+    m = 0..M//2 per axis.  On each axis ``inv`` (M//2+1, N/2+1) takes the
+    orthant's real modes k = 0..N/2 to those nodes, column_weights(N)/N
+    cos(2 pi k m/M):
     modes +k and -k together, the Nyquist mode once, half of it at +N/2
     and half at -N/2.  ``fwd`` (N/2+1, M//2+1) brings the power back: the
     node weights mu, which count nodes m and M-m (1 at 0 and M/2, else 2),
@@ -249,25 +255,31 @@ class PaddedPower:
             while N // T > PADDED_ROW_POINTS and N % (2 * T) == 0:
                 T *= 2
             R, C = self.P * T // 2, N // T // 2 + 1
+            # rows 0..R//2, which hold every sample of an even field
+            S = R // 2 + 1
             self.T = T
-            # the (R, C) table exp(2 pi i c s / M) / T, s the row and c the
-            # column, 1/T being the inverse's scale, and the (R, T) matrix
+            # the (S, C) table exp(2 pi i c s / M) / T, s the row and c the
+            # column, 1/T being the inverse's scale, and the (S, T) matrix
             # exp(2 pi i t s / R) over the column's modes t = 0, .., T/2 - 1,
             # -T/2, .., -1.  math's cos and sin: numpy's, which a 1-D run
             # loads for nothing else, map about 0.1 MB more code; s*c < M/2,
             # so no angle needs reduction.
-            turns = (2.0 * math.pi * (s * c) / M for s in range(R) for c in range(C))
+            turns = (2.0 * math.pi * (s * c) / M for s in range(S) for c in range(C))
             self.twiddle = np.fromiter((complex(math.cos(a), math.sin(a)) / T for a in turns),
-                                       complex, R * C).reshape(R, C)
+                                       complex, S * C).reshape(S, C)
             modes = (*range(T // 2), *range(-T // 2, 0))
-            turns = (2.0 * math.pi * (t * s % R) / R for s in range(R) for t in modes)
+            turns = (2.0 * math.pi * (t * s % R) / R for s in range(S) for t in modes)
             self.dft = np.fromiter((complex(math.cos(a), math.sin(a)) for a in turns),
-                                   complex, R * T).reshape(R, T)
+                                   complex, S * T).reshape(S, T)
             # the way back's: conj(twiddle) times 2T/P, which is N/M = 2/P over
-            # the twiddles' 1/T, and the (T, R) conjugate transpose of dft
-            self.twiddle_back = np.conj(self.twiddle) * (2.0 * T / self.P)
+            # the twiddles' 1/T, times g, which counts rows s and R - s (1 at
+            # 0 and R/2, else 2), and the (T, S) conjugate transpose of dft
+            self.g = np.where(2 * np.arange(S) % R == 0, 1.0, 2.0)
+            self.twiddle_back = np.conj(self.twiddle) * (2.0 * T / self.P) * self.g[:, None]
             self.dft_back = np.conj(self.dft).T
-            self._rows, self._spectra = np.empty((2, R, C), complex)
+            # each holds the T rows of modes to a column or S rows of samples,
+            # of their power or of spectra
+            self._rows, self._spectra = np.empty((2, max(S, T), C), complex)
         else:
             H, Q = N // 2 + 1, M // 2 + 1
             # the angles 2 pi k m / M of the modes k = 0..N/2 at the nodes
@@ -289,53 +301,61 @@ class PaddedPower:
             self._samples = np.empty((rows, Q ** (n - 1)))
 
     def _power_1d(self, half: np.ndarray, spectrum: bool) -> tuple:
-        """The 1-D route, by R transforms of length L = N/T.
+        """The 1-D route, by S = R//2 + 1 transforms of length L = N/T.
 
         Padded node m = s + R q is row s, column q of an (R, L) array.  With
         w = exp(2 pi i / M), lattice mode k = c + L t lands in column c of
         row s with the factor w^(cs) exp(2 pi i t s/R), so row s is the
         length-L inverse rfft of the twiddled rows of dft @ X, where column
         c <= L/2 of X holds the T modes c + L t, t = -T/2, .., T/2 - 1, from
-        the half spectrum: forward slices for t >= 0, conjugated reversed
-        ones for t < 0, the -N/2 mode whole.  The inverse keeps only the
-        real part of column 0, which splits the Nyquist coefficient evenly
-        between +N/2 and -N/2.  On the way back, with V = rfft of the rows of
-        the power, F_(c + L t) = sum_s w^(-cs) exp(-2 pi i t s/R) V[s, c] is
-        row t of dft_back @ (V * twiddle_back), the N/M scale being in
-        twiddle_back: forward slices of F for t >= 0, conjugated reversed
-        ones for t < 0.
+        the half spectrum: forward slices for t >= 0, reversed ones for
+        t < 0, the -N/2 mode whole.  The inverse keeps only the real part of
+        column 0, which splits the Nyquist coefficient evenly between +N/2
+        and -N/2.  The field is even, so node M - m mirrors node m: row
+        R - s at column L-1-q is row s at column q, and rows 0 and R/2 are
+        their own mirrors.  Only rows s = 0..R//2 are raised, their node
+        sums weighted by g.  On the way back, with V = rfft of the rows of
+        the power, F_(c + L t) = sum_s w^(-cs) exp(-2 pi i t s/R) V[s, c],
+        and the terms of rows s and R - s are complex conjugates, so F is
+        the real part of row t of dft_back @ (V * twiddle_back), g and the
+        N/M scale being in twiddle_back: forward slices of F for t >= 0,
+        reversed ones for t < 0.  The result's imaginary part is exactly 0.
         """
-        T, y, v = self.T, self._rows, self._spectra
-        R, C = y.shape
+        T, x = self.T, self._spectra[:self.T]
+        S, C = self.twiddle.shape
+        y, v = self._rows[:S], self._spectra[:S]
         h = self.grid.points_per_dim // 2
         L = 2 * h // T
         with np.errstate(over="ignore", invalid="ignore"):
-            # the modes fill the front of v, the rows y; then the samples fill
-            # the front of v, their power the front of y once the inverse has
-            # read it, the power's rfft all of v once the sum has read the
-            # samples, and dft.T's product the front of y
-            x = np.ndarray((T, C), complex, buffer=v)
+            # the modes x fill the front of _spectra, the rows y of _rows;
+            # then the samples fill the front of _spectra, their power the
+            # front of _rows once the inverse has read y, the power's rfft v
+            # once the sum has read the samples, and dft_back's product the
+            # front of _rows
             for t in range(T // 2):
                 x[t] = half[L * t:L * t + C]
                 k = L * (t + 1)
-                np.conjugate(half[k:k - C:-1], out=x[T - 1 - t])
+                x[T - 1 - t] = half[k:k - C:-1]
             np.matmul(self.dft, x, out=y)
             y *= self.twiddle
-            u = np.fft.irfft(y, n=L, axis=-1, out=np.ndarray((R, L), buffer=v))
-            u_power = pointwise_power(u, self.power, out=np.ndarray((R, L), buffer=y))
-            total = float(np.vdot(u_power, u)) * self.node_volume
+            u = np.fft.irfft(y, n=L, axis=-1, out=np.ndarray((S, L), buffer=self._spectra))
+            u_power = pointwise_power(u, self.power, out=np.ndarray((S, L), buffer=self._rows))
+            # the rows' node sums, each a (1, L) by (L, 1) product
+            sums = np.matmul(u_power[:, None], u[..., None]).ravel()
+            total = float(self.g @ sums) * self.node_volume
             if not spectrum:
                 return None, total
             np.fft.rfft(u_power, axis=-1, out=v)
             v *= self.twiddle_back
-            b = np.matmul(self.dft_back, v, out=np.ndarray((T, C), complex, buffer=y))
-            out = np.empty(h + 1, dtype=complex)
+            b = np.matmul(self.dft_back, v, out=self._rows[:T]).real
+            out = np.zeros(h + 1, dtype=complex)
+            f = out.real
             for t in range(T // 2):
-                out[L * t:L * t + C] = b[t]
+                f[L * t:L * t + C] = b[t]
                 k = L * (t + 1)
-                np.conjugate(b[T - 1 - t], out=out[k:k - C:-1])
+                f[k:k - C:-1] = b[T - 1 - t]
             # +N/2 and -N/2 fold into the lattice's Nyquist coefficient
-            out[h] += np.conj(out[h])
+            f[h] *= 2.0
             return out, total
 
     def __call__(self, half: np.ndarray, spectrum: bool = True) -> tuple:

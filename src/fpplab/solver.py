@@ -243,20 +243,21 @@ class SolveResult(NamedTuple):
 
 def _require_even(half: np.ndarray) -> None:
     """Refuse a half spectrum that is not even in every coordinate, as the
-    n >= 2 padded-power kernel needs: exactly real, and exactly equal to its
-    mirror image along each leading axis (the last then follows).  A radial
-    profile planted on the lattice is both, with no roundoff.  Data that are
-    not finite pass, for the blow-up check at t = 0."""
+    padded-power kernel needs: exactly real, and exactly equal to its mirror
+    image along each leading axis (the last then follows; in 1-D there is
+    none, so real is even).  A radial profile planted on the lattice is
+    both, with no roundoff.  Data that are not finite pass, for the blow-up
+    check at t = 0."""
     if not np.isfinite(half).all():
         return
     defect = np.max(np.abs(half.imag))
     if defect > 0.0:
-        raise ValueError(f"an n >= 2 nonlinear solve needs data even in every coordinate: "
+        raise ValueError(f"a nonlinear solve needs data even in every coordinate: "
                          f"the spectrum has an imaginary part of {defect:.3g}")
     for axis in range(half.ndim - 1):
         defect = np.max(np.abs(half - np.roll(np.flip(half, axis), 1, axis)))
         if defect > 0.0:
-            raise ValueError(f"an n >= 2 nonlinear solve needs data even in every coordinate: "
+            raise ValueError(f"a nonlinear solve needs data even in every coordinate: "
                              f"the spectrum differs from its mirror image along axis {axis} "
                              f"by {defect:.3g}")
 
@@ -275,12 +276,12 @@ def solve(u0: sg.SpectralField, params: ModelParams, config: SolverConfig,
     takes those steps unclipped, so samples on the dt lattice give the
     fixed-step numbers.  step_count counts the steps, clipped ones
     included.  The nonlinear steps share one padded-power kernel, whose
-    buffers and twiddles go when solve returns.  For n >= 2 that kernel
-    works on even fields only, so a nonlinear solve raises ValueError for
-    data that are not exactly even in every coordinate, with no roundoff
-    allowed; the flow keeps them even.
+    buffers and twiddles go when solve returns.  That kernel works on even
+    fields only, whatever n, so a nonlinear solve raises ValueError for data
+    that are not exactly even in every coordinate, with no roundoff allowed;
+    the flow keeps them even.  A linear run takes any data.
     """
-    if config.enable_nonlinearity and u0.grid.n >= 2:
+    if config.enable_nonlinearity:
         _require_even(u0.coefficients)
     kernel = (sg.PaddedPower(u0.grid, params.theta + 1, padding(params.theta))
               if config.enable_nonlinearity else None)

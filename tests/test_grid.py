@@ -289,11 +289,10 @@ class TestPaddedPower:
     @settings(max_examples=30, deadline=None)
     def test_first_power_returns_every_mode(self, n, seed, P):
         # white spectrum: the Nyquist coefficients are as large as any other;
-        # for n >= 2 even in every coordinate, as the kernel needs there
+        # even in every coordinate, as the kernel needs
         g = sg.GridSpec(n, {1: 32, 2: 16, 3: 8}[n], 5.0)
         f = random_real_field(g, seed=seed, decay=0.0)
-        if n > 1:
-            f = to_spectral(g, even_part(sg.to_physical(f)))
+        f = to_spectral(g, even_part(sg.to_physical(f)))
         out = lattice_power(f, 1, P)
         ref = np.max(np.abs(f.coefficients))
         assert np.max(np.abs(out.coefficients - f.coefficients)) <= 1e-14 * ref
@@ -379,7 +378,7 @@ def _fold(N, M):
 
 def even_part(u):
     """Lattice samples u averaged over their mirror images x_i -> -x_i, one
-    axis at a time: even in every coordinate, as the n >= 2 kernel needs."""
+    axis at a time: even in every coordinate, as the kernel needs."""
     for axis in range(u.ndim):
         u = 0.5 * (u + np.roll(np.flip(u, axis), 1, axis))
     return u
@@ -443,15 +442,13 @@ def matrix_padded_power(u, M, power):
 class TestPrunedPaddedTransforms:
     """The padded-power kernel against dense zero-padded full-lattice
     transforms built with plain numpy.fft, on random fields, made even in
-    every coordinate for n >= 2."""
+    every coordinate."""
 
     @staticmethod
     def _check_dense(n, N, P, T=2, reference=matrix_padded_power):
         rng = np.random.default_rng(100 * n + N)
         M = sg.padded_size(N, P)
-        u = rng.standard_normal((N,) * n)
-        if n > 1:
-            u = even_part(u)
+        u = even_part(rng.standard_normal((N,) * n))
         # the first power, and u^(theta+1) for the theta this padding serves
         for power in (1, P - 1):
             ref, raised, up = reference(u, M, power)
@@ -498,10 +495,10 @@ class TestPrunedPaddedTransforms:
 
     def test_production_row_matches_one_long_transform(self):
         # smalldata-1d's N = 4096, theta = 5: M = 14,336, against one
-        # zero-padded irfft/rfft of length M
+        # zero-padded irfft/rfft of length M, on an even field
         N, P = 4096, 7
         M = sg.padded_size(N, P)
-        half = np.fft.rfft(np.random.default_rng(4096).standard_normal(N))
+        half = np.fft.rfft(even_part(np.random.default_rng(4096).standard_normal(N)))
         padded = half * (M / N)
         padded[-1] *= 0.5
         up = np.fft.irfft(padded, n=M)
@@ -512,6 +509,18 @@ class TestPrunedPaddedTransforms:
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
         terms = raised * up
         assert abs(total - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms))
+
+    # R = P*T/2 rows, of which rows 0..R//2 are raised: R odd (3, 5), even
+    # with row R/2 its own mirror (4, 14), and R//2 + 1 = 7 rows under T = 8
+    # (16, 3, 8), where the mode buffer sets the buffers' size
+    @pytest.mark.parametrize("N,P,T", [(8, 3, 2), (8, 5, 2), (8, 4, 2), (16, 3, 8),
+                                       (4096, 7, 4)])
+    def test_one_dimensional_spectrum_is_exactly_real(self, monkeypatch, N, P, T):
+        monkeypatch.setattr(sg, "PADDED_ROW_POINTS", N // T)
+        kernel = unit_kernel(1, N, P - 1, P)
+        assert kernel.T == T
+        out, _ = kernel(_random_half(1, N, N))
+        assert out.dtype == complex and np.all(out.imag == 0.0)
 
     @pytest.mark.parametrize("P", (2, 1, 0, 3.5))
     def test_padding_must_be_an_integer_over_two(self, P):
@@ -526,12 +535,11 @@ class TestPrunedPaddedTransforms:
     def test_non_finite_samples_raise_no_warning(self, monkeypatch, n):
         # an overflowed power gives inf and nan samples and coefficients,
         # which the sum, the row and matrix products and the scaling must
-        # pass on without a warning; in 1-D on rows of 4 (T = 2) and 2
-        # (T = 4), for n >= 2 on an even field
+        # pass on without a warning; on an even field, in 1-D on rows of 4
+        # (T = 2) and 2 (T = 4)
         u = np.ones((8,) * n)
         u.flat[5] = 1e60
-        if n > 1:
-            u = even_part(u)
+        u = even_part(u)
         for T in (2, 4) if n == 1 else (2,):
             monkeypatch.setattr(sg, "PADDED_ROW_POINTS", 8 // T)
             kernel = unit_kernel(n, 8, 6, 7)
@@ -576,9 +584,9 @@ class TestPrunedPaddedTransforms:
 
 
 def _random_half(n, N, seed):
-    """Half spectrum of random samples, even in every coordinate for n >= 2."""
+    """Half spectrum of random samples, even in every coordinate."""
     u = np.random.default_rng(seed).standard_normal((N,) * n)
-    return np.fft.rfftn(even_part(u) if n > 1 else u)
+    return np.fft.rfftn(even_part(u))
 
 
 class TestPaddedWorkspace:

@@ -76,10 +76,11 @@ class TestNonlinearTerm:
     def test_is_the_padded_power_on_every_mode(self):
         # padding is the only dealiasing rule: no mode is masked out; Binv,
         # which smooths the power inside the Duhamel integral, is a factor
-        # of the phi table, and a step applies both to the raw power
+        # of the phi table, and a step applies both to the raw power; the
+        # real part of a half spectrum is an even field, as the kernel needs
         p = ModelParams(n=1, m=1.0, alpha=1.0, theta=3)
         g = sg.GridSpec(1, 64, 10.0)
-        f = random_real_field(g, seed=1, decay=0.0)
+        f = sg.SpectralField(g, random_real_field(g, seed=1, decay=0.0).coefficients.real)
         dt = 0.1
         kernel = sg.PaddedPower(g, p.theta + 1, padding(p.theta))
         stepper = _Stepper(g, p, dt, "etd1", kernel)
@@ -137,7 +138,8 @@ class TestStep:
         solve(f, gain_params, SolverConfig(dt=0.05, t_end=1.0, sample_times=(0.5,),
                                            enable_nonlinearity=False))
         assert calls == {"phi2": 0, "b_inverse": 0}
-        solve(f, gain_params, SolverConfig(dt=0.05, t_end=0.1))
+        solve(sg.SpectralField(g, f.coefficients.real), gain_params,
+              SolverConfig(dt=0.05, t_end=0.1))
         assert calls == {"phi2": 1, "b_inverse": 1}
 
     def test_blowup_aborts_with_time(self):
@@ -172,8 +174,8 @@ class TestStep:
 
 
 class TestEvenData:
-    """An n >= 2 nonlinear solve takes data even in every coordinate only,
-    which its padded-power kernel needs; it checks them once, at entry."""
+    """A nonlinear solve takes data even in every coordinate only, which its
+    padded-power kernel needs; it checks them once, at entry."""
 
     @pytest.mark.parametrize("data, defect", [
         ("random", "imaginary part"),
@@ -199,6 +201,30 @@ class TestEvenData:
             solve(u0, params, SolverConfig(dt=0.1, t_end=0.1))
         # a linear run has no padded power, so it takes any data
         solve(u0, params, SolverConfig(dt=0.1, t_end=0.1, enable_nonlinearity=False))
+
+    def test_refuses_odd_data_in_one_dimension(self):
+        # in 1-D there is no mirror image to compare: a real spectrum is an
+        # even field, and sin(x) has an imaginary one
+        g = sg.GridSpec(1, 16, 2.0 * np.pi)
+        u0 = to_spectral(g, np.sin(physical_nodes(g)))
+        params = ModelParams(n=1, m=1.0, alpha=1.0, theta=2)
+        with pytest.raises(ValueError, match="even in every coordinate: .*imaginary part"):
+            solve(u0, params, SolverConfig(dt=0.1, t_end=0.1))
+        solve(u0, params, SolverConfig(dt=0.1, t_end=0.1, enable_nonlinearity=False))
+
+    def test_one_dimensional_states_stay_exactly_real(self, gain_params):
+        # the kernel's spectrum is exactly real, so every state of a run on
+        # even data is, clipped steps' included, and the check at entry
+        # holds for the whole run: 2 steps and one of 0.05 to each of 0.25
+        # and 0.5, then 5 steps to 1
+        g = sg.GridSpec(1, 64, 12.0)
+        u0 = sg.field_from_spectral_profile(g, gaussian_profile(1.0, 0.8, n=1).profile)
+        imag = []
+        cfg = SolverConfig(dt=0.1, t_end=1.0, sample_times=(0.25, 0.5, 1.0))
+        res = solve(u0, gain_params, cfg,
+                    on_sample=lambda st: imag.append(st.field.coefficients.imag.copy()))
+        assert res.step_count == 11 and len(imag) == 3
+        assert all(np.all(part == 0.0) for part in imag)
 
     def test_non_finite_data_blow_up_at_entry(self):
         # the evenness check passes them on, without a warning, to the
@@ -505,7 +531,7 @@ class TestSamples:
         # 3 steps and one of 0.07 to 0.37, then 6 and one of 0.03 to 1
         g = sg.GridSpec(1, 32, 10.0)
         f = random_real_field(g, seed=6)
-        f = sg.SpectralField(g, 0.01 * f.coefficients)
+        f = sg.SpectralField(g, 0.01 * f.coefficients.real)
         cfg = SolverConfig(dt=0.1, t_end=1.0, sample_times=(0.0, 0.37, 1.0))
         seen = []
         res = solve(f, gain_params, cfg, on_sample=seen.append)
@@ -522,7 +548,7 @@ class TestSamples:
         # unclipped: the run is the fixed-step run with no samples
         g = sg.GridSpec(1, 32, 10.0)
         f = random_real_field(g, seed=6)
-        f = sg.SpectralField(g, 0.01 * f.coefficients)
+        f = sg.SpectralField(g, 0.01 * f.coefficients.real)
         ts = (0.0, 0.3, 0.5 + off, 1.0)
         seen = []
         res = solve(f, gain_params, SolverConfig(dt=0.1, t_end=1.0, sample_times=ts),
